@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -24,7 +25,7 @@ from typing import Optional
 from .defuzzify import centroid
 from .errors import FuzzyNewtonError, InsufficientDataError
 from .fuzzy_core import TriangularFuzzy
-from .level_calculus import ScalarizationConfig, eval_fuzzy, scalarize
+from .level_calculus import eval_fuzzy, scalarize
 from .newton_solver import (
     STATUS_CONVERGED,
     NewtonConfig,
@@ -40,6 +41,7 @@ from .problems import (
     MaxReturnParams,
     ProblemSpec,
     ResolvedProblem,
+    _param_from_json,
     parse_problem_config,
     resolve_problem,
 )
@@ -135,73 +137,47 @@ def _build_parser() -> _Parser:
 
 def _load_resolved(problem_arg: str, va, rho) -> ResolvedProblem:
     if problem_arg in BUILTIN_NAMES:
-        params = None
-        if va is not None or rho is not None:
-            if problem_arg == "example_4_1":
-                raise _UsageError(
-                    "--Va/--rho only apply to the max-return problems"
-                )
-            base = (
-                MaxReturnParams(Va=0.00168, rho=1.0)
-                if problem_arg == "max_return_crisp"
-                else MaxReturnParams(
-                    Va=TriangularFuzzy(0.00167, 0.00168, 0.00172),
-                    rho=TriangularFuzzy(0.5, 1.5, 3.5),
-                )
-            )
-            params = MaxReturnParams(
-                Va=base.Va if va is None else va,
-                rho=base.rho if rho is None else rho,
-            )
-        return resolve_problem(ProblemSpec(kind=problem_arg, params=params))
-    try:
-        with open(problem_arg, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as err:
-        raise _UsageError(
-            f"unknown problem {problem_arg!r} (not a builtin "
-            f"{'/'.join(BUILTIN_NAMES)} and not a readable config file: "
-            f"{err})"
-        ) from err
-    spec = parse_problem_config(text)
-    if va is not None or rho is not None:
-        if spec.kind not in ("max_return_crisp", "max_return_fuzzy"):
+        spec = ProblemSpec(kind=problem_arg)
+    else:
+        try:
+            with open(problem_arg, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as err:
             raise _UsageError(
-                "--Va/--rho only apply to the max-return problems"
-            )
-        prev = spec.params or MaxReturnParams(Va=0.00168, rho=1.0)
-        spec = ProblemSpec(
-            kind=spec.kind,
-            coefficients=spec.coefficients,
-            params=MaxReturnParams(
-                Va=prev.Va if va is None else va,
-                rho=prev.rho if rho is None else rho,
-            ),
-            domain=spec.domain,
-            sense=spec.sense,
-            x0=spec.x0,
-            eps=spec.eps,
-            alpha_points=spec.alpha_points,
-        )
-    return resolve_problem(spec)
+                f"unknown problem {problem_arg!r} (not a builtin "
+                f"{'/'.join(BUILTIN_NAMES)} and not a readable config file: "
+                f"{err})"
+            ) from err
+        spec = parse_problem_config(text)
+    resolved = resolve_problem(spec)
+    if va is None and rho is None:
+        return resolved
+    if resolved.params is None:
+        raise _UsageError("--Va/--rho only apply to the max-return problems")
+    # resolved.params holds the problem's own defaults where spec has none
+    params = dataclasses.replace(resolved.params, **_given(Va=va, rho=rho))
+    return resolve_problem(dataclasses.replace(spec, params=params))
+
+
+def _given(**values) -> dict:
+    """The keyword arguments whose value is not None."""
+    return {key: value for key, value in values.items() if value is not None}
 
 
 def _configs_from_args(args, resolved: ResolvedProblem) -> NewtonConfig:
-    scal = resolved.scal
-    scal = ScalarizationConfig(
-        alpha_points=(
-            scal.alpha_points if args.alpha_grid is None else args.alpha_grid
+    scal = dataclasses.replace(
+        resolved.scal,
+        **_given(
+            alpha_points=args.alpha_grid,
+            quadrature=args.quadrature,
+            fd_step=args.fd_step,
         ),
-        quadrature=(
-            scal.quadrature if args.quadrature is None else args.quadrature
-        ),
-        fd_step=scal.fd_step if args.fd_step is None else args.fd_step,
     )
     return NewtonConfig(
         x0=resolved.x0 if args.x0 is None else args.x0,
         eps=resolved.eps if args.eps is None else args.eps,
-        max_iter=100 if args.max_iter is None else args.max_iter,
         scal=scal,
+        **_given(max_iter=args.max_iter),
     )
 
 
@@ -442,24 +418,13 @@ def _sweep_rows(path: str) -> list[MaxReturnParams]:
         try:
             rows.append(
                 MaxReturnParams(
-                    Va=_json_param(item.get("Va"), i),
-                    rho=_json_param(item.get("rho"), i),
+                    Va=_param_from_json(item.get("Va")),
+                    rho=_param_from_json(item.get("rho")),
                 )
             )
         except (FuzzyNewtonError, ValueError, TypeError) as err:
             raise _UsageError(f"sweep row {i} is malformed: {err}") from err
     return rows
-
-
-def _json_param(v, row_index):
-    if isinstance(v, (int, float)):
-        return float(v)
-    if isinstance(v, list) and len(v) == 3:
-        return TriangularFuzzy(*(float(t) for t in v))
-    raise _UsageError(
-        f"sweep row {row_index}: parameter must be a number or a "
-        f"[left, peak, right] triple"
-    )
 
 
 def _cmd_table(args) -> int:

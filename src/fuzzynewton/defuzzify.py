@@ -6,32 +6,21 @@ the membership region, needs only the level endpoints:
     centroid = [ integral of (U_a^2 - L_a^2) / 2 da ]
              / [ integral of (U_a - L_a) da ]
 
-Both integrals run over the number's own alpha grid (Simpson when the
-grid size is odd, trapezoid otherwise).  For a crisp number the
+Both integrals run over the number's own alpha grid with the
+scalarization's quadrature weights (Simpson when the grid size is odd,
+trapezoid otherwise).  For a crisp number the
 denominator vanishes and the alpha = 1 midpoint is returned instead.
 """
 
 from __future__ import annotations
 
-import numpy as np
 
 from .fuzzy_core import FuzzyNumber
+from .level_calculus import _quad_weights
 
 __all__ = ["centroid"]
 
 CRISP_DENOMINATOR_FLOOR = 1e-14
-
-
-def _own_grid_weights(m: int) -> np.ndarray:
-    h = 1.0 / (m - 1)
-    if m % 2 == 1:
-        w = np.ones(m)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        return w * h / 3.0
-    w = np.full(m, h)
-    w[0] = w[-1] = h / 2.0
-    return w
 
 
 def centroid(a: FuzzyNumber) -> float:
@@ -40,7 +29,7 @@ def centroid(a: FuzzyNumber) -> float:
     Falls back to the alpha = 1 level midpoint when the number is crisp
     (denominator below 1e-14).
     """
-    w = _own_grid_weights(a.m)
+    _, w = _quad_weights(a.m, "simpson" if a.m % 2 else "trapezoid")
     num = float(w @ ((a.hi * a.hi - a.lo * a.lo) / 2.0))
     den = float(w @ (a.hi - a.lo))
     if den < CRISP_DENOMINATOR_FLOOR:

@@ -196,31 +196,35 @@ def _slack(*arrays: np.ndarray) -> float:
 
 
 def _validate_levels(alphas, lo, hi) -> None:
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise InvalidLevelError("level endpoints must be finite")
+    """Raise InvalidLevelError at the lowest alpha whose level breaks an
+    invariant; at one alpha, ordering is reported before the lower and
+    then the upper nestedness.  Non-finite endpoints are reported first."""
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    if not np.all(finite):
+        i = int(np.argmin(finite))
+        raise InvalidLevelError(
+            f"level endpoints must be finite (alpha={alphas[i]:.6g})",
+            alpha=float(alphas[i]),
+        )
     tol = _slack(lo, hi)
-    bad = lo > hi + tol
-    if np.any(bad):
-        i = int(np.argmax(bad))
+    # (violations by level index, offset of that index, message)
+    checks = (
+        (lo > hi + tol, 0,
+         "level ordering lo <= hi fails at alpha={a:.6g} ({lo} > {hi})"),
+        (np.diff(lo) < -tol, 1,
+         "nestedness fails: lower endpoints decrease at alpha={a:.6g}"),
+        (np.diff(hi) > tol, 1,
+         "nestedness fails: upper endpoints increase at alpha={a:.6g}"),
+    )
+    first = [
+        (int(np.argmax(bad)) + offset, rank, message)
+        for rank, (bad, offset, message) in enumerate(checks)
+        if np.any(bad)
+    ]
+    if first:
+        i, _, message = min(first)
         raise InvalidLevelError(
-            f"level ordering lo <= hi fails at alpha={alphas[i]:.6g} "
-            f"({lo[i]} > {hi[i]})",
-            alpha=float(alphas[i]),
-        )
-    bad = np.diff(lo) < -tol
-    if np.any(bad):
-        i = int(np.argmax(bad)) + 1
-        raise InvalidLevelError(
-            f"nestedness fails: lower endpoints decrease at alpha="
-            f"{alphas[i]:.6g}",
-            alpha=float(alphas[i]),
-        )
-    bad = np.diff(hi) > tol
-    if np.any(bad):
-        i = int(np.argmax(bad)) + 1
-        raise InvalidLevelError(
-            f"nestedness fails: upper endpoints increase at alpha="
-            f"{alphas[i]:.6g}",
+            message.format(a=alphas[i], lo=lo[i], hi=hi[i]),
             alpha=float(alphas[i]),
         )
 
@@ -356,18 +360,10 @@ def hukuhara_diff(
     HukuharaNonexistence verdict cites the first violated alpha.
     """
     _require_same_grid(a, b)
-    lo = a.lo - b.lo
-    hi = a.hi - b.hi
-    tol = _slack(lo, hi)
-    for i in range(a.m):
-        alpha = float(a.alphas[i])
-        if lo[i] > hi[i] + tol:
-            return HukuharaNonexistence(alpha, "level ordering lo <= hi fails")
-        if i > 0 and lo[i] < lo[i - 1] - tol:
-            return HukuharaNonexistence(alpha, "lower endpoints decrease")
-        if i > 0 and hi[i] > hi[i - 1] + tol:
-            return HukuharaNonexistence(alpha, "upper endpoints increase")
-    return FuzzyNumber(a.alphas, lo, hi)
+    try:
+        return FuzzyNumber(a.alphas, a.lo - b.lo, a.hi - b.hi)
+    except InvalidLevelError as err:
+        return HukuharaNonexistence(err.alpha, str(err))
 
 
 def levels_equal(a: FuzzyNumber, b: FuzzyNumber, tol: float = EQUALITY_TOL) -> bool:

@@ -10,6 +10,15 @@ and second derivatives come either from user-supplied analytic level
 derivatives (integrated with the same rule) or from central finite
 differences applied to F itself.
 
+All level values pass through one evaluator: ``_levels`` fetches a pair
+of level maps at a scalar x or on an x-column by alpha grid,
+``_integrate`` applies the quadrature weights, cached per grid size and
+rule, and raises NumericError on a non-finite value, and ``_Point``
+shares the levels fetched near one point among F, its finite-difference
+derivatives, the fuzzy value and the level slopes.  The Newton solver,
+the verifier, the grid oracle and the centroid all read values through
+it.
+
 Level callables must accept numpy arrays for the alpha argument and
 broadcast; accepting array x as well is optional but enables the fast
 vectorized paths.
@@ -17,6 +26,7 @@ vectorized paths.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -106,18 +116,24 @@ class ScalarizationConfig:
             raise ValueError("fd_step must be positive")
 
 
-def _quad_weights(cfg: ScalarizationConfig) -> tuple[np.ndarray, np.ndarray]:
-    n = cfg.alpha_points
-    alphas = uniform_alphas(n)
-    h = 1.0 / (n - 1)
-    if cfg.quadrature == "trapezoid":
-        w = np.full(n, h)
+@functools.lru_cache(maxsize=32)
+def _quad_weights(m: int, quadrature: str) -> tuple[np.ndarray, np.ndarray]:
+    """The uniform m-point alpha grid and its trapezoid or Simpson weights.
+
+    Built once per (m, quadrature) and shared read-only.
+    """
+    alphas = uniform_alphas(m)
+    h = 1.0 / (m - 1)
+    if quadrature == "trapezoid":
+        w = np.full(m, h)
         w[0] = w[-1] = h / 2.0
     else:
-        w = np.ones(n)
+        w = np.ones(m)
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
         w *= h / 3.0
+    alphas.flags.writeable = False
+    w.flags.writeable = False
     return alphas, w
 
 
@@ -185,21 +201,33 @@ def _require_in_domain(f: FuzzyFunction, x: float) -> None:
         )
 
 
-def _levels_at(f: FuzzyFunction, x: float, alphas: np.ndarray):
-    lo = np.broadcast_to(np.asarray(f.level_lo(x, alphas), float), alphas.shape)
-    hi = np.broadcast_to(np.asarray(f.level_hi(x, alphas), float), alphas.shape)
+def _levels(lo_map: LevelMap, hi_map: LevelMap, x, alphas: np.ndarray):
+    """A pair of level maps at x on the alpha grid, as float arrays.
+
+    A scalar x gives arrays shaped like ``alphas``; an x column of shape
+    (n, 1) gives (n, m) arrays.
+    """
+    shape = np.broadcast(x, alphas).shape
+    lo = np.broadcast_to(np.asarray(lo_map(x, alphas), float), shape)
+    hi = np.broadcast_to(np.asarray(hi_map(x, alphas), float), shape)
     return lo, hi
 
 
-def eval_fuzzy(f: FuzzyFunction, x: float, m: int = 101) -> FuzzyNumber:
-    """The fuzzy value of f at x sampled on the uniform m-point grid.
+def _integrate(lo: np.ndarray, hi: np.ndarray, w: np.ndarray, x):
+    """Quadrature of lo + hi over alpha, one value per x.
 
-    Raises MalformedFunctionError when the level maps violate the
-    fuzzy-number invariants at some (x, alpha).
+    Raises NumericError naming the first x whose value is not finite;
+    with positive weights, a non-finite level value makes it so.
     """
-    _require_in_domain(f, x)
-    alphas = uniform_alphas(m)
-    lo, hi = _levels_at(f, x, alphas)
+    values = (lo + hi) @ w
+    finite = np.isfinite(values)
+    if not np.all(finite):
+        bad = np.ravel(x)[np.argmin(np.ravel(finite))]
+        raise NumericError(f"non-finite level values at x={bad}")
+    return values
+
+
+def _fuzzy_number(f: FuzzyFunction, x: float, alphas, lo, hi) -> FuzzyNumber:
     try:
         return FuzzyNumber(alphas, lo, hi)
     except InvalidLevelError as err:
@@ -211,72 +239,141 @@ def eval_fuzzy(f: FuzzyFunction, x: float, m: int = 101) -> FuzzyNumber:
         ) from err
 
 
+def _stencil(f: FuzzyFunction, x: float, h: float):
+    """Finite-difference stencil at x with step h.
+
+    Returns the three abscissae and the pair (j, i, denom) with
+    F'(x) ~ (F[j] - F[i]) / denom.  The stencil is central where the
+    domain allows and shifted one-sided at a boundary, with a warning.
+    """
+    if f.contains(x - h) and f.contains(x + h):
+        return (x - h, x, x + h), (2, 0, 2.0 * h)
+    if f.contains(x + h):
+        side, points, first = "right", (x, x + h, x + 2.0 * h), (1, 0, h)
+    elif f.contains(x - h):
+        side, points, first = "left", (x - 2.0 * h, x - h, x), (2, 1, h)
+    else:
+        raise DomainError(
+            f"domain too narrow for a finite-difference stencil around x={x}"
+        )
+    # stacklevel 5: the caller of the public function (scalarize_d1,
+    # solve, check_point, ...) that reached here through _Point.
+    warnings.warn(
+        f"stencil shrunk to one-sided ({side}) at the domain boundary",
+        OneSidedStencilWarning,
+        stacklevel=5,
+    )
+    return points, first
+
+
+class _Point:
+    """F, its derivatives, the fuzzy value and the level slopes of f at x.
+
+    Levels fetched at a point are kept for the life of the object, so the
+    finite-difference stencil around x, the fuzzy value at x and the
+    level slopes share one evaluation per point.  F at a stencil point
+    whose levels are not otherwise needed comes from ``scalarize``.
+    """
+
+    def __init__(self, f: FuzzyFunction, x: float, cfg: ScalarizationConfig):
+        _require_in_domain(f, x)
+        self.f, self.x, self.cfg = f, x, cfg
+        self.h = cfg.fd_step * max(1.0, abs(x))
+        self.alphas, self.w = _quad_weights(cfg.alpha_points, cfg.quadrature)
+        self._levels: dict = {}
+        self._values: dict = {}
+        self._fd = None
+
+    def levels(self, p: float):
+        if p not in self._levels:
+            self._levels[p] = _levels(
+                self.f.level_lo, self.f.level_hi, p, self.alphas
+            )
+        return self._levels[p]
+
+    def F(self, p: float) -> float:
+        if p not in self._values:
+            if p in self._levels:
+                value = float(_integrate(*self._levels[p], self.w, p))
+            else:
+                value = scalarize(self.f, p, self.cfg)
+            self._values[p] = value
+        return self._values[p]
+
+    def value(self) -> float:
+        self.levels(self.x)
+        return self.F(self.x)
+
+    def fuzzy_value(self) -> FuzzyNumber:
+        return _fuzzy_number(self.f, self.x, self.alphas, *self.levels(self.x))
+
+    def stencil(self):
+        if self._fd is None:
+            self._fd = _stencil(self.f, self.x, self.h)
+        return self._fd
+
+    def _analytic(self, lo_map: LevelMap, hi_map: LevelMap) -> float:
+        lo, hi = _levels(lo_map, hi_map, self.x, self.alphas)
+        return float(_integrate(lo, hi, self.w, self.x))
+
+    def d1(self) -> float:
+        if self.f.has_analytic_d1:
+            return self._analytic(self.f.d1_lo, self.f.d1_hi)
+        points, (j, i, denom) = self.stencil()
+        return (self.F(points[j]) - self.F(points[i])) / denom
+
+    def d2(self) -> float:
+        if self.f.has_analytic_d2:
+            return self._analytic(self.f.d2_lo, self.f.d2_hi)
+        fa, fb, fc = (self.F(p) for p in self.stencil()[0])
+        return (fa - 2.0 * fb + fc) / (self.h * self.h)
+
+    def level_d1_max(self) -> float:
+        """Largest |d/dx| of a level endpoint, by the stencil's first
+        difference."""
+        points, (j, i, denom) = self.stencil()
+        lo_j, hi_j = self.levels(points[j])
+        lo_i, hi_i = self.levels(points[i])
+        dlo = (lo_j - lo_i) / denom
+        dhi = (hi_j - hi_i) / denom
+        return float(max(np.max(np.abs(dlo)), np.max(np.abs(dhi))))
+
+
+def eval_fuzzy(f: FuzzyFunction, x: float, m: int = 101) -> FuzzyNumber:
+    """The fuzzy value of f at x sampled on the uniform m-point grid.
+
+    Raises MalformedFunctionError when the level maps violate the
+    fuzzy-number invariants at some (x, alpha).
+    """
+    _require_in_domain(f, x)
+    alphas = uniform_alphas(m)
+    return _fuzzy_number(
+        f, x, alphas, *_levels(f.level_lo, f.level_hi, x, alphas)
+    )
+
+
 def scalarize(f: FuzzyFunction, x: float, cfg: ScalarizationConfig) -> float:
     """Quadrature approximation of the level-sum integral at one point."""
     _require_in_domain(f, x)
-    alphas, w = _quad_weights(cfg)
-    lo, hi = _levels_at(f, x, alphas)
-    total = lo + hi
-    if not np.all(np.isfinite(total)):
-        raise NumericError(f"non-finite level values at x={x}")
-    return float(w @ total)
+    alphas, w = _quad_weights(cfg.alpha_points, cfg.quadrature)
+    return float(_integrate(*_levels(f.level_lo, f.level_hi, x, alphas), w, x))
 
 
 def scalarize_many(f: FuzzyFunction, xs, cfg: ScalarizationConfig) -> np.ndarray:
     """Vectorized scalarization over an array of x values.
 
     Uses a single broadcast evaluation when the level maps accept array
-    x, otherwise falls back to a per-point loop.
+    x, otherwise falls back to a per-point loop.  Raises NumericError,
+    as scalarize does, when a value is not finite.
     """
     xs = np.atleast_1d(np.asarray(xs, float))
-    alphas, w = _quad_weights(cfg)
-    shape = (xs.size, alphas.size)
+    alphas, w = _quad_weights(cfg.alpha_points, cfg.quadrature)
     try:
-        lo = np.broadcast_to(
-            np.asarray(f.level_lo(xs[:, None], alphas[None, :]), float), shape
-        )
-        hi = np.broadcast_to(
-            np.asarray(f.level_hi(xs[:, None], alphas[None, :]), float), shape
-        )
-    except Exception:
+        lo, hi = _levels(f.level_lo, f.level_hi, xs[:, None], alphas)
+    except (TypeError, ValueError):
+        # level maps written for a scalar x only
         return np.array([scalarize(f, float(x), cfg) for x in xs])
-    return (lo + hi) @ w
-
-
-def _fd_points(f: FuzzyFunction, x: float, h: float):
-    """Stencil abscissae (x-h, x, x+h), shrunk one-sided at a boundary."""
-    left_ok = f.contains(x - h)
-    right_ok = f.contains(x + h)
-    if left_ok and right_ok:
-        return x - h, x, x + h, False
-    if right_ok:
-        warnings.warn(
-            "stencil shrunk to one-sided (right) at the domain boundary",
-            OneSidedStencilWarning,
-            stacklevel=3,
-        )
-        return x, x + h, x + 2.0 * h, True
-    if left_ok:
-        warnings.warn(
-            "stencil shrunk to one-sided (left) at the domain boundary",
-            OneSidedStencilWarning,
-            stacklevel=3,
-        )
-        return x - 2.0 * h, x - h, x, True
-    raise DomainError(
-        f"domain too narrow for a finite-difference stencil around x={x}"
-    )
-
-
-def _integrate_levels(maps, x, cfg) -> float:
-    alphas, w = _quad_weights(cfg)
-    lo_map, hi_map = maps
-    lo = np.broadcast_to(np.asarray(lo_map(x, alphas), float), alphas.shape)
-    hi = np.broadcast_to(np.asarray(hi_map(x, alphas), float), alphas.shape)
-    total = lo + hi
-    if not np.all(np.isfinite(total)):
-        raise NumericError(f"non-finite level derivative at x={x}")
-    return float(w @ total)
+    return _integrate(lo, hi, w, xs)
 
 
 def scalarize_d1(f: FuzzyFunction, x: float, cfg: ScalarizationConfig) -> float:
@@ -285,29 +382,12 @@ def scalarize_d1(f: FuzzyFunction, x: float, cfg: ScalarizationConfig) -> float:
     Integrates analytic level derivatives when available, otherwise a
     central difference of F with step fd_step * max(1, |x|).
     """
-    _require_in_domain(f, x)
-    if f.has_analytic_d1:
-        return _integrate_levels((f.d1_lo, f.d1_hi), x, cfg)
-    h = cfg.fd_step * max(1.0, abs(x))
-    a, b, c = _fd_points(f, x, h)[:3]
-    if a == x:  # one-sided right
-        return (scalarize(f, b, cfg) - scalarize(f, a, cfg)) / h
-    if c == x:  # one-sided left
-        return (scalarize(f, c, cfg) - scalarize(f, b, cfg)) / h
-    return (scalarize(f, c, cfg) - scalarize(f, a, cfg)) / (2.0 * h)
+    return _Point(f, x, cfg).d1()
 
 
 def scalarize_d2(f: FuzzyFunction, x: float, cfg: ScalarizationConfig) -> float:
     """Second derivative of the scalarized F at x (analytic or FD)."""
-    _require_in_domain(f, x)
-    if f.has_analytic_d2:
-        return _integrate_levels((f.d2_lo, f.d2_hi), x, cfg)
-    h = cfg.fd_step * max(1.0, abs(x))
-    a, b, c = _fd_points(f, x, h)[:3]
-    fa = scalarize(f, a, cfg)
-    fb = scalarize(f, b, cfg)
-    fc = scalarize(f, c, cfg)
-    return (fa - 2.0 * fb + fc) / (h * h)
+    return _Point(f, x, cfg).d2()
 
 
 @dataclass(frozen=True)

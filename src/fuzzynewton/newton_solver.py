@@ -25,11 +25,9 @@ from .level_calculus import (
     FuzzyFunction,
     NonDominanceVerdict,
     ScalarizationConfig,
+    _Point,
     comparability_check,
-    eval_fuzzy,
     non_dominance_check,
-    scalarize,
-    scalarize_d1,
     scalarize_d2,
 )
 
@@ -130,10 +128,11 @@ def solve(f: FuzzyFunction, cfg: NewtonConfig) -> SolveResult:
     status = STATUS_MAX_ITER
     xstar = xk
     for k in range(cfg.max_iter):
+        point = _Point(f, xk, cfg.scal)
         try:
-            fval = scalarize(f, xk, cfg.scal)
-            d1 = scalarize_d1(f, xk, cfg.scal)
-            d2 = scalarize_d2(f, xk, cfg.scal)
+            fval = point.value()
+            d1 = point.d1()
+            d2 = point.d2()
         except NumericError:
             status = STATUS_NON_FINITE
             xstar = xk
@@ -142,7 +141,7 @@ def solve(f: FuzzyFunction, cfg: NewtonConfig) -> SolveResult:
             status = STATUS_NON_FINITE
             xstar = xk
             break
-        fuzzy_value = eval_fuzzy(f, xk, cfg.scal.alpha_points)
+        fuzzy_value = point.fuzzy_value()
         if abs(d2) < cfg.d2_floor:
             trace.append(
                 IterationRecord(k, xk, fval, d1, d2, math.nan, fuzzy_value)
@@ -243,31 +242,6 @@ class VerificationReport:
         ]
 
 
-def _level_d1_max(f: FuzzyFunction, x: float, cfg: ScalarizationConfig) -> float:
-    from .fuzzy_core import uniform_alphas
-
-    alphas = uniform_alphas(cfg.alpha_points)
-    h = cfg.fd_step * max(1.0, abs(x))
-    if f.contains(x - h) and f.contains(x + h):
-        pts = (x - h, x + h)
-        denom = 2.0 * h
-    elif f.contains(x + h):
-        pts = (x, x + h)
-        denom = h
-    else:
-        pts = (x - h, x)
-        denom = h
-    dlo = (
-        np.asarray(f.level_lo(pts[1], alphas), float)
-        - np.asarray(f.level_lo(pts[0], alphas), float)
-    ) / denom
-    dhi = (
-        np.asarray(f.level_hi(pts[1], alphas), float)
-        - np.asarray(f.level_hi(pts[0], alphas), float)
-    ) / denom
-    return float(max(np.max(np.abs(dlo)), np.max(np.abs(dhi))))
-
-
 def check_point(
     f: FuzzyFunction,
     x: float,
@@ -281,8 +255,10 @@ def check_point(
 
     The default stationarity tolerance is 10 * eps * max(1, |F''(x)|).
     """
-    d1 = scalarize_d1(f, x, cfg.scal)
-    d2 = scalarize_d2(f, x, cfg.scal)
+    point = _Point(f, x, cfg.scal)
+    # the level slopes first: they fetch the stencil levels d1 and d2 reuse
+    level_d1_max = point.level_d1_max()
+    d1, d2 = point.d1(), point.d2()
     if stat_tol is None:
         stat_tol = 10.0 * cfg.eps * max(1.0, abs(d2))
     m = cfg.scal.alpha_points
@@ -292,7 +268,7 @@ def check_point(
         d2=d2,
         stat_tol=stat_tol,
         stationary=abs(d1) < stat_tol,
-        level_d1_max=_level_d1_max(f, x, cfg.scal),
+        level_d1_max=level_d1_max,
         non_dominance=non_dominance_check(f, x, nbhd, samples, m),
         comp_plus=comparability_check(f, x, +1.0, nbhd, samples, m),
         comp_minus=comparability_check(f, x, -1.0, nbhd, samples, m),

@@ -275,10 +275,10 @@ class ResolvedProblem:
 
     label: str
     function: FuzzyFunction
-    x0: float
-    eps: float
-    scal: ScalarizationConfig
-    bracket: Optional[tuple[float, float]]
+    x0: float = 1.0
+    eps: float = 1e-5
+    scal: ScalarizationConfig = ScalarizationConfig()
+    bracket: Optional[tuple[float, float]] = None
     params: Optional[MaxReturnParams] = None
 
 
@@ -292,27 +292,23 @@ FUZZY_MAX_RETURN_SCAL = ScalarizationConfig(fd_step=1e-4)
 
 BUILTIN_NAMES = ("example_4_1", "max_return_crisp", "max_return_fuzzy")
 
+# Points per scalarize_many call in grid_search_min: 20000 x 101 levels
+# is 16 MB per float64 array.
+_GRID_CHUNK = 20000
+
 
 def _resolve_builtin(
     name: str, params: Optional[MaxReturnParams]
 ) -> ResolvedProblem:
     if name == "example_4_1":
         return ResolvedProblem(
-            label=name,
-            function=build_example_4_1(),
-            x0=1.0,
-            eps=1e-5,
-            scal=ScalarizationConfig(),
-            bracket=(-0.5, 0.5),
+            label=name, function=build_example_4_1(), bracket=(-0.5, 0.5)
         )
     if name == "max_return_crisp":
         p = params or DEFAULT_CRISP_PARAMS
         return ResolvedProblem(
             label=name,
             function=build_max_return_crisp(p),
-            x0=1.0,
-            eps=1e-5,
-            scal=ScalarizationConfig(),
             bracket=(0.0, 1.5),
             params=p,
         )
@@ -321,8 +317,6 @@ def _resolve_builtin(
         return ResolvedProblem(
             label=name,
             function=build_max_return_fuzzy(p),
-            x0=1.0,
-            eps=1e-5,
             scal=FUZZY_MAX_RETURN_SCAL,
             bracket=(0.0, 1.5),
             params=p,
@@ -365,31 +359,17 @@ def resolve_problem(spec: ProblemSpec) -> ResolvedProblem:
         fn = build_fuzzy_polynomial(spec.coefficients)
         if spec.domain is not None:
             fn = dataclasses.replace(fn, domain=spec.domain)
-        base = ResolvedProblem(
-            label=fn.name,
-            function=fn,
-            x0=1.0,
-            eps=1e-5,
-            scal=ScalarizationConfig(),
-            bracket=spec.domain,
-        )
+        base = ResolvedProblem(label=fn.name, function=fn, bracket=spec.domain)
     else:
         base = _resolve_builtin(spec.kind, spec.params)
     scal = base.scal
     if spec.alpha_points is not None:
-        scal = ScalarizationConfig(
-            alpha_points=spec.alpha_points,
-            quadrature=scal.quadrature,
-            fd_step=scal.fd_step,
-        )
-    return ResolvedProblem(
-        label=base.label,
-        function=base.function,
+        scal = dataclasses.replace(scal, alpha_points=spec.alpha_points)
+    return dataclasses.replace(
+        base,
         x0=base.x0 if spec.x0 is None else float(spec.x0),
         eps=base.eps if spec.eps is None else float(spec.eps),
         scal=scal,
-        bracket=base.bracket,
-        params=base.params,
     )
 
 
@@ -497,19 +477,19 @@ def grid_search_min(
     bracket: tuple[float, float],
     cfg: ScalarizationConfig,
     step: float = 1e-5,
-    chunk: int = 20000,
 ) -> float:
     """Brute-force minimizer of the scalarized F over a bracket.
 
-    Evaluates F on a uniform grid of the given step (chunked to bound
-    memory) and returns the grid point with the smallest value.  This is
-    the independent oracle the Newton answers are checked against.
+    Evaluates F on a uniform grid of the given step, _GRID_CHUNK points
+    at a time to bound memory, and returns the grid point with the
+    smallest value.  This is the independent oracle the Newton answers
+    are checked against; a non-finite F raises NumericError.
     """
     a, b = bracket
     n = int(round((b - a) / step)) + 1
     best_x, best_v = a, math.inf
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    for start in range(0, n, _GRID_CHUNK):
+        stop = min(start + _GRID_CHUNK, n)
         xs = a + step * np.arange(start, stop)
         vals = scalarize_many(f, xs, cfg)
         i = int(np.argmin(vals))

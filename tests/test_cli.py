@@ -91,6 +91,23 @@ class TestSolveCommand:
         assert rep["config"]["eps"] == 1e-6  # file survives
         assert rep["config"]["alpha_points"] == 51
 
+    def test_param_flag_on_config_keeps_the_problem_defaults(
+        self, tmp_path, capsys
+    ):
+        cfg = tmp_path / "fuzzy.json"
+        cfg.write_text(json.dumps({"kind": "max_return_fuzzy"}))
+        reports = []
+        for problem in ("max_return_fuzzy", str(cfg)):
+            code, out, _ = run(capsys, "solve", "--problem", problem,
+                               "--rho", "2", "--format", "json")
+            assert code == 0
+            reports.append(json.loads(out))
+        builtin, from_file = reports
+        assert from_file["config"]["params"] == builtin["config"]["params"]
+        assert from_file["config"]["params"]["Va"] == [0.00167, 0.00168,
+                                                       0.00172]
+        assert from_file["xstar"] == builtin["xstar"]
+
     def test_solver_flags_are_echoed(self, capsys):
         code, out, _ = run(
             capsys, "solve", "--problem", "example_4_1",

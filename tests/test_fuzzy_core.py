@@ -308,6 +308,22 @@ class TestHukuhara:
         assert 0.0 <= verdict.alpha <= 1.0
         assert verdict.reason
 
+    def test_verdict_cites_the_lowest_violated_alpha(self):
+        alphas = uniform_alphas(5)
+        # the difference has lower endpoints that decrease at alpha 0.25
+        # and an ordering failure (lo > hi) only at alpha 1
+        a = FuzzyNumber(alphas, [0.0, 0.0, 0.5, 0.5, 1.0],
+                        [3.0, 2.5, 2.0, 1.5, 1.0])
+        b = FuzzyNumber(alphas, [-1.0, 0.0, 0.0, 0.0, 0.0],
+                        [1.0, 1.0, 1.0, 1.0, 1.0])
+        verdict = hukuhara_diff(a, b)
+        assert isinstance(verdict, HukuharaNonexistence)
+        assert verdict.alpha == 0.25
+        assert "lower endpoints decrease" in verdict.reason
+        with pytest.raises(InvalidLevelError) as err:
+            FuzzyNumber(alphas, a.lo - b.lo, a.hi - b.hi)
+        assert err.value.alpha == 0.25
+
     def test_verdict_is_falsy_number_is_not(self):
         b = tri(0.0, 1.0, 2.0)
         assert hukuhara_diff(add(b, b), b)

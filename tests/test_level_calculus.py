@@ -1,6 +1,7 @@
 """Tests for fuzzy-valued functions, scalarization, and its derivatives."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -126,6 +127,35 @@ class TestEvalAndScalarize:
         many = scalarize_many(EX41, xs, CFG)
         one_by_one = np.array([scalarize(EX41, float(x), CFG) for x in xs])
         np.testing.assert_allclose(many, one_by_one, rtol=0, atol=1e-12)
+
+    def test_scalarize_many_raises_on_non_finite_values(self):
+        def level(x, a):
+            x = np.asarray(x, float)
+            return np.where(x < 0.2, np.nan, x) + 0.0 * a
+
+        f = FuzzyFunction(level_lo=level, level_hi=level)
+        with pytest.raises(NumericError) as err:
+            scalarize_many(f, np.linspace(0.0, 1.0, 11), CFG)
+        assert "x=0.0" in str(err.value)
+        assert scalarize_many(f, [0.5, 1.0], CFG) == pytest.approx([1.0, 2.0])
+
+    def test_scalarize_many_scalar_only_maps_fall_back(self):
+        f = crisp_lift(lambda x: math.exp(x))
+        xs = np.linspace(-1.0, 1.0, 5)
+        np.testing.assert_array_equal(
+            scalarize_many(f, xs, CFG),
+            [scalarize(f, float(x), CFG) for x in xs],
+        )
+
+    def test_scalarize_many_propagates_other_errors(self):
+        def level(x, a):
+            if np.ndim(x) > 0:
+                raise KeyError("bug in an array-x branch")
+            return np.asarray(x + 0.0 * a)
+
+        f = FuzzyFunction(level_lo=level, level_hi=level)
+        with pytest.raises(KeyError):
+            scalarize_many(f, [0.0, 1.0], CFG)
 
     def test_out_of_domain_rejected(self):
         f = dataclasses.replace(EX41, domain=(-1.0, 1.0))

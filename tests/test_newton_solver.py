@@ -189,6 +189,14 @@ class TestVerification:
         assert rep.ok
         assert rep.level_d1_max < 1e-8
 
+    def test_check_point_needs_room_for_the_stencil(self):
+        # analytic d1/d2, but the level slopes still take a stencil: a
+        # domain narrower than it is an error, not a silent evaluation
+        # outside the domain
+        f = dataclasses.replace(EX41, domain=(0.0, 1e-9))
+        with pytest.raises(DomainError):
+            check_point(f, 5e-10, NewtonConfig(x0=5e-10))
+
     def test_stat_tol_scales_with_curvature(self):
         rep = check_point(EX41, 0.0, NewtonConfig(x0=0.0))
         # 10 * eps * max(1, |F''|) with F'' = 8

@@ -9,8 +9,10 @@ import pytest
 from fuzzynewton import (
     BUILTIN_NAMES,
     ConfigFormatError,
+    FuzzyFunction,
     MaxReturnParams,
     NewtonConfig,
+    NumericError,
     ProblemSpec,
     ScalarizationConfig,
     SingularLevelError,
@@ -268,3 +270,14 @@ class TestGridOracle:
         )
         xg = grid_search_min(f, (0.0, 2.5), CFG, step=1e-4)
         assert xg == pytest.approx(1.0, abs=2e-4)
+
+    def test_nan_in_the_bracket_raises(self):
+        # F = (x - 0.5)^2 per level, NaN below x = 0.2: argmin used to
+        # pick the NaN, so the answer depended on where chunks began
+        def level(x, a):
+            x = np.asarray(x, float)
+            return np.where(x < 0.2, np.nan, (x - 0.5) ** 2) + 0.0 * a
+
+        f = FuzzyFunction(level_lo=level, level_hi=level)
+        with pytest.raises(NumericError):
+            grid_search_min(f, (0.0, 1.0), CFG, step=1e-4)
