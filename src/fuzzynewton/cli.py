@@ -24,7 +24,7 @@ from typing import Optional
 
 from .defuzzify import centroid
 from .errors import FuzzyNewtonError, InsufficientDataError
-from .fuzzy_core import TriangularFuzzy
+from .fuzzy_core import triangular_from_record
 from .level_calculus import eval_fuzzy, scalarize
 from .newton_solver import (
     STATUS_CONVERGED,
@@ -42,6 +42,7 @@ from .problems import (
     ProblemSpec,
     ResolvedProblem,
     _param_from_json,
+    _param_to_json,
     parse_problem_config,
     resolve_problem,
 )
@@ -49,14 +50,23 @@ from .problems import (
 __all__ = ["main", "entrypoint"]
 
 TRACE_COLUMNS = ("k", "x_k", "x_next", "f_lo0", "f_lo1", "f_hi1", "f_hi0")
+# The solver settings the reports echo, and the outcome keys of a solve
+# report in the order the csv report lists them.
+CONFIG_KEYS = ("x0", "eps", "max_iter", "alpha_points", "quadrature", "fd_step")
 SUMMARY_KEYS = (
+    "status",
+    "stationarity_kind",
+    "iterations",
     "xstar",
     "F_xstar",
     "value",
     "fvalue_support_lo",
     "fvalue_core_mid",
     "fvalue_support_hi",
+    "convergence_order",
+    "wall_time_s",
 )
+TABLE_COLUMNS = ("Va", "rho", "xstar", "value", "status", "iterations")
 
 
 class _UsageError(Exception):
@@ -81,16 +91,10 @@ def _param_flag(text: str):
     if len(parts) == 1:
         return float(parts[0])
     if len(parts) == 3:
-        return TriangularFuzzy(*(float(p) for p in parts))
+        return triangular_from_record(parts)
     raise _UsageError(
         f"parameter must be a number or 'left,peak,right', got {text!r}"
     )
-
-
-def _param_display(v):
-    if isinstance(v, TriangularFuzzy):
-        return [v.left, v.peak, v.right]
-    return v
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -244,8 +248,8 @@ def _solve_report(resolved: ResolvedProblem, cfg: NewtonConfig) -> dict:
                 None
                 if params is None
                 else {
-                    "Va": _param_display(params.Va),
-                    "rho": _param_display(params.rho),
+                    "Va": _param_to_json(params.Va),
+                    "rho": _param_to_json(params.rho),
                 }
             ),
         },
@@ -277,13 +281,7 @@ def _render_solve_text(rep: dict) -> str:
     out.write(f"problem: {rep['problem']}\n")
     out.write(
         "config: "
-        + " ".join(
-            f"{key}={_fmt6(cfg[key])}"
-            for key in (
-                "x0", "eps", "max_iter", "alpha_points", "quadrature",
-                "fd_step",
-            )
-        )
+        + " ".join(f"{key}={_fmt6(cfg[key])}" for key in CONFIG_KEYS)
         + "\n"
     )
     if cfg["params"] is not None:
@@ -337,40 +335,19 @@ def _render_solve_csv(rep: dict) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["key", "value"])
+    # csv writes a float as its repr and None as an empty cell
     cfg = rep["config"]
-    scalars = [
-        ("problem", rep["problem"]),
-        ("x0", cfg["x0"]),
-        ("eps", cfg["eps"]),
-        ("max_iter", cfg["max_iter"]),
-        ("alpha_points", cfg["alpha_points"]),
-        ("quadrature", cfg["quadrature"]),
-        ("fd_step", cfg["fd_step"]),
-        ("params_Va", json.dumps(cfg["params"]["Va"]) if cfg["params"] else ""),
-        ("params_rho",
-         json.dumps(cfg["params"]["rho"]) if cfg["params"] else ""),
-        ("status", rep["status"]),
-        ("stationarity_kind", rep["stationarity_kind"]),
-        ("iterations", rep["iterations"]),
-        ("xstar", repr(rep["xstar"])),
-        ("F_xstar", repr(rep["F_xstar"])),
-        ("value", repr(rep["value"])),
-        ("fvalue_support_lo", repr(rep["fvalue_support_lo"])),
-        ("fvalue_core_mid", repr(rep["fvalue_core_mid"])),
-        ("fvalue_support_hi", repr(rep["fvalue_support_hi"])),
-        ("convergence_order",
-         "" if rep["convergence_order"] is None
-         else repr(rep["convergence_order"])),
-        ("wall_time_s", repr(rep["wall_time_s"])),
-    ]
-    for key, value in scalars:
-        writer.writerow([key, value])
+    params = cfg["params"] or {}
+    writer.writerow(["problem", rep["problem"]])
+    writer.writerows([key, cfg[key]] for key in CONFIG_KEYS)
+    writer.writerows(
+        [f"params_{name}", json.dumps(params[name]) if params else ""]
+        for name in ("Va", "rho")
+    )
+    writer.writerows([key, rep[key]] for key in SUMMARY_KEYS)
     writer.writerow([])
     writer.writerow(TRACE_COLUMNS)
-    for row in rep["trace"]:
-        writer.writerow(
-            [row["k"]] + [repr(row[c]) for c in TRACE_COLUMNS[1:]]
-        )
+    writer.writerows([row[c] for c in TRACE_COLUMNS] for row in rep["trace"])
     return out.getvalue()
 
 
@@ -394,9 +371,6 @@ def _cmd_solve(args) -> int:
         text = _render_solve_text(rep)
     _emit(text, args.out)
     return 0 if rep["status"] == STATUS_CONVERGED else 2
-
-
-TABLE_COLUMNS = ("Va", "rho", "xstar", "value", "status", "iterations")
 
 
 def _sweep_rows(path: str) -> list[MaxReturnParams]:
@@ -439,12 +413,9 @@ def _cmd_table(args) -> int:
         rep = _solve_report(resolved, cfg)
         results.append(
             {
-                "Va": _param_display(params.Va),
-                "rho": _param_display(params.rho),
-                "xstar": rep["xstar"],
-                "value": rep["value"],
-                "status": rep["status"],
-                "iterations": rep["iterations"],
+                "Va": _param_to_json(params.Va),
+                "rho": _param_to_json(params.rho),
+                **{key: rep[key] for key in TABLE_COLUMNS[2:]},
             }
         )
     if args.format == "json":
@@ -453,17 +424,11 @@ def _cmd_table(args) -> int:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(TABLE_COLUMNS)
-        for row in results:
-            writer.writerow(
-                [
-                    json.dumps(row["Va"]),
-                    json.dumps(row["rho"]),
-                    repr(row["xstar"]),
-                    repr(row["value"]),
-                    row["status"],
-                    row["iterations"],
-                ]
-            )
+        writer.writerows(
+            [json.dumps(row["Va"]), json.dumps(row["rho"])]
+            + [row[key] for key in TABLE_COLUMNS[2:]]
+            for row in results
+        )
         text = out.getvalue()
     else:
         out = io.StringIO()
@@ -472,13 +437,8 @@ def _cmd_table(args) -> int:
             "".join(h.rjust(widths) for h in TABLE_COLUMNS).lstrip() + "\n"
         )
         for row in results:
-            cells = [
-                str(row["Va"]),
-                str(row["rho"]),
-                _fmt6(row["xstar"]),
-                _fmt6(row["value"]),
-                row["status"],
-                str(row["iterations"]),
+            cells = [str(row["Va"]), str(row["rho"])] + [
+                _fmt6(row[key]) for key in TABLE_COLUMNS[2:]
             ]
             out.write("".join(c.rjust(widths) for c in cells).lstrip() + "\n")
         text = out.getvalue()
@@ -498,9 +458,8 @@ def _cmd_check(args) -> int:
     )
     for line in report.lines():
         sys.stdout.write(line + "\n")
-    passed = report.stationary and not report.non_dominance.dominated
-    sys.stdout.write(f"verdict: {'pass' if passed else 'fail'}\n")
-    return 0 if passed else 3
+    sys.stdout.write(f"verdict: {'pass' if report.ok else 'fail'}\n")
+    return 0 if report.ok else 3
 
 
 def main(argv=None) -> int:

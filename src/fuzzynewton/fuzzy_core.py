@@ -97,18 +97,23 @@ class TriangularFuzzy:
                 f"({self.left}, {self.peak}, {self.right})"
             )
 
+    def cut(self, alpha):
+        """Endpoints (lo, hi) of the alpha-cut, for a float or an array:
+        [(1-a)*left + a*peak, (1-a)*right + a*peak]."""
+        return (
+            (1.0 - alpha) * self.left + alpha * self.peak,
+            (1.0 - alpha) * self.right + alpha * self.peak,
+        )
+
 
 def alpha_cut(t: TriangularFuzzy, alpha: float) -> Interval:
-    """Exact alpha-cut [(1-a)*left + a*peak, (1-a)*right + a*peak].
+    """Exact alpha-cut of t as an Interval.
 
     Raises DomainError if alpha lies outside [0, 1].
     """
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
-    return Interval(
-        (1.0 - alpha) * t.left + alpha * t.peak,
-        (1.0 - alpha) * t.right + alpha * t.peak,
-    )
+    return Interval(*t.cut(alpha))
 
 
 def uniform_alphas(m: int) -> np.ndarray:
@@ -239,9 +244,7 @@ def _require_same_grid(a: FuzzyNumber, b: FuzzyNumber) -> None:
 def discretize(t: TriangularFuzzy, m: int = 101) -> FuzzyNumber:
     """Sample a triangular fuzzy number onto the uniform m-point grid."""
     alphas = uniform_alphas(m)
-    lo = (1.0 - alphas) * t.left + alphas * t.peak
-    hi = (1.0 - alphas) * t.right + alphas * t.peak
-    return FuzzyNumber(alphas, lo, hi)
+    return FuzzyNumber(alphas, *t.cut(alphas))
 
 
 def crisp(value: float, m: int = 101) -> FuzzyNumber:

@@ -149,19 +149,12 @@ def crisp_lift(
     Level maps ignore alpha apart from broadcasting against it.
     """
 
-    def lev(x, a):
-        return np.asarray(g(x)) + 0.0 * np.asarray(a)
+    def lift(fn):
+        if fn is None:
+            return None
+        return lambda x, a: np.asarray(fn(x)) + 0.0 * np.asarray(a)
 
-    dmap1 = None
-    if d1 is not None:
-        def dmap1(x, a):
-            return np.asarray(d1(x)) + 0.0 * np.asarray(a)
-
-    dmap2 = None
-    if d2 is not None:
-        def dmap2(x, a):
-            return np.asarray(d2(x)) + 0.0 * np.asarray(a)
-
+    lev, dmap1, dmap2 = lift(g), lift(d1), lift(d2)
     return FuzzyFunction(
         level_lo=lev,
         level_hi=lev,

@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigFormatError, SingularLevelError
-from .fuzzy_core import TriangularFuzzy
+from .fuzzy_core import TriangularFuzzy, triangular_from_record, triangular_to_record
 from .level_calculus import FuzzyFunction, ScalarizationConfig, crisp_lift, scalarize_many
 
 __all__ = [
@@ -57,10 +57,11 @@ Scalar = Union[int, float]
 ParamValue = Union[Scalar, TriangularFuzzy]
 
 
-def _min_value(v: ParamValue) -> float:
+def _as_triangular(v: ParamValue) -> TriangularFuzzy:
     if isinstance(v, TriangularFuzzy):
-        return v.left
-    return float(v)
+        return v
+    v = float(v)
+    return TriangularFuzzy(v, v, v)
 
 
 @dataclass(frozen=True)
@@ -71,11 +72,11 @@ class MaxReturnParams:
     rho: ParamValue
 
     def __post_init__(self):
-        if _min_value(self.Va) <= 0.0:
+        if _as_triangular(self.Va).left <= 0.0:
             raise SingularLevelError(
                 "every level of Va must be strictly positive", alpha=0.0
             )
-        if _min_value(self.rho) <= 0.0:
+        if _as_triangular(self.rho).left <= 0.0:
             raise ValueError("every level of rho must be strictly positive")
 
     @property
@@ -83,13 +84,6 @@ class MaxReturnParams:
         return isinstance(self.Va, TriangularFuzzy) or isinstance(
             self.rho, TriangularFuzzy
         )
-
-
-def _as_triangular(v: ParamValue) -> TriangularFuzzy:
-    if isinstance(v, TriangularFuzzy):
-        return v
-    v = float(v)
-    return TriangularFuzzy(v, v, v)
 
 
 DEFAULT_FUZZY_PARAMS = MaxReturnParams(
@@ -112,55 +106,32 @@ def build_fuzzy_polynomial(
     """
     if len(coeffs) < 1:
         raise ValueError("need at least one coefficient")
-    triples = [(float(c.left), float(c.peak), float(c.right)) for c in coeffs]
+    coeffs = tuple(coeffs)
 
-    def _cuts(a, i):
-        left, peak, right = triples[i]
-        a = np.asarray(a, float)
-        return (1.0 - a) * left + a * peak, (1.0 - a) * right + a * peak
+    def level_map(order: int, lower: bool):
+        """The lower or upper endpoint of the order-th x-derivative, where
+        d^n/dx^n x^i = i!/(i-n)! * x^(i-n)."""
+        terms = [(c, i, math.perm(i, order), max(i - order, 0))
+                 for i, c in enumerate(coeffs)]
 
-    def _accumulate(x, a, power_fn, pick_lo):
-        x = np.asarray(x, float)
-        out = np.zeros(np.broadcast(x, np.asarray(a, float)).shape)
-        for i in range(len(triples)):
-            cl, cu = _cuts(a, i)
-            t = x**i
-            c_used = np.where(t >= 0.0, cl, cu) if pick_lo else np.where(
-                t >= 0.0, cu, cl
-            )
-            out = out + c_used * power_fn(x, i)
-        return out
+        def level(x, a):
+            x = np.asarray(x, float)
+            a = np.asarray(a, float)
+            out = np.zeros(np.broadcast(x, a).shape)
+            for c, i, factor, power in terms:
+                cl, cu = c.cut(a)
+                if not lower:
+                    cl, cu = cu, cl
+                out = out + np.where(x**i >= 0.0, cl, cu) * (factor * x**power)
+            return out
 
-    def level_lo(x, a):
-        return _accumulate(x, a, lambda x, i: x**i, True)
-
-    def level_hi(x, a):
-        return _accumulate(x, a, lambda x, i: x**i, False)
-
-    def d1_lo(x, a):
-        return _accumulate(x, a, lambda x, i: i * x ** max(i - 1, 0), True)
-
-    def d1_hi(x, a):
-        return _accumulate(x, a, lambda x, i: i * x ** max(i - 1, 0), False)
-
-    def d2_lo(x, a):
-        return _accumulate(
-            x, a, lambda x, i: i * (i - 1) * x ** max(i - 2, 0), True
-        )
-
-    def d2_hi(x, a):
-        return _accumulate(
-            x, a, lambda x, i: i * (i - 1) * x ** max(i - 2, 0), False
-        )
+        return level
 
     return FuzzyFunction(
-        level_lo=level_lo,
-        level_hi=level_hi,
-        d1_lo=d1_lo,
-        d1_hi=d1_hi,
-        d2_lo=d2_lo,
-        d2_hi=d2_hi,
-        name=name or f"fuzzy_polynomial(degree={len(triples) - 1})",
+        **{f"{prefix}_{side}": level_map(order, side == "lo")
+           for order, prefix in enumerate(("level", "d1", "d2"))
+           for side in ("lo", "hi")},
+        name=name or f"fuzzy_polynomial(degree={len(coeffs) - 1})",
     )
 
 
@@ -194,11 +165,8 @@ def build_max_return_crisp(
     first and second derivatives.  Triangular parameters collapse to
     their peaks.
     """
-    va = float(p.Va if not isinstance(p.Va, TriangularFuzzy) else p.Va.peak)
-    rho = float(
-        p.rho if not isinstance(p.rho, TriangularFuzzy) else p.rho.peak
-    )
-    k = rho / (va * va)
+    va = _as_triangular(p.Va).peak
+    k = _as_triangular(p.rho).peak / (va * va)
 
     def g(x):
         x = np.asarray(x, float)
@@ -241,10 +209,8 @@ def build_max_return_fuzzy(
     def _pieces(x, a):
         x = np.asarray(x, float)
         a = np.asarray(a, float)
-        vl = (1.0 - a) * va.left + a * va.peak
-        vu = (1.0 - a) * va.right + a * va.peak
-        rl_w = (1.0 - a) * rho.left + a * rho.peak
-        ru_w = (1.0 - a) * rho.right + a * rho.peak
+        vl, vu = va.cut(a)
+        rl_w, ru_w = rho.cut(a)
         c = _c_poly(x)
         rl = c - vu
         ru = c - vl
@@ -373,11 +339,15 @@ def resolve_problem(spec: ProblemSpec) -> ResolvedProblem:
     )
 
 
+# The optional numeric config keys and their types.
+_OPTIONAL_NUMBERS = (("x0", float), ("eps", float), ("alpha_points", int))
+
+
 def _param_from_json(v) -> ParamValue:
     if isinstance(v, (int, float)):
         return float(v)
     if isinstance(v, (list, tuple)) and len(v) == 3:
-        return TriangularFuzzy(*(float(t) for t in v))
+        return triangular_from_record(v)
     raise ConfigFormatError(
         f"parameter must be a number or a [left, peak, right] triple, "
         f"got {v!r}"
@@ -386,7 +356,7 @@ def _param_from_json(v) -> ParamValue:
 
 def _param_to_json(v: ParamValue):
     if isinstance(v, TriangularFuzzy):
-        return [v.left, v.peak, v.right]
+        return triangular_to_record(v)
     return v
 
 
@@ -398,11 +368,7 @@ def parse_problem_config(text: str) -> ProblemSpec:
         raise ConfigFormatError(f"config is not valid JSON: {err}") from err
     if not isinstance(data, dict) or "kind" not in data:
         raise ConfigFormatError("config must be an object with a 'kind' key")
-    known = {
-        "kind", "coefficients", "params", "domain", "sense", "x0", "eps",
-        "alpha_points",
-    }
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in dataclasses.fields(ProblemSpec)}
     if unknown:
         raise ConfigFormatError(
             f"unknown config keys: {', '.join(sorted(unknown))}"
@@ -411,8 +377,7 @@ def parse_problem_config(text: str) -> ProblemSpec:
     if data.get("coefficients") is not None:
         try:
             coefficients = tuple(
-                TriangularFuzzy(*(float(t) for t in triple))
-                for triple in data["coefficients"]
+                triangular_from_record(c) for c in data["coefficients"]
             )
         except (TypeError, ValueError) as err:
             raise ConfigFormatError(
@@ -441,13 +406,8 @@ def parse_problem_config(text: str) -> ProblemSpec:
         params=params,
         domain=domain,
         sense=data.get("sense", "minimize"),
-        x0=None if data.get("x0") is None else float(data["x0"]),
-        eps=None if data.get("eps") is None else float(data["eps"]),
-        alpha_points=(
-            None
-            if data.get("alpha_points") is None
-            else int(data["alpha_points"])
-        ),
+        **{key: cast(data[key]) for key, cast in _OPTIONAL_NUMBERS
+           if data.get(key) is not None},
     )
 
 
@@ -456,7 +416,7 @@ def serialize_problem_config(spec: ProblemSpec) -> str:
     data: dict = {"kind": spec.kind, "sense": spec.sense}
     if spec.coefficients is not None:
         data["coefficients"] = [
-            [c.left, c.peak, c.right] for c in spec.coefficients
+            triangular_to_record(c) for c in spec.coefficients
         ]
     if spec.params is not None:
         data["params"] = {
@@ -465,7 +425,7 @@ def serialize_problem_config(spec: ProblemSpec) -> str:
         }
     if spec.domain is not None:
         data["domain"] = list(spec.domain)
-    for key in ("x0", "eps", "alpha_points"):
+    for key, _ in _OPTIONAL_NUMBERS:
         value = getattr(spec, key)
         if value is not None:
             data[key] = value
