@@ -6,173 +6,17 @@ uniform grid.  A fuzzy-valued objective is reduced to a crisp function by
 integrating its level endpoints over alpha; Newton's method on that
 scalarization finds candidate minimizers, which can then be audited for
 stationarity and non-dominance under the fuzzy-max order.
+
+The public names are those in each module's ``__all__``.
 """
 
-from .defuzzify import centroid
-from .errors import (
-    ConfigFormatError,
-    DomainError,
-    FuzzyNewtonError,
-    GridMismatchError,
-    InsufficientDataError,
-    InvalidLevelError,
-    MalformedFunctionError,
-    NumericError,
-    SingularLevelError,
-)
-from .fuzzy_core import (
-    FuzzyNumber,
-    HukuharaNonexistence,
-    Interval,
-    TriangularFuzzy,
-    add,
-    alpha_cut,
-    comparable,
-    crisp,
-    discretize,
-    distance,
-    div,
-    fuzzy_from_record,
-    fuzzy_to_record,
-    hukuhara_diff,
-    leq,
-    levels_equal,
-    lt,
-    mul,
-    reciprocal,
-    scalar_mul,
-    square,
-    triangular_from_record,
-    triangular_to_record,
-    uniform_alphas,
-)
-from .level_calculus import (
-    ComparabilityReport,
-    FuzzyFunction,
-    NonDominanceVerdict,
-    OneSidedStencilWarning,
-    ScalarizationConfig,
-    comparability_check,
-    crisp_lift,
-    eval_fuzzy,
-    negate,
-    non_dominance_check,
-    scalarize,
-    scalarize_d1,
-    scalarize_d2,
-    scalarize_many,
-)
-from .newton_solver import (
-    STATUS_CONVERGED,
-    STATUS_D2_NEAR_ZERO,
-    STATUS_MAX_ITER,
-    STATUS_NON_FINITE,
-    IterationRecord,
-    NewtonConfig,
-    OrderEstimate,
-    SolveResult,
-    VerificationReport,
-    check_point,
-    estimate_convergence_order,
-    solve,
-    verify_solution,
-)
-from .problems import (
-    BUILTIN_NAMES,
-    MaxReturnParams,
-    ProblemSpec,
-    ResolvedProblem,
-    build_example_4_1,
-    build_fuzzy_polynomial,
-    build_max_return_crisp,
-    build_max_return_fuzzy,
-    grid_search_min,
-    parse_problem_config,
-    resolve_problem,
-    serialize_problem_config,
-)
+from . import defuzzify, errors, fuzzy_core, level_calculus, newton_solver, problems
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "FuzzyNewtonError",
-    "GridMismatchError",
-    "InvalidLevelError",
-    "SingularLevelError",
-    "DomainError",
-    "MalformedFunctionError",
-    "NumericError",
-    "InsufficientDataError",
-    "ConfigFormatError",
-    # fuzzy_core
-    "Interval",
-    "TriangularFuzzy",
-    "FuzzyNumber",
-    "HukuharaNonexistence",
-    "alpha_cut",
-    "uniform_alphas",
-    "discretize",
-    "crisp",
-    "add",
-    "scalar_mul",
-    "mul",
-    "div",
-    "square",
-    "reciprocal",
-    "leq",
-    "lt",
-    "comparable",
-    "distance",
-    "hukuhara_diff",
-    "levels_equal",
-    "fuzzy_to_record",
-    "fuzzy_from_record",
-    "triangular_to_record",
-    "triangular_from_record",
-    # level_calculus
-    "OneSidedStencilWarning",
-    "FuzzyFunction",
-    "ScalarizationConfig",
-    "crisp_lift",
-    "negate",
-    "eval_fuzzy",
-    "scalarize",
-    "scalarize_many",
-    "scalarize_d1",
-    "scalarize_d2",
-    "ComparabilityReport",
-    "comparability_check",
-    "NonDominanceVerdict",
-    "non_dominance_check",
-    # newton_solver
-    "STATUS_CONVERGED",
-    "STATUS_D2_NEAR_ZERO",
-    "STATUS_MAX_ITER",
-    "STATUS_NON_FINITE",
-    "NewtonConfig",
-    "IterationRecord",
-    "SolveResult",
-    "solve",
-    "OrderEstimate",
-    "estimate_convergence_order",
-    "VerificationReport",
-    "check_point",
-    "verify_solution",
-    # defuzzify
-    "centroid",
-    # problems
-    "MaxReturnParams",
-    "ProblemSpec",
-    "ResolvedProblem",
-    "BUILTIN_NAMES",
-    "build_fuzzy_polynomial",
-    "build_example_4_1",
-    "build_max_return_crisp",
-    "build_max_return_fuzzy",
-    "resolve_problem",
-    "parse_problem_config",
-    "serialize_problem_config",
-    "grid_search_min",
-]
+__all__ = ["__version__"]
+for _module in (errors, fuzzy_core, level_calculus, newton_solver, defuzzify,
+                problems):
+    globals().update((name, getattr(_module, name)) for name in _module.__all__)
+    __all__ += _module.__all__
+del _module

@@ -1,5 +1,17 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "FuzzyNewtonError",
+    "GridMismatchError",
+    "InvalidLevelError",
+    "SingularLevelError",
+    "DomainError",
+    "MalformedFunctionError",
+    "NumericError",
+    "InsufficientDataError",
+    "ConfigFormatError",
+]
+
 
 class FuzzyNewtonError(Exception):
     """Base class for all errors raised by this package."""

@@ -182,7 +182,8 @@ class FuzzyNumber:
         return levels_equal(self, other)
 
     def __hash__(self):
-        return hash((self.m, float(self.lo[0]), float(self.hi[0])))
+        # equality is tolerant, so only the grid size can be hashed
+        return hash(self.m)
 
 
 def _validate_grid(alphas: np.ndarray) -> None:

@@ -356,10 +356,14 @@ def scalarize_many(f: FuzzyFunction, xs, cfg: ScalarizationConfig) -> np.ndarray
     """Vectorized scalarization over an array of x values.
 
     Uses a single broadcast evaluation when the level maps accept array
-    x, otherwise falls back to a per-point loop.  Raises NumericError,
-    as scalarize does, when a value is not finite.
+    x, otherwise falls back to a per-point loop.  Raises DomainError
+    naming the first x outside the domain, and NumericError when a value
+    is not finite, as scalarize does.
     """
     xs = np.atleast_1d(np.asarray(xs, float))
+    inside = (f.domain[0] <= xs) & (xs <= f.domain[1])
+    if not np.all(inside):
+        _require_in_domain(f, float(xs[np.argmin(inside)]))
     alphas, w = _quad_weights(cfg.alpha_points, cfg.quadrature)
     try:
         lo, hi = _levels(f.level_lo, f.level_hi, xs[:, None], alphas)

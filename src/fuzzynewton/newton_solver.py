@@ -2,9 +2,10 @@
 
 The solver drives x_{k+1} = x_k - F'(x_k)/F''(x_k) on the scalarized
 objective F of a fuzzy-valued function, terminating on a small step, a
-vanishing second derivative, an exhausted iteration budget, or non-finite
-values.  Every outcome is a status on the result, never an exception, and
-the full iteration trace is always returned.
+vanishing second derivative, an exhausted iteration budget, non-finite
+values, or a step out of the function's domain.  Every outcome is a status
+on the result, never an exception, and the full iteration trace is always
+returned.
 
 No damping or line search is applied; divergence and cycling surface as
 the max-iter status.
@@ -45,12 +46,14 @@ __all__ = [
     "STATUS_D2_NEAR_ZERO",
     "STATUS_MAX_ITER",
     "STATUS_NON_FINITE",
+    "STATUS_LEFT_DOMAIN",
 ]
 
 STATUS_CONVERGED = "converged"
 STATUS_D2_NEAR_ZERO = "second-derivative-near-zero"
 STATUS_MAX_ITER = "max-iter-exceeded"
 STATUS_NON_FINITE = "non-finite"
+STATUS_LEFT_DOMAIN = "left-domain"
 
 
 @dataclass(frozen=True)
@@ -118,8 +121,10 @@ def solve(f: FuzzyFunction, cfg: NewtonConfig) -> SolveResult:
 
     Terminates with status converged when |x_{k+1} - x_k| < eps,
     second-derivative-near-zero when |F''| falls under d2_floor,
-    max-iter-exceeded when the budget runs out, and non-finite when any
-    evaluation stops being a number.  xstar is the last finite iterate.
+    max-iter-exceeded when the budget runs out, non-finite when any
+    evaluation stops being a number, and left-domain when a step lands
+    outside the domain of f.  xstar is the last finite iterate in the
+    domain.  A start x0 outside the domain raises DomainError.
     """
     if not f.contains(cfg.x0):
         raise DomainError(f"x0={cfg.x0} outside the function domain")
@@ -157,9 +162,9 @@ def solve(f: FuzzyFunction, cfg: NewtonConfig) -> SolveResult:
             xstar = xk
             break
         if not f.contains(x_next):
-            raise DomainError(
-                f"iterate left the domain at step {k}: x={x_next}"
-            )
+            status = STATUS_LEFT_DOMAIN
+            xstar = xk
+            break
         xk = x_next
         xstar = xk
         if abs(step) < cfg.eps:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigFormatError, SingularLevelError
 from .fuzzy_core import TriangularFuzzy, triangular_from_record, triangular_to_record
-from .level_calculus import FuzzyFunction, ScalarizationConfig, crisp_lift, scalarize_many
+from .level_calculus import FuzzyFunction, ScalarizationConfig, crisp_lift, negate, scalarize_many
 
 __all__ = [
     "MaxReturnParams",
@@ -320,7 +320,11 @@ class ProblemSpec:
 
 
 def resolve_problem(spec: ProblemSpec) -> ResolvedProblem:
-    """Materialize a ProblemSpec into a function plus solver settings."""
+    """Materialize a ProblemSpec into a function plus solver settings.
+
+    The solver minimizes, so a "maximize" sense resolves to the negated
+    function.
+    """
     if spec.kind == "fuzzy_polynomial":
         fn = build_fuzzy_polynomial(spec.coefficients)
         if spec.domain is not None:
@@ -328,6 +332,9 @@ def resolve_problem(spec: ProblemSpec) -> ResolvedProblem:
         base = ResolvedProblem(label=fn.name, function=fn, bracket=spec.domain)
     else:
         base = _resolve_builtin(spec.kind, spec.params)
+    if spec.sense == "maximize":
+        fn = negate(base.function)
+        base = dataclasses.replace(base, label=fn.name, function=fn)
     scal = base.scal
     if spec.alpha_points is not None:
         scal = dataclasses.replace(scal, alpha_points=spec.alpha_points)

@@ -124,6 +124,39 @@ class TestSolveCommand:
         assert cfg["fd_step"] == 1e-4
 
 
+    def test_maximize_sense_is_honoured(self, tmp_path, capsys):
+        # x^2 (.) (1, 2, 3) has no maximum: Newton finds the stationary
+        # point of -F at 0, a local max of -F that a neighbour dominates
+        cfg = tmp_path / "max.json"
+        cfg.write_text(json.dumps({
+            "kind": "fuzzy_polynomial",
+            "coefficients": [[0, 0, 0], [0, 0, 0], [1, 2, 3]],
+            "sense": "maximize", "x0": 0.5,
+        }))
+        code, out, _ = run(capsys, "solve", "--problem", str(cfg),
+                           "--format", "json")
+        rep = json.loads(out)
+        assert rep["status"] == "converged"
+        assert rep["stationarity_kind"] == "local-max"
+        assert rep["verification"]["non_dominance"].startswith("dominated-by")
+        code, out, _ = run(capsys, "check", "--problem", str(cfg),
+                           "--xstar", "0")
+        assert code == 3
+        assert "verdict: fail" in out
+
+    def test_step_out_of_the_domain_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "domain.json"
+        cfg.write_text(json.dumps({
+            "kind": "fuzzy_polynomial",
+            "coefficients": [[0, 0, 0], [0, 0, 0], [1, 2, 3], [0, 1, 2]],
+            "domain": [-1.0, 1.0], "x0": -0.6,
+        }))
+        code, out, err = run(capsys, "solve", "--problem", str(cfg))
+        assert code == 2
+        assert "status: left-domain" in out
+        assert err == ""
+
+
 class TestReportFormats:
     def test_json_round_trips_byte_identically(self, capsys):
         _, out, _ = run(capsys, "solve", "--problem", "max_return_crisp",

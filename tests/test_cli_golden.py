@@ -36,6 +36,15 @@ FILES = {
         "domain": [-1.0, 2.0],
         "x0": 1.5,
     },
+    "leaves_domain.json": {
+        "kind": "fuzzy_polynomial",
+        "coefficients": [
+            [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 2.0, 3.0],
+            [0.0, 1.0, 2.0],
+        ],
+        "domain": [-1.0, 1.0],
+        "x0": -0.6,
+    },
     "sweep.json": [
         {"Va": 0.00168, "rho": 1.0},
         {"Va": 0.00168, "rho": 1.5},
@@ -68,6 +77,9 @@ CASES.update({
     "solve_crisp_triangular_Va_csv": [
         "solve", "--problem", "max_return_crisp",
         "--Va", "0.00167,0.00169,0.00172", "--format", "csv",
+    ],
+    "solve_step_leaves_domain": [
+        "solve", "--problem", "{dir}/leaves_domain.json",
     ],
     "check_pass": ["check", "--problem", "example_4_1", "--xstar", "0"],
     "check_fail": ["check", "--problem", "example_4_1", "--xstar", "0.5"],

@@ -155,6 +155,13 @@ class TestFuzzyNumber:
         assert a != tri(0.0, 1.0, 2.5)
         assert a != tri(0.0, 1.0, 2.0, m=21)
 
+    def test_numbers_equal_within_tolerance_hash_equally(self):
+        a = tri(0.0, 1.0, 2.0)
+        b = FuzzyNumber(a.alphas, a.lo + 1e-13, a.hi + 1e-13)
+        assert float(a.lo[0]) != float(b.lo[0])
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
 
 class TestArithmetic:
     def test_add_is_endpointwise(self):

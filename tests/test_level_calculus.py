@@ -147,6 +147,18 @@ class TestEvalAndScalarize:
             [scalarize(f, float(x), CFG) for x in xs],
         )
 
+    def test_scalarize_many_enforces_the_domain(self):
+        f = dataclasses.replace(EX41, domain=(0.0, 1.0))
+        with pytest.raises(DomainError, match=r"x=2\.0 outside"):
+            scalarize_many(f, [0.5, 2.0, 3.0], CFG)
+        with pytest.raises(DomainError, match=r"x=-0\.5 outside"):
+            scalarize_many(f, [-0.5, 0.5], CFG)
+        np.testing.assert_allclose(
+            scalarize_many(f, [0.0, 1.0], CFG),
+            [scalarize(f, 0.0, CFG), scalarize(f, 1.0, CFG)],
+            rtol=0, atol=1e-12,
+        )
+
     def test_scalarize_many_propagates_other_errors(self):
         def level(x, a):
             if np.ndim(x) > 0:

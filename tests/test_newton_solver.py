@@ -14,6 +14,7 @@ from fuzzynewton import (
     NewtonConfig,
     STATUS_CONVERGED,
     STATUS_D2_NEAR_ZERO,
+    STATUS_LEFT_DOMAIN,
     STATUS_MAX_ITER,
     STATUS_NON_FINITE,
     build_example_4_1,
@@ -114,10 +115,23 @@ class TestSolve:
             solve(f, NewtonConfig(x0=-1.0))
 
     def test_step_leaving_domain(self):
-        # curvature is negative at -0.68, the step jumps far left
+        # curvature is negative at -0.68, the step jumps far left; the
+        # solve reports that as a status instead of raising
         f = dataclasses.replace(EX41, domain=(-0.7, 2.0))
-        with pytest.raises(DomainError):
-            solve(f, NewtonConfig(x0=-0.68))
+        res = solve(f, NewtonConfig(x0=-0.68))
+        assert res.status == STATUS_LEFT_DOMAIN
+        assert res.xstar == -0.68
+        assert res.iterations == 1
+        assert not f.contains(res.trace[-1].x_k + res.trace[-1].step)
+
+    def test_step_far_past_the_domain_edge(self):
+        # F' = -2.64 and F'' = 0.8 at -0.6: the step lands at 2.7
+        f = dataclasses.replace(EX41, domain=(-1.0, 1.0))
+        res = solve(f, NewtonConfig(x0=-0.6))
+        assert res.status == STATUS_LEFT_DOMAIN
+        assert res.xstar == -0.6
+        last = res.trace[-1]
+        assert last.x_k + last.step == pytest.approx(2.7)
 
 
 class TestConvergenceOrder:

@@ -196,6 +196,16 @@ class TestResolveProblem:
         resolved = resolve_problem(spec)
         assert resolved.function.domain == (-1.0, 1.0)
 
+    @pytest.mark.parametrize("kind", BUILTIN_NAMES)
+    def test_maximize_sense_negates_the_objective(self, kind):
+        plain = resolve_problem(ProblemSpec(kind=kind))
+        flipped = resolve_problem(ProblemSpec(kind=kind, sense="maximize"))
+        assert flipped.label == f"-({plain.label})"
+        for x in (0.25, 0.7, 1.0):
+            assert scalarize(flipped.function, x, flipped.scal) == -scalarize(
+                plain.function, x, plain.scal
+            )
+
 
 class TestConfigFiles:
     def test_round_trip(self):
