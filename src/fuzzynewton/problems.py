@@ -109,8 +109,8 @@ def build_fuzzy_polynomial(
     coeffs = tuple(coeffs)
 
     def level_map(order: int, lower: bool):
-        """The lower or upper endpoint of the order-th x-derivative, where
-        d^n/dx^n x^i = i!/(i-n)! * x^(i-n)."""
+        """The lower or upper endpoint of the n-th x-derivative, n = order:
+        d^n/dx^n x^i = i!/(i-n)! * x^(i-n), and 0 for n > i."""
         terms = [(c, i, math.perm(i, order), max(i - order, 0))
                  for i, c in enumerate(coeffs)]
 
