@@ -52,6 +52,13 @@ FILES = {
         {"Va": 0.00169, "rho": 2.0},
         {"Va": [0.00167, 0.00168, 0.00172], "rho": [0.5, 1.5, 3.5]},
     ],
+    "sweep_extra_key.json": [{"Va": 0.00168, "rho": 1.0, "sigma": 0.1}],
+    "sweep_missing_rho.json": [{"Va": 0.00168}],
+    "fuzzy_params.json": {
+        "kind": "max_return_fuzzy",
+        "params": {"Va": [0.00167, 0.00168, 0.00172], "rho": [1.0, 2.0, 3.0]},
+        "x0": 0.9,
+    },
 }
 
 CASES = {}
@@ -81,7 +88,20 @@ CASES.update({
     "solve_step_leaves_domain": [
         "solve", "--problem", "{dir}/leaves_domain.json",
     ],
+    "solve_config_params_with_Va_override": [
+        "solve", "--problem", "{dir}/fuzzy_params.json", "--Va", "0.00169",
+    ],
+    "table_sweep_row_extra_key": [
+        "table", "--sweep", "{dir}/sweep_extra_key.json",
+    ],
+    "table_sweep_row_missing_rho": [
+        "table", "--sweep", "{dir}/sweep_missing_rho.json",
+    ],
     "check_pass": ["check", "--problem", "example_4_1", "--xstar", "0"],
+    "check_nbhd_and_samples": [
+        "check", "--problem", "max_return_crisp", "--xstar", "0.6989",
+        "--nbhd", "0.02", "--samples", "8",
+    ],
     "check_fail": ["check", "--problem", "example_4_1", "--xstar", "0.5"],
     "usage_missing_problem": ["solve", "--format", "json"],
     "usage_unknown_problem": ["solve", "--problem", "mystery"],
