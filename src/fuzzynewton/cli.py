@@ -41,8 +41,8 @@ from .problems import (
     MaxReturnParams,
     ProblemSpec,
     ResolvedProblem,
-    _param_from_json,
-    _param_to_json,
+    _params_from_json,
+    _params_to_json,
     parse_problem_config,
     resolve_problem,
 )
@@ -134,8 +134,8 @@ def _build_parser() -> _Parser:
     p_check = sub.add_parser("check", help="audit a point")
     p_check.add_argument("--problem", required=True)
     p_check.add_argument("--xstar", type=float, required=True)
-    p_check.add_argument("--nbhd", type=float, default=0.01)
-    p_check.add_argument("--samples", type=int, default=25)
+    p_check.add_argument("--nbhd", type=float, default=None)
+    p_check.add_argument("--samples", type=int, default=None)
     return parser
 
 
@@ -216,17 +216,34 @@ def _verification_dict(rep: VerificationReport) -> dict:
     }
 
 
-def _solve_report(resolved: ResolvedProblem, cfg: NewtonConfig) -> dict:
+def _solve_summary(resolved: ResolvedProblem, cfg: NewtonConfig):
+    """Solve; return the result and a summary with the answer's fuzzy
+    value and centroid."""
     t0 = time.perf_counter()
     result = solve(resolved.function, cfg)
     wall = time.perf_counter() - t0
     fval = eval_fuzzy(resolved.function, result.xstar, cfg.scal.alpha_points)
-    value = centroid(fval)
+    return result, {
+        "status": result.status,
+        "stationarity_kind": result.stationarity_kind,
+        "iterations": result.iterations,
+        "xstar": float(result.xstar),
+        "value": float(centroid(fval)),
+        "fvalue_support_lo": float(fval.lo[0]),
+        "fvalue_core_mid": float(0.5 * (fval.lo[-1] + fval.hi[-1])),
+        "fvalue_support_hi": float(fval.hi[0]),
+        "wall_time_s": wall,
+    }
+
+
+def _solve_report(resolved: ResolvedProblem, cfg: NewtonConfig) -> dict:
+    """The solve summary plus F(xstar), the convergence order, the trace,
+    the settings and, for a converged solve, the verification."""
+    result, summary = _solve_summary(resolved, cfg)
+    f = resolved.function
     verification = None
     if result.status == STATUS_CONVERGED:
-        verification = _verification_dict(
-            verify_solution(resolved.function, result, cfg)
-        )
+        verification = _verification_dict(verify_solution(f, result, cfg))
     try:
         order = float(
             estimate_convergence_order(result.trace, result.xstar).order
@@ -235,6 +252,7 @@ def _solve_report(resolved: ResolvedProblem, cfg: NewtonConfig) -> dict:
         order = None
     params = resolved.params
     return {
+        **summary,
         "problem": resolved.label,
         "config": {
             "x0": float(cfg.x0),
@@ -244,31 +262,18 @@ def _solve_report(resolved: ResolvedProblem, cfg: NewtonConfig) -> dict:
             "alpha_points": cfg.scal.alpha_points,
             "quadrature": cfg.scal.quadrature,
             "fd_step": float(cfg.scal.fd_step),
-            "params": (
-                None
-                if params is None
-                else {
-                    "Va": _param_to_json(params.Va),
-                    "rho": _param_to_json(params.rho),
-                }
-            ),
+            "params": None if params is None else _params_to_json(params),
         },
-        "status": result.status,
-        "stationarity_kind": result.stationarity_kind,
-        "iterations": result.iterations,
-        "xstar": float(result.xstar),
-        "F_xstar": float(
-            scalarize(resolved.function, result.xstar, cfg.scal)
-        ),
-        "value": float(value),
-        "fvalue_support_lo": float(fval.lo[0]),
-        "fvalue_core_mid": float(0.5 * (fval.lo[-1] + fval.hi[-1])),
-        "fvalue_support_hi": float(fval.hi[0]),
+        "F_xstar": float(scalarize(f, result.xstar, cfg.scal)),
         "convergence_order": order,
         "trace": _trace_rows(result),
         "verification": verification,
-        "wall_time_s": wall,
     }
+
+
+def _text_row(cells, width: int) -> str:
+    """One line of a fixed-width text table."""
+    return "".join(c.rjust(width) for c in cells).lstrip() + "\n"
 
 
 def _render_json(payload: dict) -> str:
@@ -288,17 +293,9 @@ def _render_solve_text(rep: dict) -> str:
         out.write(
             f"params: Va={cfg['params']['Va']} rho={cfg['params']['rho']}\n"
         )
-    widths = 13
-    out.write(
-        "".join(h.rjust(widths) for h in TRACE_COLUMNS).lstrip() + "\n"
-    )
+    out.write(_text_row(TRACE_COLUMNS, 13))
     for row in rep["trace"]:
-        out.write(
-            "".join(
-                _fmt6(row[c]).rjust(widths) for c in TRACE_COLUMNS
-            ).lstrip()
-            + "\n"
-        )
+        out.write(_text_row([_fmt6(row[c]) for c in TRACE_COLUMNS], 13))
     out.write(
         f"status: {rep['status']} ({rep['stationarity_kind']}) "
         f"in {rep['iterations']} iterations\n"
@@ -385,17 +382,8 @@ def _sweep_rows(path: str) -> list[MaxReturnParams]:
         raise _UsageError("sweep file must hold a JSON list of rows")
     rows = []
     for i, item in enumerate(data):
-        if not isinstance(item, dict) or set(item) - {"Va", "rho"}:
-            raise _UsageError(
-                f"sweep row {i} must be an object with keys Va and rho"
-            )
         try:
-            rows.append(
-                MaxReturnParams(
-                    Va=_param_from_json(item.get("Va")),
-                    rho=_param_from_json(item.get("rho")),
-                )
-            )
+            rows.append(_params_from_json(item))
         except (FuzzyNewtonError, ValueError, TypeError) as err:
             raise _UsageError(f"sweep row {i} is malformed: {err}") from err
     return rows
@@ -409,13 +397,13 @@ def _cmd_table(args) -> int:
             "max_return_fuzzy" if params.is_fuzzy else "max_return_crisp"
         )
         resolved = resolve_problem(ProblemSpec(kind=kind, params=params))
-        cfg = _configs_from_args(args, resolved)
-        rep = _solve_report(resolved, cfg)
+        _, summary = _solve_summary(
+            resolved, _configs_from_args(args, resolved)
+        )
         results.append(
             {
-                "Va": _param_to_json(params.Va),
-                "rho": _param_to_json(params.rho),
-                **{key: rep[key] for key in TABLE_COLUMNS[2:]},
+                **_params_to_json(params),
+                **{key: summary[key] for key in TABLE_COLUMNS[2:]},
             }
         )
     if args.format == "json":
@@ -431,17 +419,11 @@ def _cmd_table(args) -> int:
         )
         text = out.getvalue()
     else:
-        out = io.StringIO()
-        widths = 22
-        out.write(
-            "".join(h.rjust(widths) for h in TABLE_COLUMNS).lstrip() + "\n"
+        text = _text_row(TABLE_COLUMNS, 22) + "".join(
+            _text_row([str(row["Va"]), str(row["rho"])]
+                      + [_fmt6(row[key]) for key in TABLE_COLUMNS[2:]], 22)
+            for row in results
         )
-        for row in results:
-            cells = [str(row["Va"]), str(row["rho"])] + [
-                _fmt6(row[key]) for key in TABLE_COLUMNS[2:]
-            ]
-            out.write("".join(c.rjust(widths) for c in cells).lstrip() + "\n")
-        text = out.getvalue()
     _emit(text, args.out)
     return 0
 
@@ -449,13 +431,8 @@ def _cmd_table(args) -> int:
 def _cmd_check(args) -> int:
     resolved = _load_resolved(args.problem, None, None)
     cfg = NewtonConfig(x0=args.xstar, eps=resolved.eps, scal=resolved.scal)
-    report = check_point(
-        resolved.function,
-        args.xstar,
-        cfg,
-        nbhd=args.nbhd,
-        samples=args.samples,
-    )
+    report = check_point(resolved.function, args.xstar, cfg,
+                         **_given(nbhd=args.nbhd, samples=args.samples))
     for line in report.lines():
         sys.stdout.write(line + "\n")
     sys.stdout.write(f"verdict: {'pass' if report.ok else 'fail'}\n")
@@ -475,10 +452,7 @@ def main(argv=None) -> int:
         if args.command == "table":
             return _cmd_table(args)
         return _cmd_check(args)
-    except _UsageError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 1
-    except (FuzzyNewtonError, ValueError, OSError) as err:
+    except (_UsageError, FuzzyNewtonError, ValueError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 1
 

@@ -387,6 +387,26 @@ def scalarize_d2(f: FuzzyFunction, x: float, cfg: ScalarizationConfig) -> float:
     return _Point(f, x, cfg).d2()
 
 
+def _first_witness(f: FuzzyFunction, x0: float, xs, reach, m, is_witness):
+    """The index in xs of the first sample x with is_witness(f(x), f(x0)),
+    or None, and the number of samples compared.
+
+    Samples outside the domain are skipped, and so are samples a few ulps
+    off x0: such a point is x0 for all practical purposes, not evidence.
+    """
+    _require_in_domain(f, x0)
+    base = eval_fuzzy(f, x0, m)
+    coincident = 1e-12 * max(1.0, abs(x0), reach)
+    used = 0
+    for i, x in enumerate(xs):
+        if abs(x - x0) <= coincident or not f.contains(x):
+            continue
+        used += 1
+        if is_witness(eval_fuzzy(f, float(x), m), base):
+            return i, used
+    return None, used
+
+
 @dataclass(frozen=True)
 class ComparabilityReport:
     """Outcome of sampling comparability along one direction."""
@@ -423,21 +443,15 @@ def comparability_check(
     Returns the first violating lambda as a witness on failure.  Sampled
     points falling outside the domain are skipped.
     """
-    _require_in_domain(f, x0)
-    base = eval_fuzzy(f, x0, m)
     lams = np.linspace(0.0, delta, samples + 2)[1:-1]
-    used = 0
-    for lam in lams:
-        xt = x0 + lam * d
-        if not f.contains(xt):
-            continue
-        used += 1
-        if not comparable(eval_fuzzy(f, xt, m), base):
-            return ComparabilityReport(
-                ok=False, direction=d, delta=delta, samples=used,
-                witness=float(lam),
-            )
-    return ComparabilityReport(ok=True, direction=d, delta=delta, samples=used)
+    i, used = _first_witness(
+        f, x0, x0 + lams * d, delta, m,
+        lambda value, base: not comparable(value, base),
+    )
+    return ComparabilityReport(
+        ok=i is None, direction=d, delta=delta, samples=used,
+        witness=None if i is None else float(lams[i]),
+    )
 
 
 @dataclass(frozen=True)
@@ -467,19 +481,9 @@ def non_dominance_check(
     A sampling check, not a proof; the verdict records how many points
     were examined.
     """
-    _require_in_domain(f, xstar)
-    base = eval_fuzzy(f, xstar, m)
     grid = np.linspace(xstar - eps_nbhd, xstar + eps_nbhd, samples)
-    # Rounding can land a sample a few ulps off xstar; such a point is
-    # xstar for all practical purposes, not evidence of dominance.
-    coincident = 1e-12 * max(1.0, abs(xstar), eps_nbhd)
-    used = 0
-    for x1 in grid:
-        if abs(x1 - xstar) <= coincident or not f.contains(x1):
-            continue
-        used += 1
-        if lt(eval_fuzzy(f, float(x1), m), base):
-            return NonDominanceVerdict(
-                dominated=True, samples=used, dominator=float(x1)
-            )
-    return NonDominanceVerdict(dominated=False, samples=used)
+    i, used = _first_witness(f, xstar, grid, eps_nbhd, m, lt)
+    return NonDominanceVerdict(
+        dominated=i is not None, samples=used,
+        dominator=None if i is None else float(grid[i]),
+    )

@@ -313,6 +313,10 @@ class ProblemSpec:
             raise ConfigFormatError(
                 "fuzzy_polynomial needs at least one coefficient"
             )
+        if self.kind != "fuzzy_polynomial" and self.coefficients is not None:
+            raise ConfigFormatError(f"{self.kind} takes no coefficients")
+        if self.params is not None and not self.kind.startswith("max_return"):
+            raise ConfigFormatError(f"{self.kind} takes no params")
         if self.sense not in ("minimize", "maximize"):
             raise ConfigFormatError(
                 f"sense must be 'minimize' or 'maximize', got {self.sense!r}"
@@ -327,11 +331,12 @@ def resolve_problem(spec: ProblemSpec) -> ResolvedProblem:
     """
     if spec.kind == "fuzzy_polynomial":
         fn = build_fuzzy_polynomial(spec.coefficients)
-        if spec.domain is not None:
-            fn = dataclasses.replace(fn, domain=spec.domain)
-        base = ResolvedProblem(label=fn.name, function=fn, bracket=spec.domain)
+        base = ResolvedProblem(label=fn.name, function=fn)
     else:
         base = _resolve_builtin(spec.kind, spec.params)
+    if spec.domain is not None:
+        fn = dataclasses.replace(base.function, domain=spec.domain)
+        base = dataclasses.replace(base, function=fn, bracket=spec.domain)
     if spec.sense == "maximize":
         fn = negate(base.function)
         base = dataclasses.replace(base, label=fn.name, function=fn)
@@ -367,6 +372,22 @@ def _param_to_json(v: ParamValue):
     return v
 
 
+def _params_from_json(data) -> MaxReturnParams:
+    """MaxReturnParams from a {"Va": ..., "rho": ...} object."""
+    if not isinstance(data, dict) or set(data) - {"Va", "rho"}:
+        raise ConfigFormatError(
+            "params must be an object with keys 'Va' and 'rho'"
+        )
+    return MaxReturnParams(
+        Va=_param_from_json(data.get("Va")),
+        rho=_param_from_json(data.get("rho")),
+    )
+
+
+def _params_to_json(p: MaxReturnParams) -> dict:
+    return {"Va": _param_to_json(p.Va), "rho": _param_to_json(p.rho)}
+
+
 def parse_problem_config(text: str) -> ProblemSpec:
     """Parse the JSON problem-config format into a ProblemSpec."""
     try:
@@ -390,17 +411,7 @@ def parse_problem_config(text: str) -> ProblemSpec:
             raise ConfigFormatError(
                 f"coefficients must be [left, peak, right] triples: {err}"
             ) from err
-    params = None
-    if data.get("params") is not None:
-        pd = data["params"]
-        if not isinstance(pd, dict) or set(pd) - {"Va", "rho"}:
-            raise ConfigFormatError(
-                "params must be an object with keys 'Va' and 'rho'"
-            )
-        params = MaxReturnParams(
-            Va=_param_from_json(pd.get("Va")),
-            rho=_param_from_json(pd.get("rho")),
-        )
+    params = data.get("params")
     domain = None
     if data.get("domain") is not None:
         d = data["domain"]
@@ -410,7 +421,7 @@ def parse_problem_config(text: str) -> ProblemSpec:
     return ProblemSpec(
         kind=data["kind"],
         coefficients=coefficients,
-        params=params,
+        params=None if params is None else _params_from_json(params),
         domain=domain,
         sense=data.get("sense", "minimize"),
         **{key: cast(data[key]) for key, cast in _OPTIONAL_NUMBERS
@@ -426,10 +437,7 @@ def serialize_problem_config(spec: ProblemSpec) -> str:
             triangular_to_record(c) for c in spec.coefficients
         ]
     if spec.params is not None:
-        data["params"] = {
-            "Va": _param_to_json(spec.params.Va),
-            "rho": _param_to_json(spec.params.rho),
-        }
+        data["params"] = _params_to_json(spec.params)
     if spec.domain is not None:
         data["domain"] = list(spec.domain)
     for key, _ in _OPTIONAL_NUMBERS:

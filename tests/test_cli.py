@@ -91,6 +91,16 @@ class TestSolveCommand:
         assert rep["config"]["eps"] == 1e-6  # file survives
         assert rep["config"]["alpha_points"] == 51
 
+    def test_builtin_config_domain_bounds_the_solve(self, tmp_path, capsys):
+        # Newton from 1 steps to 0.3 on example_4_1, outside [0.5, 2]
+        cfg = tmp_path / "bounded.json"
+        cfg.write_text(json.dumps({"kind": "example_4_1",
+                                   "domain": [0.5, 2.0]}))
+        code, out, _ = run(capsys, "solve", "--problem", str(cfg),
+                           "--format", "json")
+        assert code == 2
+        assert json.loads(out)["status"] == "left-domain"
+
     def test_param_flag_on_config_keeps_the_problem_defaults(
         self, tmp_path, capsys
     ):

@@ -9,6 +9,7 @@ import pytest
 from fuzzynewton import (
     BUILTIN_NAMES,
     ConfigFormatError,
+    DomainError,
     FuzzyFunction,
     MaxReturnParams,
     NewtonConfig,
@@ -197,6 +198,18 @@ class TestResolveProblem:
         assert resolved.function.domain == (-1.0, 1.0)
 
     @pytest.mark.parametrize("kind", BUILTIN_NAMES)
+    def test_domain_applies_to_every_kind(self, kind):
+        spec = parse_problem_config(
+            json.dumps({"kind": kind, "domain": [0.25, 1.0]})
+        )
+        for sense in ("minimize", "maximize"):
+            resolved = resolve_problem(dataclasses.replace(spec, sense=sense))
+            assert resolved.function.domain == (0.25, 1.0)
+            assert resolved.bracket == (0.25, 1.0)
+        with pytest.raises(DomainError):
+            scalarize(resolved.function, 0.0, resolved.scal)
+
+    @pytest.mark.parametrize("kind", BUILTIN_NAMES)
     def test_maximize_sense_negates_the_objective(self, kind):
         plain = resolve_problem(ProblemSpec(kind=kind))
         flipped = resolve_problem(ProblemSpec(kind=kind, sense="maximize"))
@@ -244,6 +257,18 @@ class TestConfigFiles:
     def test_parse_rejects_unknown_keys(self):
         with pytest.raises(ConfigFormatError):
             parse_problem_config('{"kind": "example_4_1", "woops": 1}')
+
+    @pytest.mark.parametrize("config", [
+        {"kind": "example_4_1", "params": {"Va": 0.00168, "rho": 1.0}},
+        {"kind": "fuzzy_polynomial", "coefficients": [[1, 2, 3]],
+         "params": {"Va": 0.00168, "rho": 1.0}},
+        {"kind": "example_4_1", "coefficients": [[1, 2, 3]]},
+        {"kind": "max_return_crisp", "coefficients": [[1, 2, 3]]},
+        {"kind": "max_return_fuzzy", "coefficients": [[1, 2, 3]]},
+    ])
+    def test_parse_rejects_keys_the_kind_ignores(self, config):
+        with pytest.raises(ConfigFormatError, match="takes no"):
+            parse_problem_config(json.dumps(config))
 
     def test_parse_rejects_bad_json(self):
         with pytest.raises(ConfigFormatError):
