@@ -216,7 +216,9 @@ def _verification_dict(rep: VerificationReport) -> dict:
     }
 
 
-def _solve_summary(resolved: ResolvedProblem, cfg: NewtonConfig):
+def _solve_summary(
+    resolved: ResolvedProblem, cfg: NewtonConfig
+) -> tuple[SolveResult, dict]:
     """Solve; return the result and a summary with the answer's fuzzy
     value and centroid."""
     t0 = time.perf_counter()

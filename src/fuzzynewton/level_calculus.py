@@ -387,12 +387,17 @@ def scalarize_d2(f: FuzzyFunction, x: float, cfg: ScalarizationConfig) -> float:
     return _Point(f, x, cfg).d2()
 
 
-def _first_witness(f: FuzzyFunction, x0: float, xs, reach, m, is_witness):
+def _first_witness(
+    f: FuzzyFunction, x0: float, xs: np.ndarray, reach: float, m: int,
+    is_witness: Callable[[FuzzyNumber, FuzzyNumber], bool],
+) -> tuple[Optional[int], int]:
     """The index in xs of the first sample x with is_witness(f(x), f(x0)),
     or None, and the number of samples compared.
 
-    Samples outside the domain are skipped, and so are samples a few ulps
-    off x0: such a point is x0 for all practical purposes, not evidence.
+    Samples outside the domain are skipped, and so are samples within
+    1e-12 * max(1, |x0|, reach) of x0, reach being how far the samples
+    go: rounding can land one a few ulps off x0, which is x0 for all
+    practical purposes, not evidence.
     """
     _require_in_domain(f, x0)
     base = eval_fuzzy(f, x0, m)
