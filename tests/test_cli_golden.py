@@ -103,6 +103,10 @@ CASES.update({
         "--nbhd", "0.02", "--samples", "8",
     ],
     "check_fail": ["check", "--problem", "example_4_1", "--xstar", "0.5"],
+    "check_no_sample_in_nbhd": [
+        "check", "--problem", "example_4_1", "--xstar", "0",
+        "--nbhd", "1e-13",
+    ],
     "usage_missing_problem": ["solve", "--format", "json"],
     "usage_unknown_problem": ["solve", "--problem", "mystery"],
 })

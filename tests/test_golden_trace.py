@@ -3,7 +3,11 @@
 ``golden_trace.json`` holds, for nine fixed cases, every iteration
 record (x_k, F, F', F'', step and the fuzzy value), the status, the
 stationarity kind, the centroid at xstar and, where the solve converged,
-the verification's derivatives and verdict strings.  Floats are stored
+the verification's derivatives and verdict strings.  It also holds
+``check_point`` reports at fixed points, most of them off the minimum,
+so that their verdicts name a dominator or an incomparable lambda found
+after several samples; one has a neighbourhood so small that no sample
+is compared.  Floats are stored
 as ``float.hex`` and compared for exact equality, so any refactor of the
 evaluation paths must reproduce them bit for bit.  A fuzzy value is
 stored as its support and core endpoints plus a SHA-256 of the raw bytes
@@ -28,6 +32,7 @@ from fuzzynewton import (
     NewtonConfig,
     ProblemSpec,
     centroid,
+    check_point,
     eval_fuzzy,
     resolve_problem,
     solve,
@@ -71,6 +76,26 @@ CASES = {
     "max_return_fuzzy_x0_1.25": lambda: _builtin("max_return_fuzzy", x0=1.25),
     "example_4_1_fd_one_sided": _one_sided,
 }
+
+
+# check_point at (x, keyword arguments) on a built-in at its settings.
+CHECK_CASES = {
+    f"check:{name}_x{x}_{tag}": (name, x, kwargs)
+    for name, x in (
+        ("max_return_fuzzy", 0.698),
+        ("max_return_fuzzy", 0.703),
+    )
+    for tag, kwargs in (
+        ("samples1", {"samples": 1}),
+        ("samples25", {"samples": 25}),
+        ("samples101", {"samples": 101}),
+    )
+}
+CHECK_CASES.update({
+    "check:example_4_1_x-0.3_samples25": ("example_4_1", -0.3, {}),
+    "check:max_return_crisp_x0.9_samples25": ("max_return_crisp", 0.9, {}),
+    "check:example_4_1_x0_nbhd1e-13": ("example_4_1", 0.0, {"nbhd": 1e-13}),
+})
 
 
 def _hex(values):
@@ -122,13 +147,37 @@ def trace_case(name: str) -> dict:
     return out
 
 
+def _optional_hex(v):
+    return None if v is None else float(v).hex()
+
+
+def check_case(name: str) -> dict:
+    """The golden record of one check_point case."""
+    problem, x, kwargs = CHECK_CASES[name]
+    f, cfg = _builtin(problem)
+    rep = check_point(f, x, dataclasses.replace(cfg, x0=x), **kwargs)
+    checks = (rep.non_dominance, rep.comp_plus, rep.comp_minus)
+    return {
+        "values": _hex((rep.d1, rep.d2, rep.stat_tol, rep.level_d1_max)),
+        "stationary": rep.stationary,
+        "ok": [rep.ok, rep.comp_plus.ok, rep.comp_minus.ok],
+        "samples": [c.samples for c in checks],
+        "witnesses": [
+            _optional_hex(rep.non_dominance.dominator),
+            _optional_hex(rep.comp_plus.witness),
+            _optional_hex(rep.comp_minus.witness),
+        ],
+        "describe": [c.describe() for c in checks],
+    }
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
 def test_golden_file_covers_every_case(golden):
-    assert sorted(golden) == sorted(CASES)
+    assert sorted(golden) == sorted([*CASES, *CHECK_CASES])
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -143,19 +192,29 @@ def test_trace_is_bit_identical(golden, name):
     assert got["verification"] == want["verification"]
 
 
+@pytest.mark.parametrize("name", sorted(CHECK_CASES))
+def test_check_is_bit_identical(golden, name):
+    assert check_case(name) == golden[name]
+
+
 if __name__ == "__main__":
     data = {name: trace_case(name) for name in sorted(CASES)}
+    data.update((name, check_case(name)) for name in sorted(CHECK_CASES))
     with GOLDEN.open("w", encoding="utf-8") as fh:
         for i, (name, case) in enumerate(data.items()):
-            # one line per record keeps diffs of the file readable
-            head = {k: v for k, v in case.items() if k != "records"}
+            # one line per key and record keeps diffs of the file readable
+            head = [
+                f"  {json.dumps(k)}: {json.dumps(v)}"
+                for k, v in case.items() if k != "records"
+            ]
             fh.write("{\n" if i == 0 else ",\n")
             fh.write(f"{json.dumps(name)}: {{\n")
-            for key, value in head.items():
-                fh.write(f"  {json.dumps(key)}: {json.dumps(value)},\n")
-            fh.write('  "records": [\n')
-            fh.write(",\n".join(
-                "    " + json.dumps(r) for r in case["records"]
-            ))
-            fh.write("\n  ]\n}")
+            fh.write(",\n".join(head))
+            if "records" in case:
+                fh.write(',\n  "records": [\n')
+                fh.write(",\n".join(
+                    "    " + json.dumps(r) for r in case["records"]
+                ))
+                fh.write("\n  ]")
+            fh.write("\n}")
         fh.write("\n}\n")
