@@ -196,41 +196,64 @@ def _validate_grid(alphas: np.ndarray) -> None:
         raise InvalidLevelError("alpha grid must be uniform")
 
 
-def _slack(*arrays: np.ndarray) -> float:
-    scale = max(1.0, *(float(np.max(np.abs(a))) for a in arrays))
-    return EQUALITY_TOL * scale
+def _slack(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The tolerance of each row of levels shaped (..., m), as (..., 1):
+    EQUALITY_TOL scaled by the row's largest endpoint magnitude, or 1."""
+    scale = np.max(np.maximum(np.abs(lo), np.abs(hi)), axis=-1, keepdims=True)
+    return EQUALITY_TOL * np.maximum(1.0, scale)
+
+
+# What each mask of _level_faults reports, and the offset from a mask
+# index to the level index it is reported at.
+_FAULTS = (
+    ("level endpoints must be finite (alpha={a:.6g})", 0),
+    ("level ordering lo <= hi fails at alpha={a:.6g} ({lo} > {hi})", 0),
+    ("nestedness fails: lower endpoints decrease at alpha={a:.6g}", 1),
+    ("nestedness fails: upper endpoints increase at alpha={a:.6g}", 1),
+)
+
+
+def _level_faults(lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """The invariants of levels shaped (..., m), checked row by row.
+
+    Returns one mask per entry of _FAULTS: a non-finite endpoint, lo > hi,
+    a lower endpoint that decreases and an upper one that increases from
+    one level to the next, each beyond the row's _slack.  The nestedness
+    masks are one level shorter.
+    """
+    # inf - inf gives nan only in rows the first mask already rejects
+    with np.errstate(invalid="ignore"):
+        tol = _slack(lo, hi)
+        return (
+            ~(np.isfinite(lo) & np.isfinite(hi)),
+            lo > hi + tol,
+            np.diff(lo, axis=-1) < -tol,
+            np.diff(hi, axis=-1) > tol,
+        )
+
+
+def _invalid_rows(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Which rows of levels shaped (..., m) break an invariant."""
+    return np.any([bad.any(axis=-1) for bad in _level_faults(lo, hi)], axis=0)
 
 
 def _validate_levels(alphas, lo, hi) -> None:
     """Raise InvalidLevelError at the lowest alpha whose level breaks an
     invariant; at one alpha, ordering is reported before the lower and
     then the upper nestedness.  Non-finite endpoints are reported first."""
-    finite = np.isfinite(lo) & np.isfinite(hi)
-    if not np.all(finite):
-        i = int(np.argmin(finite))
-        raise InvalidLevelError(
-            f"level endpoints must be finite (alpha={alphas[i]:.6g})",
-            alpha=float(alphas[i]),
-        )
-    tol = _slack(lo, hi)
-    # (violations by level index, offset of that index, message)
-    checks = (
-        (lo > hi + tol, 0,
-         "level ordering lo <= hi fails at alpha={a:.6g} ({lo} > {hi})"),
-        (np.diff(lo) < -tol, 1,
-         "nestedness fails: lower endpoints decrease at alpha={a:.6g}"),
-        (np.diff(hi) > tol, 1,
-         "nestedness fails: upper endpoints increase at alpha={a:.6g}"),
-    )
+    # (not the non-finite kind, level index, rank) of each kind's first
+    # violation; the smallest is reported
     first = [
-        (int(np.argmax(bad)) + offset, rank, message)
-        for rank, (bad, offset, message) in enumerate(checks)
+        (rank > 0, int(np.argmax(bad)) + offset, rank)
+        for rank, ((_, offset), bad) in enumerate(
+            zip(_FAULTS, _level_faults(lo, hi))
+        )
         if np.any(bad)
     ]
     if first:
-        i, _, message = min(first)
+        _, i, rank = min(first)
         raise InvalidLevelError(
-            message.format(a=alphas[i], lo=lo[i], hi=hi[i]),
+            _FAULTS[rank][0].format(a=alphas[i], lo=lo[i], hi=hi[i]),
             alpha=float(alphas[i]),
         )
 
@@ -313,22 +336,41 @@ def reciprocal(a: FuzzyNumber) -> FuzzyNumber:
     return FuzzyNumber(a.alphas, 1.0 / a.hi, 1.0 / a.lo)
 
 
+def _leq(a_lo, a_hi, b_lo, b_hi) -> np.ndarray:
+    """Fuzzy-max order a <= b on levels shaped (..., m), row by row: both
+    endpoints ordered at every grid alpha."""
+    return np.all(a_lo <= b_lo, axis=-1) & np.all(a_hi <= b_hi, axis=-1)
+
+
+def _lt(a_lo, a_hi, b_lo, b_hi) -> np.ndarray:
+    """Strict fuzzy-max order, row by row: _leq plus strictness at some
+    grid alpha."""
+    strict = np.any(a_lo < b_lo, axis=-1) | np.any(a_hi < b_hi, axis=-1)
+    return _leq(a_lo, a_hi, b_lo, b_hi) & strict
+
+
+def _comparable(a_lo, a_hi, b_lo, b_hi) -> np.ndarray:
+    """Related in at least one direction of the fuzzy-max order, row by
+    row."""
+    return _leq(a_lo, a_hi, b_lo, b_hi) | _leq(b_lo, b_hi, a_lo, a_hi)
+
+
 def leq(a: FuzzyNumber, b: FuzzyNumber) -> bool:
     """Fuzzy-max order: both endpoints ordered at every grid alpha."""
     _require_same_grid(a, b)
-    return bool(np.all(a.lo <= b.lo) and np.all(a.hi <= b.hi))
+    return bool(_leq(a.lo, a.hi, b.lo, b.hi))
 
 
 def lt(a: FuzzyNumber, b: FuzzyNumber) -> bool:
     """Strict fuzzy-max order: leq plus strictness at some grid alpha."""
-    if not leq(a, b):
-        return False
-    return bool(np.any(a.lo < b.lo) or np.any(a.hi < b.hi))
+    _require_same_grid(a, b)
+    return bool(_lt(a.lo, a.hi, b.lo, b.hi))
 
 
 def comparable(a: FuzzyNumber, b: FuzzyNumber) -> bool:
     """Related in at least one direction of the fuzzy-max order."""
-    return leq(a, b) or leq(b, a)
+    _require_same_grid(a, b)
+    return bool(_comparable(a.lo, a.hi, b.lo, b.hi))
 
 
 def distance(a: FuzzyNumber, b: FuzzyNumber) -> float:

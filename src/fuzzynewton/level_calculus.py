@@ -35,7 +35,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, InvalidLevelError, MalformedFunctionError, NumericError
-from .fuzzy_core import FuzzyNumber, comparable, lt, uniform_alphas
+from .fuzzy_core import (
+    FuzzyNumber,
+    _comparable,
+    _invalid_rows,
+    _lt,
+    uniform_alphas,
+)
 
 __all__ = [
     "FuzzyFunction",
@@ -192,6 +198,14 @@ def _require_in_domain(f: FuzzyFunction, x: float) -> None:
         raise DomainError(
             f"x={x} outside the function domain [{f.domain[0]}, {f.domain[1]}]"
         )
+
+
+# What a level map written for a scalar x only raises on an x column.
+_SCALAR_ONLY = (TypeError, ValueError)
+
+# Rows of one level block in _first_witness: bounds its memory when the
+# sample count is huge.
+_WITNESS_ROWS = 4096
 
 
 def _levels(lo_map: LevelMap, hi_map: LevelMap, x, alphas: np.ndarray):
@@ -367,8 +381,7 @@ def scalarize_many(f: FuzzyFunction, xs, cfg: ScalarizationConfig) -> np.ndarray
     alphas, w = _quad_weights(cfg.alpha_points, cfg.quadrature)
     try:
         lo, hi = _levels(f.level_lo, f.level_hi, xs[:, None], alphas)
-    except (TypeError, ValueError):
-        # level maps written for a scalar x only
+    except _SCALAR_ONLY:
         return np.array([scalarize(f, float(x), cfg) for x in xs])
     return _integrate(lo, hi, w, xs)
 
@@ -387,9 +400,19 @@ def scalarize_d2(f: FuzzyFunction, x: float, cfg: ScalarizationConfig) -> float:
     return _Point(f, x, cfg).d2()
 
 
+def _levels_each(f: FuzzyFunction, xs: np.ndarray, alphas: np.ndarray):
+    """The levels of f at each x in xs, as two (n, m) arrays: one call
+    per level map, or one per point for maps that take a scalar x only."""
+    try:
+        return _levels(f.level_lo, f.level_hi, xs[:, None], alphas)
+    except _SCALAR_ONLY:
+        pairs = [_levels(f.level_lo, f.level_hi, float(x), alphas) for x in xs]
+        return tuple(np.array(ends) for ends in zip(*pairs))
+
+
 def _first_witness(
     f: FuzzyFunction, x0: float, xs: np.ndarray, reach: float, m: int,
-    is_witness: Callable[[FuzzyNumber, FuzzyNumber], bool],
+    is_witness: Callable[..., np.ndarray],
 ) -> tuple[Optional[int], int]:
     """The index in xs of the first sample x with is_witness(f(x), f(x0)),
     or None, and the number of samples compared.
@@ -398,18 +421,39 @@ def _first_witness(
     1e-12 * max(1, |x0|, reach) of x0, reach being how far the samples
     go: rounding can land one a few ulps off x0, which is x0 for all
     practical purposes, not evidence.
+
+    x0 and the kept samples are evaluated as one block, x0 in row 0, and
+    is_witness is an order kernel of fuzzy_core applied to the (lo, hi)
+    rows of the block and x0's row.  A row whose levels break an
+    invariant raises MalformedFunctionError if no witness comes before
+    it, as when each sample is evaluated, validated and compared in turn.
     """
     _require_in_domain(f, x0)
-    base = eval_fuzzy(f, x0, m)
     coincident = 1e-12 * max(1.0, abs(x0), reach)
-    used = 0
-    for i, x in enumerate(xs):
-        if abs(x - x0) <= coincident or not f.contains(x):
-            continue
-        used += 1
-        if is_witness(eval_fuzzy(f, float(x), m), base):
-            return i, used
-    return None, used
+    kept = np.flatnonzero(
+        ~(np.abs(xs - x0) <= coincident)
+        & (f.domain[0] <= xs) & (xs <= f.domain[1])
+    )
+    points = np.concatenate(([x0], xs[kept]))
+    alphas = uniform_alphas(m)
+    for start in range(0, points.size, _WITNESS_ROWS):
+        rows = points[start:start + _WITNESS_ROWS]
+        lo, hi = _levels_each(f, rows, alphas)
+        if start == 0:
+            base = lo[0], hi[0]
+        bad = _invalid_rows(lo, hi)
+        # x0's own row is never a witness of either order
+        found = is_witness(lo, hi, *base) & ~bad
+        stop = int(np.argmax(found)) + 1 if found.any() else rows.size
+        if bad[:stop].any():
+            r = int(np.argmax(bad))
+            # raises: row r breaks an invariant
+            _fuzzy_number(f, float(rows[r]), alphas, lo[r], hi[r])
+        if found.any():
+            # row i of points is sample kept[i - 1]
+            i = start + stop - 1
+            return int(kept[i - 1]), i
+    return None, kept.size
 
 
 @dataclass(frozen=True)
@@ -451,7 +495,7 @@ def comparability_check(
     lams = np.linspace(0.0, delta, samples + 2)[1:-1]
     i, used = _first_witness(
         f, x0, x0 + lams * d, delta, m,
-        lambda value, base: not comparable(value, base),
+        lambda *levels: ~_comparable(*levels),
     )
     return ComparabilityReport(
         ok=i is None, direction=d, delta=delta, samples=used,
@@ -487,7 +531,7 @@ def non_dominance_check(
     were examined.
     """
     grid = np.linspace(xstar - eps_nbhd, xstar + eps_nbhd, samples)
-    i, used = _first_witness(f, xstar, grid, eps_nbhd, m, lt)
+    i, used = _first_witness(f, xstar, grid, eps_nbhd, m, _lt)
     return NonDominanceVerdict(
         dominated=i is not None, samples=used,
         dominator=None if i is None else float(grid[i]),

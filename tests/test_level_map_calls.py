@@ -52,10 +52,13 @@ def _builtin(name):
 
 
 # (solve, verify_solution) at each built-in's recommended settings.
+# verify_solution: the level slopes' stencil (4 calls), F'' and, with
+# analytic derivatives, F' (2 each, else F at x: 2), and one x-column
+# call per level map for each of the three sampling checks (6).
 BUILTIN_CALLS = {
-    "example_4_1": (32, 162),
-    "max_return_crisp": (56, 162),
-    "max_return_fuzzy": (72, 64),
+    "example_4_1": (32, 14),
+    "max_return_crisp": (56, 14),
+    "max_return_fuzzy": (72, 12),
 }
 
 
@@ -68,6 +71,20 @@ def test_solve_and_verify_calls(name):
     solve_calls, counter.calls = counter.calls, 0
     verify_solution(f, result, cfg)
     assert (solve_calls, counter.calls) == BUILTIN_CALLS[name]
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_CALLS))
+def test_verify_calls_do_not_grow_with_samples(name):
+    f, cfg = _builtin(name)
+    counter = Counter()
+    f = counter.wrap(f)
+    result = solve(f, cfg)
+    calls = []
+    for samples in (25, 101):
+        counter.calls = 0
+        verify_solution(f, result, cfg, samples=samples)
+        calls.append(counter.calls)
+    assert calls == [BUILTIN_CALLS[name][1]] * 2
 
 
 def test_table_solves_without_verifying(monkeypatch, tmp_path):
