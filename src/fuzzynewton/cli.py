@@ -6,7 +6,8 @@ instances and prints one row per instance; ``check`` audits an arbitrary
 point for stationarity and non-dominance.
 
 Exit codes: 0 success/converged, 1 usage or input errors, 2 a solve
-ended in a non-convergence status, 3 a check failed.  Reports go to
+ended in a non-convergence status, 3 a check failed or was inconclusive
+(no neighbourhood sample in the domain).  Reports go to
 stdout (or --out); all formats carry the same numeric content, with text
 rounded to 6 significant digits and csv/json at full precision.
 """
@@ -437,7 +438,13 @@ def _cmd_check(args) -> int:
                          **_given(nbhd=args.nbhd, samples=args.samples))
     for line in report.lines():
         sys.stdout.write(line + "\n")
-    sys.stdout.write(f"verdict: {'pass' if report.ok else 'fail'}\n")
+    if report.ok:
+        verdict = "pass"
+    elif report.stationary and report.non_dominance.samples == 0:
+        verdict = "inconclusive"
+    else:
+        verdict = "fail"
+    sys.stdout.write(f"verdict: {verdict}\n")
     return 0 if report.ok else 3
 
 

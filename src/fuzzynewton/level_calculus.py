@@ -456,9 +456,17 @@ def _first_witness(
     return None, kept.size
 
 
+# How a check that compared no sample describes itself.
+_NO_SAMPLE = "inconclusive (0 samples in the domain)"
+
+
 @dataclass(frozen=True)
 class ComparabilityReport:
-    """Outcome of sampling comparability along one direction."""
+    """Outcome of sampling comparability along one direction.
+
+    ``ok`` needs at least one sample compared: a check that found no
+    sample in the domain is inconclusive, not a pass.
+    """
 
     ok: bool
     direction: float
@@ -467,6 +475,8 @@ class ComparabilityReport:
     witness: Optional[float] = None
 
     def describe(self) -> str:
+        if self.samples == 0:
+            return _NO_SAMPLE
         if self.ok:
             return (
                 f"comparable along d={self.direction:+g} for {self.samples} "
@@ -490,7 +500,8 @@ def comparability_check(
     f(x0) are comparable at every sampled lambda.
 
     Returns the first violating lambda as a witness on failure.  Sampled
-    points falling outside the domain are skipped.
+    points falling outside the domain are skipped; with none left, the
+    report is not ok.
     """
     lams = np.linspace(0.0, delta, samples + 2)[1:-1]
     i, used = _first_witness(
@@ -498,7 +509,7 @@ def comparability_check(
         lambda *levels: ~_comparable(*levels),
     )
     return ComparabilityReport(
-        ok=i is None, direction=d, delta=delta, samples=used,
+        ok=i is None and used > 0, direction=d, delta=delta, samples=used,
         witness=None if i is None else float(lams[i]),
     )
 
@@ -514,6 +525,8 @@ class NonDominanceVerdict:
     def describe(self) -> str:
         if self.dominated:
             return f"dominated-by {self.dominator:.9g}"
+        if self.samples == 0:
+            return _NO_SAMPLE
         return f"no-dominator-found ({self.samples} samples)"
 
 
@@ -528,7 +541,7 @@ def non_dominance_check(
     strictly below f(xstar) in the fuzzy-max order.
 
     A sampling check, not a proof; the verdict records how many points
-    were examined.
+    were examined, and with none it describes itself as inconclusive.
     """
     grid = np.linspace(xstar - eps_nbhd, xstar + eps_nbhd, samples)
     i, used = _first_witness(f, xstar, grid, eps_nbhd, m, _lt)

@@ -233,7 +233,12 @@ class VerificationReport:
 
     @property
     def ok(self) -> bool:
-        return self.stationary and not self.non_dominance.dominated
+        """Stationary, and no dominator among at least one sample."""
+        return (
+            self.stationary
+            and not self.non_dominance.dominated
+            and self.non_dominance.samples > 0
+        )
 
     def lines(self) -> list[str]:
         return [

@@ -310,6 +310,17 @@ class TestCheckCommand:
         assert code == 0
         assert "10 samples" in out
 
+    def test_no_sample_in_the_neighbourhood_is_inconclusive(self, capsys):
+        # every sample lies within rounding distance of xstar, so none is
+        # compared: the point was not examined and must not pass
+        code, out, _ = run(
+            capsys, "check", "--problem", "example_4_1", "--xstar", "0",
+            "--nbhd", "1e-13",
+        )
+        assert code == 3
+        assert "verdict: inconclusive" in out
+        assert out.count("inconclusive (0 samples in the domain)") == 3
+
 
 class TestErrorPaths:
     def test_unknown_problem(self, capsys):

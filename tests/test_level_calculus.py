@@ -304,6 +304,18 @@ class TestNeighborhoodChecks:
         verdict = non_dominance_check(EX41, 2.2370804744447476e-12, 0.01, 25)
         assert not verdict.dominated
 
+    def test_no_sample_in_the_domain_is_inconclusive(self):
+        f = dataclasses.replace(EX41, domain=(-1.0, 0.0))
+        rep = comparability_check(f, 0.0, +1.0, 0.01, 25)
+        assert rep.samples == 0
+        assert not rep.ok
+        assert rep.describe() == "inconclusive (0 samples in the domain)"
+        assert comparability_check(f, 0.0, -1.0, 0.01, 25).ok
+        point = dataclasses.replace(EX41, domain=(0.0, 0.0))
+        verdict = non_dominance_check(point, 0.0, 0.01, 25)
+        assert (verdict.dominated, verdict.samples) == (False, 0)
+        assert verdict.describe() == "inconclusive (0 samples in the domain)"
+
     def test_domain_limits_sampling(self):
         f = dataclasses.replace(EX41, domain=(0.0, 2.0))
         verdict = non_dominance_check(f, 0.0, 0.01, 25)

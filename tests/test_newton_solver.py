@@ -203,6 +203,13 @@ class TestVerification:
         assert rep.ok
         assert rep.level_d1_max < 1e-8
 
+    def test_check_point_with_no_sample_is_not_ok(self):
+        rep = check_point(EX41, 0.0, NewtonConfig(x0=0.0), nbhd=1e-13)
+        assert rep.stationary and not rep.non_dominance.dominated
+        assert rep.non_dominance.samples == 0
+        assert not rep.ok
+        assert not rep.comp_plus.ok and not rep.comp_minus.ok
+
     def test_check_point_needs_room_for_the_stencil(self):
         # analytic d1/d2, but the level slopes still take a stencil: a
         # domain narrower than it is an error, not a silent evaluation
