@@ -29,7 +29,6 @@ from .level_calculus import (
     _Point,
     comparability_check,
     non_dominance_check,
-    scalarize_d2,
 )
 
 __all__ = [
@@ -106,13 +105,26 @@ class SolveResult:
         return [r.x_k for r in self.trace] + [self.xstar]
 
 
+def _stat_tol(eps: float, d2: float) -> float:
+    """How small |F'| must be for a point to count as stationary."""
+    return 10.0 * eps * max(1.0, abs(d2))
+
+
 def _stationarity_kind(f, xstar, cfg) -> str:
+    """local-min or local-max by the sign of F'' at a stationary xstar,
+    not-stationary where |F'| reaches _stat_tol, inconclusive where F''
+    is not a usable number."""
     try:
-        d2 = scalarize_d2(f, xstar, cfg.scal)
+        point = _Point(f, xstar, cfg.scal)
+        d1, d2 = point.d1(), point.d2()
     except Exception:
         return "inconclusive"
-    if not math.isfinite(d2) or abs(d2) < cfg.d2_floor:
+    if not (math.isfinite(d1) and math.isfinite(d2)):
         return "inconclusive"
+    if abs(d2) < cfg.d2_floor:
+        return "inconclusive"
+    if not abs(d1) < _stat_tol(cfg.eps, d2):
+        return "not-stationary"
     return "local-min" if d2 > 0 else "local-max"
 
 
@@ -252,25 +264,32 @@ class VerificationReport:
         ]
 
 
+# Half-width of the sampled neighbourhood and samples per check, for
+# check_point and verify_solution.
+_NBHD = 0.01
+_SAMPLES = 25
+
+
 def check_point(
     f: FuzzyFunction,
     x: float,
     cfg: NewtonConfig,
-    nbhd: float = 0.01,
-    samples: int = 25,
+    nbhd: float = _NBHD,
+    samples: int = _SAMPLES,
     stat_tol: Optional[float] = None,
 ) -> VerificationReport:
     """Stationarity, level-derivative, non-dominance, and comparability
     checks at an arbitrary point.
 
-    The default stationarity tolerance is 10 * eps * max(1, |F''(x)|).
+    The default stationarity tolerance is 10 * eps * max(1, |F''(x)|),
+    the one that solve's stationarity kind uses.
     """
     point = _Point(f, x, cfg.scal)
     # the level slopes first: they fetch the stencil levels d1 and d2 reuse
     level_d1_max = point.level_d1_max()
     d1, d2 = point.d1(), point.d2()
     if stat_tol is None:
-        stat_tol = 10.0 * cfg.eps * max(1.0, abs(d2))
+        stat_tol = _stat_tol(cfg.eps, d2)
     m = cfg.scal.alpha_points
     return VerificationReport(
         xstar=x,
@@ -289,8 +308,8 @@ def verify_solution(
     f: FuzzyFunction,
     result: SolveResult,
     cfg: NewtonConfig,
-    nbhd: float = 0.01,
-    samples: int = 25,
+    nbhd: float = _NBHD,
+    samples: int = _SAMPLES,
     stat_tol: Optional[float] = None,
 ) -> VerificationReport:
     """Post-hoc verification at a converged iterate (see check_point)."""

@@ -52,12 +52,14 @@ def _builtin(name):
 
 
 # (solve, verify_solution) at each built-in's recommended settings.
+# solve ends with F' and F'' at xstar for its stationarity kind: with
+# analytic derivatives, 2 calls each.
 # verify_solution: the level slopes' stencil (4 calls), F'' and, with
 # analytic derivatives, F' (2 each, else F at x: 2), and one x-column
 # call per level map for each of the three sampling checks (6).
 BUILTIN_CALLS = {
-    "example_4_1": (32, 14),
-    "max_return_crisp": (56, 14),
+    "example_4_1": (34, 14),
+    "max_return_crisp": (58, 14),
     "max_return_fuzzy": (72, 12),
 }
 
@@ -90,7 +92,8 @@ def test_verify_calls_do_not_grow_with_samples(name):
 def test_table_solves_without_verifying(monkeypatch, tmp_path):
     # The five-row reference sweep of the CLI golden test: a solve and
     # the fuzzy value at xstar per row. Verifying each row as well, and
-    # evaluating F(xstar), made 1028 calls.
+    # evaluating F(xstar), made 1028 calls. Each crisp row's stationarity
+    # kind takes F' at xstar: 2 calls.
     sweep = tmp_path / "sweep.json"
     sweep.write_text(json.dumps(FILES["sweep.json"]))
     counter = Counter()
@@ -105,4 +108,4 @@ def test_table_solves_without_verifying(monkeypatch, tmp_path):
     with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
         warnings.simplefilter("ignore")
         assert cli.main(["table", "--sweep", str(sweep)]) == 0
-    assert counter.calls == 306
+    assert counter.calls == 314

@@ -12,6 +12,7 @@ from fuzzynewton import (
     InsufficientDataError,
     IterationRecord,
     NewtonConfig,
+    ProblemSpec,
     STATUS_CONVERGED,
     STATUS_D2_NEAR_ZERO,
     STATUS_LEFT_DOMAIN,
@@ -22,6 +23,7 @@ from fuzzynewton import (
     crisp,
     crisp_lift,
     estimate_convergence_order,
+    resolve_problem,
     solve,
     verify_solution,
 )
@@ -133,6 +135,30 @@ class TestSolve:
         last = res.trace[-1]
         assert last.x_k + last.step == pytest.approx(2.7)
 
+    def test_end_point_away_from_stationarity_is_labelled_so(self):
+        # F'' > 0 at both end points, but F' is far from 0: neither is a
+        # local minimum
+        f = dataclasses.replace(EX41, domain=(-1.0, 1.0))
+        left = solve(f, NewtonConfig(x0=-0.6))
+        assert left.status == STATUS_LEFT_DOMAIN
+        assert left.stationarity_kind == "not-stationary"
+        cut_short = solve(EX41, NewtonConfig(x0=1.0, max_iter=2))
+        assert cut_short.status == STATUS_MAX_ITER
+        assert cut_short.stationarity_kind == "not-stationary"
+        # the converged end of the same path is a local minimum
+        assert solve(EX41, NewtonConfig(x0=1.0)).stationarity_kind == (
+            "local-min"
+        )
+
+    def test_two_cycle_end_point_is_not_stationary(self):
+        resolved = resolve_problem(ProblemSpec(kind="max_return_fuzzy"))
+        scal = dataclasses.replace(resolved.scal, fd_step=1e-5)
+        res = solve(resolved.function, NewtonConfig(
+            x0=resolved.x0, eps=resolved.eps, scal=scal,
+        ))
+        assert res.status == STATUS_MAX_ITER
+        assert res.stationarity_kind == "not-stationary"
+
 
 class TestConvergenceOrder:
     def test_example_4_1_is_quadratic(self):
@@ -185,6 +211,14 @@ class TestVerification:
         assert rep.d2 == pytest.approx(8.0, abs=1e-6)
         assert not rep.non_dominance.dominated
         assert any("non-dominance" in line for line in rep.lines())
+
+    def test_verify_solution_is_check_point_at_xstar(self):
+        # same defaults for the neighbourhood and the sample count
+        cfg = NewtonConfig(x0=1.0)
+        res = solve(EX41, cfg)
+        assert verify_solution(EX41, res, cfg) == check_point(
+            EX41, res.xstar, cfg
+        )
 
     def test_non_converged_result_is_rejected(self):
         cfg = NewtonConfig(x0=-2.0 / 3.0)
