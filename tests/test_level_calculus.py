@@ -27,6 +27,7 @@ from fuzzynewton import (
     scalarize_d2,
     scalarize_many,
 )
+from fuzzynewton import level_calculus
 
 EX41 = build_example_4_1()
 CFG = ScalarizationConfig()
@@ -321,3 +322,71 @@ class TestNeighborhoodChecks:
         verdict = non_dominance_check(f, 0.0, 0.01, 25)
         assert not verdict.dominated
         assert verdict.samples < 25
+
+
+def _broken_below_or_above(cut: float, below: bool):
+    """EX41 whose lower levels jump above the upper ones at alpha > 0.5,
+    at x below (or above) the cut only."""
+
+    def level_lo(x, a):
+        x = np.asarray(x, float)
+        broken = (x < cut) if below else (x > cut)
+        return EX41.level_lo(x, a) + np.where(broken & (a > 0.5), 10.0, 0.0)
+
+    return dataclasses.replace(EX41, level_lo=level_lo)
+
+
+class TestBatchedChecks:
+    """Each check evaluates x0 and its samples as one block; errors and
+    verdicts are those of a per-sample evaluate-validate-compare loop."""
+
+    def test_malformed_after_the_witness_does_not_raise(self):
+        # at x0 = 0.5 the first sample, 0.49, dominates
+        f = _broken_below_or_above(0.5, below=False)
+        verdict = non_dominance_check(f, 0.5, 0.01, 25)
+        assert verdict.dominator == pytest.approx(0.49)
+        assert verdict.samples == 1
+
+    def test_malformed_before_the_witness_raises_at_that_sample(self):
+        f = _broken_below_or_above(0.495, below=True)
+        with pytest.raises(MalformedFunctionError) as err:
+            non_dominance_check(f, 0.5, 0.01, 25)
+        with pytest.raises(MalformedFunctionError) as one:
+            eval_fuzzy(f, 0.49, 101)
+        assert (err.value.x, err.value.alpha) == (one.value.x, one.value.alpha)
+        assert str(err.value) == str(one.value)
+
+    def test_malformed_last_sample_raises_without_a_witness(self):
+        # no sample dominates the minimizer 0; only the last one, 0.01,
+        # is malformed
+        f = _broken_below_or_above(0.0099, below=False)
+        with pytest.raises(MalformedFunctionError) as err:
+            non_dominance_check(f, 0.0, 0.01, 25)
+        assert err.value.x == pytest.approx(0.01)
+
+    def test_malformed_x0_raises_whatever_the_samples(self):
+        f = _broken_below_or_above(0.5, below=False)
+        with pytest.raises(MalformedFunctionError) as err:
+            comparability_check(f, 0.6, -1.0, 0.01, 5)
+        assert err.value.x == 0.6
+        assert err.value.alpha == pytest.approx(0.51)
+
+    def test_scalar_only_level_maps_fall_back(self):
+        f = crisp_lift(lambda x: math.exp(x))
+        rep = comparability_check(f, 0.0, +1.0, 0.01, 7)
+        assert (rep.ok, rep.samples) == (True, 7)
+        verdict = non_dominance_check(f, 0.0, 0.01, 5)
+        assert verdict.dominator == pytest.approx(-0.01)
+        assert non_dominance_check(f, 0.0, 1e-13, 5).samples == 0
+
+    def test_blocks_split_at_any_row_count(self, monkeypatch):
+        # huge sample counts are evaluated a block of rows at a time
+        whole = [
+            non_dominance_check(EX41, x, 0.01, 25) for x in (-0.3, 0.0)
+        ] + [comparability_check(EX41, -4.0 / 3.0, +1.0, 0.05, 25)]
+        for rows in (1, 2, 3, 7):
+            monkeypatch.setattr(level_calculus, "_WITNESS_ROWS", rows)
+            split = [
+                non_dominance_check(EX41, x, 0.01, 25) for x in (-0.3, 0.0)
+            ] + [comparability_check(EX41, -4.0 / 3.0, +1.0, 0.05, 25)]
+            assert split == whole

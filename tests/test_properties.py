@@ -13,6 +13,7 @@ from fuzzynewton import (
     ScalarizationConfig,
     add,
     build_fuzzy_polynomial,
+    comparability_check,
     comparable,
     crisp,
     crisp_lift,
@@ -26,6 +27,7 @@ from fuzzynewton import (
     lt,
     mul,
     negate,
+    non_dominance_check,
     reciprocal,
     scalar_mul,
     scalarize,
@@ -268,3 +270,57 @@ class TestScalarizationProperties:
         expected = (t.left + t.right) / 2.0 + t.peak
         assert scalarize(f, x, CFG) == pytest.approx(expected, abs=1e-9)
         assert eval_fuzzy(f, x, CFG.alpha_points) == v
+
+
+def first_witness_by_sample(f, x0, xs, reach, m, is_witness):
+    """Reference for the batched checks: evaluate, validate and compare
+    one sample at a time; (index of the first witness or None, samples
+    compared)."""
+    base = eval_fuzzy(f, x0, m)
+    coincident = 1e-12 * max(1.0, abs(x0), reach)
+    used = 0
+    for i, x in enumerate(xs):
+        if abs(x - x0) <= coincident or not f.contains(x):
+            continue
+        used += 1
+        if is_witness(eval_fuzzy(f, float(x), m), base):
+            return i, used
+    return None, used
+
+
+@st.composite
+def checked_points(draw):
+    """A fuzzy polynomial on a domain around x0, a neighbourhood that may
+    reach past the domain, a sample count and a grid size."""
+    f = draw(polynomial_functions())
+    x0 = draw(finite(-2.0, 2.0))
+    left, right = draw(finite(0.0, 0.5)), draw(finite(0.0, 0.5))
+    f = dataclasses.replace(f, domain=(x0 - left, x0 + right))
+    nbhd = draw(st.sampled_from([1e-13, 1e-3, 0.05, 0.3]))
+    samples = draw(st.sampled_from([1, 2, 7, 25]))
+    return f, x0, nbhd, samples, draw(st.sampled_from([5, 21, 101]))
+
+
+class TestBatchedChecksMatchPerSampleLoop:
+    @given(checked_points())
+    def test_non_dominance(self, case):
+        f, x0, nbhd, samples, m = case
+        verdict = non_dominance_check(f, x0, nbhd, samples, m)
+        grid = np.linspace(x0 - nbhd, x0 + nbhd, samples)
+        i, used = first_witness_by_sample(f, x0, grid, nbhd, m, lt)
+        assert verdict.samples == used
+        assert verdict.dominated == (i is not None)
+        assert verdict.dominator == (None if i is None else grid[i])
+
+    @given(checked_points(), st.sampled_from([+1.0, -1.0]))
+    def test_comparability(self, case, d):
+        f, x0, delta, samples, m = case
+        rep = comparability_check(f, x0, d, delta, samples, m)
+        lams = np.linspace(0.0, delta, samples + 2)[1:-1]
+        i, used = first_witness_by_sample(
+            f, x0, x0 + lams * d, delta, m,
+            lambda value, base: not comparable(value, base),
+        )
+        assert rep.samples == used
+        assert rep.ok == (i is None and used > 0)
+        assert rep.witness == (None if i is None else lams[i])
