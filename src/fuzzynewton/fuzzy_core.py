@@ -9,7 +9,11 @@ image of t -> t**2 so that levels straddling zero stay valid.
 
 The module also provides the fuzzy-max partial order, the sup-of-level
 distances metric, and the Hukuhara difference (which may fail to exist;
-nonexistence is reported as a value, not an exception).
+nonexistence is reported as a value, not an exception).  The level
+invariants and the order are each defined once, as private kernels over
+level arrays of any leading shape, so that a block of many samples is
+validated and compared at once; FuzzyNumber and leq/lt/comparable call
+the same kernels.
 """
 
 from __future__ import annotations

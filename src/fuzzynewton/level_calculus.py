@@ -19,6 +19,14 @@ derivatives, the fuzzy value and the level slopes.  The Newton solver,
 the verifier, the grid oracle and the centroid all read values through
 it.
 
+The neighbourhood checks (comparability and non-dominance) fetch the
+point and all of its samples in the domain as one x-column, validate
+the block with fuzzy_core's row-wise invariant kernel and compare it
+with the row-wise order kernels, so one check costs one call per level
+map for up to 4096 samples.  Their verdicts, witnesses and errors are
+those of taking the samples one at a time in order; a check that finds
+no sample in the domain is inconclusive.
+
 Level callables must accept numpy arrays for the alpha argument and
 broadcast; accepting array x as well is optional but enables the fast
 vectorized paths.

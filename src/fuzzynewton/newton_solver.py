@@ -8,7 +8,7 @@ on the result, never an exception, and the full iteration trace is always
 returned.
 
 No damping or line search is applied; divergence and cycling surface as
-the max-iter status.
+the max-iter status, with an end point labelled not-stationary.
 """
 
 from __future__ import annotations
@@ -119,9 +119,7 @@ def _stationarity_kind(f, xstar, cfg) -> str:
         d1, d2 = point.d1(), point.d2()
     except Exception:
         return "inconclusive"
-    if not (math.isfinite(d1) and math.isfinite(d2)):
-        return "inconclusive"
-    if abs(d2) < cfg.d2_floor:
+    if not (math.isfinite(d1) and math.isfinite(d2)) or abs(d2) < cfg.d2_floor:
         return "inconclusive"
     if not abs(d1) < _stat_tol(cfg.eps, d2):
         return "not-stationary"
