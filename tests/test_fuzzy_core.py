@@ -255,6 +255,114 @@ class TestArithmetic:
             reciprocal(tri(-1.0, 0.0, 1.0))
 
 
+# One triangle per sign case: positive, negative and straddling zero.
+SIGNED = {
+    "positive": (0.5, 2.0, 3.5),
+    "negative": (-4.0, -1.5, -0.25),
+    "straddling": (-1.25, 0.5, 3.0),
+}
+
+
+def four_products(a, b, op):
+    """op applied to each pair of endpoints, written out level by level."""
+    return [op(a.lo, b.lo), op(a.lo, b.hi), op(a.hi, b.lo), op(a.hi, b.hi)]
+
+
+class TestArithmeticExact:
+    """Each operation equals its endpoint formula bit for bit."""
+
+    @pytest.mark.parametrize("sa", SIGNED)
+    @pytest.mark.parametrize("sb", SIGNED)
+    def test_mul_is_the_four_product_hull(self, sa, sb):
+        a, b = tri(*SIGNED[sa], m=21), tri(*SIGNED[sb], m=21)
+        p = mul(a, b)
+        ends = four_products(a, b, lambda u, v: u * v)
+        np.testing.assert_array_equal(
+            p.lo, np.minimum(np.minimum(ends[0], ends[1]),
+                             np.minimum(ends[2], ends[3])))
+        np.testing.assert_array_equal(
+            p.hi, np.maximum(np.maximum(ends[0], ends[1]),
+                             np.maximum(ends[2], ends[3])))
+
+    def test_mul_sign_cases_pick_known_endpoints(self):
+        pos, neg = tri(*SIGNED["positive"]), tri(*SIGNED["negative"])
+        p = mul(pos, pos)
+        np.testing.assert_array_equal(p.lo, pos.lo * pos.lo)
+        np.testing.assert_array_equal(p.hi, pos.hi * pos.hi)
+        p = mul(neg, neg)
+        np.testing.assert_array_equal(p.lo, neg.hi * neg.hi)
+        np.testing.assert_array_equal(p.hi, neg.lo * neg.lo)
+        p = mul(pos, neg)
+        np.testing.assert_array_equal(p.lo, pos.hi * neg.lo)
+        np.testing.assert_array_equal(p.hi, pos.lo * neg.hi)
+
+    @pytest.mark.parametrize("sa", SIGNED)
+    @pytest.mark.parametrize("sb", ["positive", "negative"])
+    def test_div_is_the_four_quotient_hull(self, sa, sb):
+        a, b = tri(*SIGNED[sa], m=21), tri(*SIGNED[sb], m=21)
+        q = div(a, b)
+        ends = four_products(a, b, lambda u, v: u / v)
+        np.testing.assert_array_equal(
+            q.lo, np.minimum(np.minimum(ends[0], ends[1]),
+                             np.minimum(ends[2], ends[3])))
+        np.testing.assert_array_equal(
+            q.hi, np.maximum(np.maximum(ends[0], ends[1]),
+                             np.maximum(ends[2], ends[3])))
+
+    def test_div_by_positive_of_positive(self):
+        a, b = tri(*SIGNED["positive"]), tri(1.0, 2.0, 4.0)
+        q = div(a, b)
+        np.testing.assert_array_equal(q.lo, a.lo / b.hi)
+        np.testing.assert_array_equal(q.hi, a.hi / b.lo)
+
+    @pytest.mark.parametrize("sa", SIGNED)
+    def test_square_is_the_dependent_image(self, sa):
+        a = tri(*SIGNED[sa], m=21)
+        s = square(a)
+        lo2, hi2 = a.lo * a.lo, a.hi * a.hi
+        if sa == "positive":
+            expected_lo = lo2
+        elif sa == "negative":
+            expected_lo = hi2
+        else:
+            # [L^2, U^2] once the level is above 0, 0 while it straddles
+            expected_lo = np.where(a.lo >= 0.0, lo2, 0.0)
+            assert expected_lo[0] == 0.0 and expected_lo[-1] > 0.0
+        np.testing.assert_array_equal(s.lo, expected_lo)
+        np.testing.assert_array_equal(s.hi, np.maximum(lo2, hi2))
+
+    @pytest.mark.parametrize("sa", ["positive", "negative"])
+    def test_reciprocal_swaps_the_endpoints(self, sa):
+        a = tri(*SIGNED[sa], m=21)
+        r = reciprocal(a)
+        np.testing.assert_array_equal(r.lo, 1.0 / a.hi)
+        np.testing.assert_array_equal(r.hi, 1.0 / a.lo)
+
+    @pytest.mark.parametrize("divisor", [
+        SIGNED["straddling"], (0.0, 1.0, 2.0), (-2.0, -1.0, 0.0),
+    ])
+    def test_singular_divisor_message_and_alpha(self, divisor):
+        # nested levels: a level holding 0 means the support holds it
+        with pytest.raises(SingularLevelError) as err:
+            div(tri(*SIGNED["positive"]), tri(*divisor))
+        assert str(err.value) == "divisor level contains 0 at alpha=0"
+        assert err.value.alpha == 0.0
+
+    @pytest.mark.parametrize("a", [
+        SIGNED["straddling"], (0.0, 1.0, 2.0), (-2.0, -1.0, 0.0),
+    ])
+    def test_singular_reciprocal_message_and_alpha(self, a):
+        with pytest.raises(SingularLevelError) as err:
+            reciprocal(tri(*a))
+        assert str(err.value) == "level contains 0 at alpha=0"
+        assert err.value.alpha == 0.0
+
+    def test_div_checks_the_grid_before_the_zero_level(self):
+        with pytest.raises(GridMismatchError):
+            div(tri(*SIGNED["positive"], m=5),
+                tri(*SIGNED["straddling"], m=7))
+
+
 class TestOrderAndMetric:
     def test_leq_on_shifted_copies(self):
         a = tri(0.0, 1.0, 2.0)
