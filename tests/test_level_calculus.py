@@ -271,6 +271,19 @@ class TestDerivatives:
                 warnings.simplefilter("ignore")
                 scalarize_d1(f, 5e-10, CFG)
 
+    def test_one_sided_stencil_needs_its_far_point_in_the_domain(self):
+        # at x = 0 the stencil is (0, h, 2h); F' takes 0 and h, F'' takes
+        # 2h too, which lies past the domain's upper end
+        f = dataclasses.replace(
+            EX41, d1_lo=None, d1_hi=None, d2_lo=None, d2_hi=None,
+            domain=(0.0, 1.5e-5)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert scalarize_d1(f, 0.0, CFG) == pytest.approx(0.0, abs=1e-3)
+            with pytest.raises(DomainError, match=r"x=2e-05 outside"):
+                scalarize_d2(f, 0.0, CFG)
+
 
 class TestNeighborhoodChecks:
     def test_comparable_along_monotone_stretch(self):

@@ -111,6 +111,25 @@ class TestSolve:
         assert res.status == STATUS_NON_FINITE
         assert res.xstar == 800.0
 
+    def test_step_that_overflows(self):
+        # F' = 2e300 and F'' = 2e-10 are finite and F'' is above d2_floor,
+        # but -F'/F'' overflows to -inf
+        f = crisp_lift(
+            lambda x: 1e300 * np.asarray(x),
+            d1=lambda x: np.full(np.shape(x), 1e300),
+            d2=lambda x: np.full(np.shape(x), 1e-10),
+        )
+        res = solve(f, NewtonConfig(x0=0.5))
+        assert res.status == STATUS_NON_FINITE
+        assert res.xstar == 0.5
+        assert res.iterations == 1
+        last = res.trace[-1]
+        assert last.x_k == 0.5
+        assert last.dF == pytest.approx(2e300)
+        assert last.d2F == pytest.approx(2e-10)
+        assert last.step == -math.inf
+        assert res.iterates() == [0.5, 0.5]
+
     def test_x0_outside_domain(self):
         f = dataclasses.replace(EX41, domain=(0.0, 2.0))
         with pytest.raises(DomainError):
