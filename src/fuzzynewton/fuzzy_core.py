@@ -62,6 +62,10 @@ __all__ = [
 # floating-point dust from long arithmetic chains is tolerated.
 EQUALITY_TOL = 1e-12
 
+# Levels of the default uniform alpha grid, for sampling, scalarization
+# and the neighbourhood checks alike.
+_ALPHA_POINTS = 101
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -269,13 +273,13 @@ def _require_same_grid(a: FuzzyNumber, b: FuzzyNumber) -> None:
         )
 
 
-def discretize(t: TriangularFuzzy, m: int = 101) -> FuzzyNumber:
+def discretize(t: TriangularFuzzy, m: int = _ALPHA_POINTS) -> FuzzyNumber:
     """Sample a triangular fuzzy number onto the uniform m-point grid."""
     alphas = uniform_alphas(m)
     return FuzzyNumber(alphas, *t.cut(alphas))
 
 
-def crisp(value: float, m: int = 101) -> FuzzyNumber:
+def crisp(value: float, m: int = _ALPHA_POINTS) -> FuzzyNumber:
     """A real number embedded as a fuzzy number (all levels degenerate)."""
     alphas = uniform_alphas(m)
     v = np.full(m, float(value))
@@ -295,25 +299,41 @@ def scalar_mul(lam: float, a: FuzzyNumber) -> FuzzyNumber:
     return FuzzyNumber(a.alphas, lam * a.hi, lam * a.lo)
 
 
+def _endpoint_hull(op, a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
+    """Levels spanning op over the four endpoint pairs of a and b."""
+    ends = np.stack([op(a.lo, b.lo), op(a.lo, b.hi), op(a.hi, b.lo),
+                     op(a.hi, b.hi)])
+    return FuzzyNumber(a.alphas, ends.min(axis=0), ends.max(axis=0))
+
+
+def _require_zero_free(a: FuzzyNumber, what: str) -> None:
+    """Raise SingularLevelError at the first level of a that holds 0."""
+    contains_zero = (a.lo <= 0.0) & (a.hi >= 0.0)
+    if np.any(contains_zero):
+        i = int(np.argmax(contains_zero))
+        raise SingularLevelError(
+            f"{what} contains 0 at alpha={a.alphas[i]:.6g}",
+            alpha=float(a.alphas[i]),
+        )
+
+
 def mul(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
     """Level-wise interval product: min/max over the four endpoint products."""
     _require_same_grid(a, b)
-    prods = np.stack([a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi])
-    return FuzzyNumber(a.alphas, prods.min(axis=0), prods.max(axis=0))
+    return _endpoint_hull(np.multiply, a, b)
 
 
 def div(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
     """Level-wise interval quotient; every level of b must exclude 0."""
     _require_same_grid(a, b)
-    contains_zero = (b.lo <= 0.0) & (b.hi >= 0.0)
-    if np.any(contains_zero):
-        i = int(np.argmax(contains_zero))
-        raise SingularLevelError(
-            f"divisor level contains 0 at alpha={b.alphas[i]:.6g}",
-            alpha=float(b.alphas[i]),
-        )
-    quots = np.stack([a.lo / b.lo, a.lo / b.hi, a.hi / b.lo, a.hi / b.hi])
-    return FuzzyNumber(a.alphas, quots.min(axis=0), quots.max(axis=0))
+    _require_zero_free(b, "divisor level")
+    return _endpoint_hull(np.divide, a, b)
+
+
+def _square_lo(lo, hi):
+    """Lower end of the dependent square of levels [lo, hi]: lo^2 where
+    lo >= 0, hi^2 where hi <= 0, and 0 where the level straddles zero."""
+    return np.where(lo >= 0.0, lo * lo, np.where(hi <= 0.0, hi * hi, 0.0))
 
 
 def square(a: FuzzyNumber) -> FuzzyNumber:
@@ -322,21 +342,13 @@ def square(a: FuzzyNumber) -> FuzzyNumber:
     Levels entirely nonnegative map to [L^2, U^2]; entirely nonpositive
     to [U^2, L^2]; levels straddling zero to [0, max(L^2, U^2)].
     """
-    lo2, hi2 = a.lo * a.lo, a.hi * a.hi
-    lo = np.where(a.lo >= 0.0, lo2, np.where(a.hi <= 0.0, hi2, 0.0))
-    hi = np.maximum(lo2, hi2)
-    return FuzzyNumber(a.alphas, lo, hi)
+    hi = np.maximum(a.lo * a.lo, a.hi * a.hi)
+    return FuzzyNumber(a.alphas, _square_lo(a.lo, a.hi), hi)
 
 
 def reciprocal(a: FuzzyNumber) -> FuzzyNumber:
     """Level-wise reciprocal [1/U, 1/L]; every level must exclude 0."""
-    contains_zero = (a.lo <= 0.0) & (a.hi >= 0.0)
-    if np.any(contains_zero):
-        i = int(np.argmax(contains_zero))
-        raise SingularLevelError(
-            f"level contains 0 at alpha={a.alphas[i]:.6g}",
-            alpha=float(a.alphas[i]),
-        )
+    _require_zero_free(a, "level")
     return FuzzyNumber(a.alphas, 1.0 / a.hi, 1.0 / a.lo)
 
 

@@ -44,6 +44,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidLevelError, MalformedFunctionError, NumericError
 from .fuzzy_core import (
+    _ALPHA_POINTS,
     FuzzyNumber,
     _comparable,
     _invalid_rows,
@@ -104,15 +105,17 @@ class FuzzyFunction:
     def has_analytic_d2(self) -> bool:
         return self.d2_lo is not None and self.d2_hi is not None
 
-    def contains(self, x: float) -> bool:
-        return self.domain[0] <= x <= self.domain[1]
+    def contains(self, x):
+        """Whether x lies in the closed domain, elementwise for an array
+        x; a NaN x lies outside."""
+        return (self.domain[0] <= x) & (x <= self.domain[1])
 
 
 @dataclass(frozen=True)
 class ScalarizationConfig:
     """Quadrature and finite-difference settings for the scalarization."""
 
-    alpha_points: int = 101
+    alpha_points: int = _ALPHA_POINTS
     quadrature: str = "simpson"
     fd_step: float = 1e-5
 
@@ -286,13 +289,13 @@ class _Point:
 
     Levels fetched at a point are kept for the life of the object, so the
     finite-difference stencil around x, the fuzzy value at x and the
-    level slopes share one evaluation per point.  F at a stencil point
-    whose levels are not otherwise needed comes from ``scalarize``.
+    level slopes share one evaluation per point.  Each point is checked
+    against the domain when its levels are first fetched.
     """
 
     def __init__(self, f: FuzzyFunction, x: float, cfg: ScalarizationConfig):
         _require_in_domain(f, x)
-        self.f, self.x, self.cfg = f, x, cfg
+        self.f, self.x = f, x
         self.h = cfg.fd_step * max(1.0, abs(x))
         self.alphas, self.w = _quad_weights(cfg.alpha_points, cfg.quadrature)
         self._levels: dict = {}
@@ -301,6 +304,7 @@ class _Point:
 
     def levels(self, p: float):
         if p not in self._levels:
+            _require_in_domain(self.f, p)
             self._levels[p] = _levels(
                 self.f.level_lo, self.f.level_hi, p, self.alphas
             )
@@ -308,15 +312,10 @@ class _Point:
 
     def F(self, p: float) -> float:
         if p not in self._values:
-            if p in self._levels:
-                value = float(_integrate(*self._levels[p], self.w, p))
-            else:
-                value = scalarize(self.f, p, self.cfg)
-            self._values[p] = value
+            self._values[p] = float(_integrate(*self.levels(p), self.w, p))
         return self._values[p]
 
     def value(self) -> float:
-        self.levels(self.x)
         return self.F(self.x)
 
     def fuzzy_value(self) -> FuzzyNumber:
@@ -354,7 +353,7 @@ class _Point:
         return float(max(np.max(np.abs(dlo)), np.max(np.abs(dhi))))
 
 
-def eval_fuzzy(f: FuzzyFunction, x: float, m: int = 101) -> FuzzyNumber:
+def eval_fuzzy(f: FuzzyFunction, x: float, m: int = _ALPHA_POINTS) -> FuzzyNumber:
     """The fuzzy value of f at x sampled on the uniform m-point grid.
 
     Raises MalformedFunctionError when the level maps violate the
@@ -369,9 +368,7 @@ def eval_fuzzy(f: FuzzyFunction, x: float, m: int = 101) -> FuzzyNumber:
 
 def scalarize(f: FuzzyFunction, x: float, cfg: ScalarizationConfig) -> float:
     """Quadrature approximation of the level-sum integral at one point."""
-    _require_in_domain(f, x)
-    alphas, w = _quad_weights(cfg.alpha_points, cfg.quadrature)
-    return float(_integrate(*_levels(f.level_lo, f.level_hi, x, alphas), w, x))
+    return _Point(f, x, cfg).value()
 
 
 def scalarize_many(f: FuzzyFunction, xs, cfg: ScalarizationConfig) -> np.ndarray:
@@ -383,7 +380,7 @@ def scalarize_many(f: FuzzyFunction, xs, cfg: ScalarizationConfig) -> np.ndarray
     is not finite, as scalarize does.
     """
     xs = np.atleast_1d(np.asarray(xs, float))
-    inside = (f.domain[0] <= xs) & (xs <= f.domain[1])
+    inside = f.contains(xs)
     if not np.all(inside):
         _require_in_domain(f, float(xs[np.argmin(inside)]))
     alphas, w = _quad_weights(cfg.alpha_points, cfg.quadrature)
@@ -439,8 +436,7 @@ def _first_witness(
     _require_in_domain(f, x0)
     coincident = 1e-12 * max(1.0, abs(x0), reach)
     kept = np.flatnonzero(
-        ~(np.abs(xs - x0) <= coincident)
-        & (f.domain[0] <= xs) & (xs <= f.domain[1])
+        ~(np.abs(xs - x0) <= coincident) & f.contains(xs)
     )
     points = np.concatenate(([x0], xs[kept]))
     alphas = uniform_alphas(m)
@@ -502,7 +498,7 @@ def comparability_check(
     d: float,
     delta: float,
     samples: int,
-    m: int = 101,
+    m: int = _ALPHA_POINTS,
 ) -> ComparabilityReport:
     """Sample lambda in (0, delta) and test whether f(x0 + lambda d) and
     f(x0) are comparable at every sampled lambda.
@@ -543,7 +539,7 @@ def non_dominance_check(
     xstar: float,
     eps_nbhd: float,
     samples: int,
-    m: int = 101,
+    m: int = _ALPHA_POINTS,
 ) -> NonDominanceVerdict:
     """Search [xstar - eps, xstar + eps] for a point whose fuzzy value is
     strictly below f(xstar) in the fuzzy-max order.

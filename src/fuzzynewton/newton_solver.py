@@ -141,7 +141,6 @@ def solve(f: FuzzyFunction, cfg: NewtonConfig) -> SolveResult:
     xk = float(cfg.x0)
     trace: list[IterationRecord] = []
     status = STATUS_MAX_ITER
-    xstar = xk
     for k in range(cfg.max_iter):
         point = _Point(f, xk, cfg.scal)
         try:
@@ -150,11 +149,9 @@ def solve(f: FuzzyFunction, cfg: NewtonConfig) -> SolveResult:
             d2 = point.d2()
         except NumericError:
             status = STATUS_NON_FINITE
-            xstar = xk
             break
         if not all(math.isfinite(v) for v in (fval, d1, d2)):
             status = STATUS_NON_FINITE
-            xstar = xk
             break
         fuzzy_value = point.fuzzy_value()
         if abs(d2) < cfg.d2_floor:
@@ -162,29 +159,26 @@ def solve(f: FuzzyFunction, cfg: NewtonConfig) -> SolveResult:
                 IterationRecord(k, xk, fval, d1, d2, math.nan, fuzzy_value)
             )
             status = STATUS_D2_NEAR_ZERO
-            xstar = xk
             break
         step = -d1 / d2
         trace.append(IterationRecord(k, xk, fval, d1, d2, step, fuzzy_value))
         x_next = xk + step
         if not math.isfinite(x_next):
             status = STATUS_NON_FINITE
-            xstar = xk
             break
         if not f.contains(x_next):
             status = STATUS_LEFT_DOMAIN
-            xstar = xk
             break
         xk = x_next
-        xstar = xk
         if abs(step) < cfg.eps:
             status = STATUS_CONVERGED
             break
+    # every exit leaves xk at the last iterate accepted
     return SolveResult(
         status=status,
-        xstar=xstar,
+        xstar=xk,
         trace=tuple(trace),
-        stationarity_kind=_stationarity_kind(f, xstar, cfg),
+        stationarity_kind=_stationarity_kind(f, xk, cfg),
     )
 
 

@@ -27,7 +27,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigFormatError, SingularLevelError
-from .fuzzy_core import TriangularFuzzy, triangular_from_record, triangular_to_record
+from .fuzzy_core import (
+    TriangularFuzzy, _square_lo, triangular_from_record, triangular_to_record,
+)
 from .level_calculus import FuzzyFunction, ScalarizationConfig, crisp_lift, negate, scalarize_many
 
 __all__ = [
@@ -201,10 +203,6 @@ def build_max_return_fuzzy(
     """
     va = _as_triangular(p.Va)
     rho = _as_triangular(p.rho)
-    if va.left <= 0.0:
-        raise SingularLevelError(
-            "a level of Va touches 0 at alpha=0", alpha=0.0
-        )
 
     def _pieces(x, a):
         x = np.asarray(x, float)
@@ -218,7 +216,7 @@ def build_max_return_fuzzy(
 
     def level_lo(x, a):
         x, vl, vu, rl_w, _, rl, ru = _pieces(x, a)
-        s_lo = np.where(rl >= 0.0, rl * rl, np.where(ru <= 0.0, ru * ru, 0.0))
+        s_lo = _square_lo(rl, ru)
         k_lo = rl_w / (vu * vu)
         return LIN1 * x + LIN0 + k_lo * s_lo
 
@@ -278,18 +276,14 @@ def _resolve_builtin(
             bracket=(0.0, 1.5),
             params=p,
         )
-    if name == "max_return_fuzzy":
-        p = params or DEFAULT_FUZZY_PARAMS
-        return ResolvedProblem(
-            label=name,
-            function=build_max_return_fuzzy(p),
-            scal=FUZZY_MAX_RETURN_SCAL,
-            bracket=(0.0, 1.5),
-            params=p,
-        )
-    raise ConfigFormatError(
-        f"unknown builtin problem {name!r}; expected one of "
-        f"{', '.join(BUILTIN_NAMES)} or 'fuzzy_polynomial'"
+    # max_return_fuzzy, the one kind left that ProblemSpec admits
+    p = params or DEFAULT_FUZZY_PARAMS
+    return ResolvedProblem(
+        label=name,
+        function=build_max_return_fuzzy(p),
+        scal=FUZZY_MAX_RETURN_SCAL,
+        bracket=(0.0, 1.5),
+        params=p,
     )
 
 
