@@ -285,6 +285,31 @@ class TestDerivatives:
                 scalarize_d2(f, 0.0, CFG)
 
 
+class TestContains:
+    def test_bounds_are_inclusive(self):
+        f = dataclasses.replace(EX41, domain=(-1.0, 2.0))
+        assert f.contains(-1.0) and f.contains(2.0) and f.contains(0.5)
+        assert not f.contains(-1.0 - 1e-15) and not f.contains(2.0 + 1e-15)
+
+    def test_elementwise_on_arrays(self):
+        f = dataclasses.replace(EX41, domain=(-1.0, 2.0))
+        xs = np.array([-2.0, -1.0, 0.0, 2.0, 3.0, np.nan])
+        np.testing.assert_array_equal(
+            f.contains(xs), [False, True, True, True, False, False]
+        )
+
+    def test_nan_lies_outside(self):
+        assert not EX41.contains(math.nan)
+        assert not dataclasses.replace(EX41, domain=(0.0, 1.0)).contains(
+            math.nan
+        )
+
+    def test_unbounded_domain_accepts_everything(self):
+        xs = np.array([-math.inf, -1e308, 0.0, 1e308, math.inf])
+        assert EX41.contains(xs).all()
+        assert all(EX41.contains(float(x)) for x in xs)
+
+
 class TestNeighborhoodChecks:
     def test_comparable_along_monotone_stretch(self):
         rep = comparability_check(EX41, 1.0, +1.0, 0.05, 11)
@@ -329,6 +354,14 @@ class TestNeighborhoodChecks:
         verdict = non_dominance_check(point, 0.0, 0.01, 25)
         assert (verdict.dominated, verdict.samples) == (False, 0)
         assert verdict.describe() == "inconclusive (0 samples in the domain)"
+
+    def test_samples_on_a_domain_bound_are_kept(self):
+        # the samples land exactly on -0.01 and 0.01, the domain's bounds
+        f = dataclasses.replace(EX41, domain=(-0.01, 0.01))
+        verdict = non_dominance_check(f, 0.0, 0.01, 3)
+        assert (verdict.dominated, verdict.samples) == (False, 2)
+        rep = comparability_check(f, 0.0, +1.0, 0.02, 1)
+        assert rep.samples == 1 and rep.ok
 
     def test_domain_limits_sampling(self):
         f = dataclasses.replace(EX41, domain=(0.0, 2.0))
