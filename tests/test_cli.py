@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -363,10 +365,16 @@ class TestErrorPaths:
 
 
 def test_console_entrypoint_runs():
+    # the child imports the package from this checkout, as the tests do
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "fuzzynewton", "solve",
          "--problem", "example_4_1", "--x0", "1", "--format", "json"],
         capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "converged"
