@@ -62,8 +62,7 @@ __all__ = [
 # floating-point dust from long arithmetic chains is tolerated.
 EQUALITY_TOL = 1e-12
 
-# Levels of the default uniform alpha grid, for sampling, scalarization
-# and the neighbourhood checks alike.
+# Levels of the default alpha grid, for sampling, quadrature and checks.
 _ALPHA_POINTS = 101
 
 
@@ -301,8 +300,7 @@ def scalar_mul(lam: float, a: FuzzyNumber) -> FuzzyNumber:
 
 def _endpoint_hull(op, a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
     """Levels spanning op over the four endpoint pairs of a and b."""
-    ends = np.stack([op(a.lo, b.lo), op(a.lo, b.hi), op(a.hi, b.lo),
-                     op(a.hi, b.hi)])
+    ends = np.stack([op(p, q) for p in (a.lo, a.hi) for q in (b.lo, b.hi)])
     return FuzzyNumber(a.alphas, ends.min(axis=0), ends.max(axis=0))
 
 
@@ -331,8 +329,7 @@ def div(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
 
 
 def _square_lo(lo, hi):
-    """Lower end of the dependent square of levels [lo, hi]: lo^2 where
-    lo >= 0, hi^2 where hi <= 0, and 0 where the level straddles zero."""
+    """Lower end of the dependent square (see square) of levels [lo, hi]."""
     return np.where(lo >= 0.0, lo * lo, np.where(hi <= 0.0, hi * hi, 0.0))
 
 

@@ -106,8 +106,7 @@ class FuzzyFunction:
         return self.d2_lo is not None and self.d2_hi is not None
 
     def contains(self, x):
-        """Whether x lies in the closed domain, elementwise for an array
-        x; a NaN x lies outside."""
+        """Whether x lies in the closed domain, elementwise; NaN does not."""
         return (self.domain[0] <= x) & (x <= self.domain[1])
 
 
@@ -289,13 +288,13 @@ class _Point:
 
     Levels fetched at a point are kept for the life of the object, so the
     finite-difference stencil around x, the fuzzy value at x and the
-    level slopes share one evaluation per point.  Each point is checked
-    against the domain when its levels are first fetched.
+    level slopes share one evaluation per point.  F at a stencil point
+    whose levels are not otherwise needed comes from ``scalarize``.
     """
 
     def __init__(self, f: FuzzyFunction, x: float, cfg: ScalarizationConfig):
         _require_in_domain(f, x)
-        self.f, self.x = f, x
+        self.f, self.x, self.cfg = f, x, cfg
         self.h = cfg.fd_step * max(1.0, abs(x))
         self.alphas, self.w = _quad_weights(cfg.alpha_points, cfg.quadrature)
         self._levels: dict = {}
@@ -304,7 +303,6 @@ class _Point:
 
     def levels(self, p: float):
         if p not in self._levels:
-            _require_in_domain(self.f, p)
             self._levels[p] = _levels(
                 self.f.level_lo, self.f.level_hi, p, self.alphas
             )
@@ -312,7 +310,11 @@ class _Point:
 
     def F(self, p: float) -> float:
         if p not in self._values:
-            self._values[p] = float(_integrate(*self.levels(p), self.w, p))
+            if p == self.x or p in self._levels:
+                value = float(_integrate(*self.levels(p), self.w, p))
+            else:
+                value = scalarize(self.f, p, self.cfg)
+            self._values[p] = value
         return self._values[p]
 
     def value(self) -> float:

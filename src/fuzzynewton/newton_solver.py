@@ -239,12 +239,9 @@ class VerificationReport:
     def ok(self) -> bool:
         """Stationary, and no dominator among at least one sample.
 
-        Comparability is left out of the verdict.  It is reported as the
-        paper's sufficient condition under which stationarity of F gives
-        non-dominance; the verdict rests on stationarity and the sampled
-        non-dominance search alone.  At max_return_fuzzy's answer both
-        directions read ``incomparable at lambda=0.000384615385`` and the
-        point still passes.
+        Comparability, the paper's sufficient condition for non-dominance
+        at a stationary point, is reported but left out: max_return_fuzzy's
+        answer reads ``incomparable at lambda=0.000384615385`` and passes.
         """
         return (
             self.stationary

@@ -27,9 +27,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigFormatError, SingularLevelError
-from .fuzzy_core import (
-    TriangularFuzzy, _square_lo, triangular_from_record, triangular_to_record,
-)
+from .fuzzy_core import TriangularFuzzy, _square_lo, triangular_from_record, triangular_to_record
 from .level_calculus import FuzzyFunction, ScalarizationConfig, crisp_lift, negate, scalarize_many
 
 __all__ = [
