@@ -310,14 +310,15 @@ class _Point:
 
     def F(self, p: float) -> float:
         if p not in self._values:
-            if p == self.x or p in self._levels:
-                value = float(_integrate(*self.levels(p), self.w, p))
+            if p in self._levels:
+                value = float(_integrate(*self._levels[p], self.w, p))
             else:
                 value = scalarize(self.f, p, self.cfg)
             self._values[p] = value
         return self._values[p]
 
     def value(self) -> float:
+        self.levels(self.x)
         return self.F(self.x)
 
     def fuzzy_value(self) -> FuzzyNumber:
