@@ -438,9 +438,7 @@ def _first_witness(
     """
     _require_in_domain(f, x0)
     coincident = 1e-12 * max(1.0, abs(x0), reach)
-    kept = np.flatnonzero(
-        ~(np.abs(xs - x0) <= coincident) & f.contains(xs)
-    )
+    kept = np.flatnonzero(~(np.abs(xs - x0) <= coincident) & f.contains(xs))
     points = np.concatenate(([x0], xs[kept]))
     alphas = uniform_alphas(m)
     for start in range(0, points.size, _WITNESS_ROWS):
