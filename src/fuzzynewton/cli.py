@@ -189,18 +189,9 @@ def _configs_from_args(args, resolved: ResolvedProblem) -> NewtonConfig:
 def _trace_rows(result: SolveResult) -> list[dict]:
     rows = []
     for rec in result.trace:
-        fv = rec.fuzzy_value
-        rows.append(
-            {
-                "k": rec.k,
-                "x_k": float(rec.x_k),
-                "x_next": float(rec.x_k + rec.step),
-                "f_lo0": float(fv.lo[0]),
-                "f_lo1": float(fv.lo[-1]),
-                "f_hi1": float(fv.hi[-1]),
-                "f_hi0": float(fv.hi[0]),
-            }
-        )
+        lo, hi = rec.fuzzy_value.lo, rec.fuzzy_value.hi
+        values = (rec.x_k, rec.x_k + rec.step, lo[0], lo[-1], hi[-1], hi[0])
+        rows.append(dict(zip(TRACE_COLUMNS, (rec.k, *map(float, values)))))
     return rows
 
 
@@ -253,20 +244,15 @@ def _solve_report(resolved: ResolvedProblem, cfg: NewtonConfig) -> dict:
         )
     except InsufficientDataError:
         order = None
+    # the NewtonConfig fields, with the scalarization's in place of scal
+    config = dataclasses.asdict(cfg)
+    config.update(config.pop("scal"))
     params = resolved.params
+    config["params"] = None if params is None else _params_to_json(params)
     return {
         **summary,
         "problem": resolved.label,
-        "config": {
-            "x0": float(cfg.x0),
-            "eps": float(cfg.eps),
-            "max_iter": cfg.max_iter,
-            "d2_floor": float(cfg.d2_floor),
-            "alpha_points": cfg.scal.alpha_points,
-            "quadrature": cfg.scal.quadrature,
-            "fd_step": float(cfg.scal.fd_step),
-            "params": None if params is None else _params_to_json(params),
-        },
+        "config": config,
         "F_xstar": float(scalarize(f, result.xstar, cfg.scal)),
         "convergence_order": order,
         "trace": _trace_rows(result),

@@ -3,9 +3,9 @@
 The solver drives x_{k+1} = x_k - F'(x_k)/F''(x_k) on the scalarized
 objective F of a fuzzy-valued function, terminating on a small step, a
 vanishing second derivative, an exhausted iteration budget, non-finite
-values, or a step out of the function's domain.  Every outcome is a status
-on the result, never an exception, and the full iteration trace is always
-returned.
+values, or a step or finite-difference stencil out of the function's
+domain.  Every outcome is a status on the result, never an exception,
+and the full iteration trace is always returned.
 
 No damping or line search is applied; divergence and cycling surface as
 the max-iter status, with an end point labelled not-stationary.
@@ -132,9 +132,10 @@ def solve(f: FuzzyFunction, cfg: NewtonConfig) -> SolveResult:
     Terminates with status converged when |x_{k+1} - x_k| < eps,
     second-derivative-near-zero when |F''| falls under d2_floor,
     max-iter-exceeded when the budget runs out, non-finite when any
-    evaluation stops being a number, and left-domain when a step lands
-    outside the domain of f.  xstar is the last finite iterate in the
-    domain.  A start x0 outside the domain raises DomainError.
+    evaluation stops being a number, and left-domain when a step, or a
+    finite-difference stencil point around an iterate, lands outside the
+    domain of f.  xstar is the last finite iterate in the domain.  A
+    start x0 outside the domain raises DomainError.
     """
     if not f.contains(cfg.x0):
         raise DomainError(f"x0={cfg.x0} outside the function domain")
@@ -149,6 +150,9 @@ def solve(f: FuzzyFunction, cfg: NewtonConfig) -> SolveResult:
             d2 = point.d2()
         except NumericError:
             status = STATUS_NON_FINITE
+            break
+        except DomainError:
+            status = STATUS_LEFT_DOMAIN
             break
         if not all(math.isfinite(v) for v in (fval, d1, d2)):
             status = STATUS_NON_FINITE

@@ -252,36 +252,32 @@ class ResolvedProblem:
 # contracts; hence the larger recommended step for this problem only.
 FUZZY_MAX_RETURN_SCAL = ScalarizationConfig(fd_step=1e-4)
 
-BUILTIN_NAMES = ("example_4_1", "max_return_crisp", "max_return_fuzzy")
-
-# Points per scalarize_many call in grid_search_min: 20000 x 101 levels
-# is 16 MB per float64 array.
-_GRID_CHUNK = 20000
+# Each built-in kind: its builder from params, its default params (None
+# for a kind that takes none), its recommended settings and its bracket.
+_BUILTINS = {
+    "example_4_1": (
+        lambda _: build_example_4_1(), None, ScalarizationConfig(), (-0.5, 0.5)
+    ),
+    "max_return_crisp": (
+        build_max_return_crisp, DEFAULT_CRISP_PARAMS, ScalarizationConfig(),
+        (0.0, 1.5),
+    ),
+    "max_return_fuzzy": (
+        build_max_return_fuzzy, DEFAULT_FUZZY_PARAMS, FUZZY_MAX_RETURN_SCAL,
+        (0.0, 1.5),
+    ),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def _resolve_builtin(
     name: str, params: Optional[MaxReturnParams]
 ) -> ResolvedProblem:
-    if name == "example_4_1":
-        return ResolvedProblem(
-            label=name, function=build_example_4_1(), bracket=(-0.5, 0.5)
-        )
-    if name == "max_return_crisp":
-        p = params or DEFAULT_CRISP_PARAMS
-        return ResolvedProblem(
-            label=name,
-            function=build_max_return_crisp(p),
-            bracket=(0.0, 1.5),
-            params=p,
-        )
-    # max_return_fuzzy, the one kind left that ProblemSpec admits
-    p = params or DEFAULT_FUZZY_PARAMS
+    build, default, scal, bracket = _BUILTINS[name]
+    params = params or default
     return ResolvedProblem(
-        label=name,
-        function=build_max_return_fuzzy(p),
-        scal=FUZZY_MAX_RETURN_SCAL,
-        bracket=(0.0, 1.5),
-        params=p,
+        label=name, function=build(params), scal=scal, bracket=bracket,
+        params=params,
     )
 
 
@@ -447,20 +443,17 @@ def grid_search_min(
 ) -> float:
     """Brute-force minimizer of the scalarized F over a bracket.
 
-    Evaluates F on a uniform grid of the given step, _GRID_CHUNK points
-    at a time to bound memory, and returns the grid point with the
-    smallest value.  This is the independent oracle the Newton answers
-    are checked against; a non-finite F raises NumericError.
+    Evaluates F on a uniform grid of the given step with one
+    scalarize_many call, which bounds memory by taking 20000 points at a
+    time, and returns the first grid point with the smallest value.
+    This is the independent oracle the Newton answers are checked
+    against.  A non-finite F raises NumericError; a reversed bracket or
+    a step that is not positive raises ValueError.
     """
     a, b = bracket
-    n = int(round((b - a) / step)) + 1
-    best_x, best_v = a, math.inf
-    for start in range(0, n, _GRID_CHUNK):
-        stop = min(start + _GRID_CHUNK, n)
-        xs = a + step * np.arange(start, stop)
-        vals = scalarize_many(f, xs, cfg)
-        i = int(np.argmin(vals))
-        if vals[i] < best_v:
-            best_v = float(vals[i])
-            best_x = float(xs[i])
-    return best_x
+    if not a <= b:
+        raise ValueError(f"bracket {bracket} is reversed")
+    if not step > 0:
+        raise ValueError(f"step must be positive, got {step}")
+    xs = a + step * np.arange(int(round((b - a) / step)) + 1)
+    return float(xs[np.argmin(scalarize_many(f, xs, cfg))])

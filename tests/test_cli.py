@@ -168,6 +168,17 @@ class TestSolveCommand:
         assert "status: left-domain" in out
         assert err == ""
 
+    @pytest.mark.filterwarnings("ignore:stencil shrunk")
+    def test_stencil_out_of_the_domain_exits_two(self, tmp_path, capsys):
+        # F'' at x0 needs x0 + 2h = 0.7002, past the domain's upper end
+        cfg = tmp_path / "narrow.json"
+        cfg.write_text(json.dumps({
+            "kind": "max_return_fuzzy", "domain": [0.7, 0.70015], "x0": 0.7,
+        }))
+        code, out, _ = run(capsys, "solve", "--problem", str(cfg))
+        assert code == 2
+        assert "status: left-domain (inconclusive) in 0 iterations" in out
+
 
 class TestReportFormats:
     def test_json_round_trips_byte_identically(self, capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -141,12 +142,54 @@ class TestEvalAndScalarize:
         assert scalarize_many(f, [0.5, 1.0], CFG) == pytest.approx([1.0, 2.0])
 
     def test_scalarize_many_scalar_only_maps_fall_back(self):
-        f = crisp_lift(lambda x: math.exp(x))
-        xs = np.linspace(-1.0, 1.0, 5)
-        np.testing.assert_array_equal(
-            scalarize_many(f, xs, CFG),
-            [scalarize(f, float(x), CFG) for x in xs],
+        # a map that takes a scalar x only gives the bits of its array twin
+        f = crisp_lift(lambda x: float(x) * float(x) + 1.0)
+        twin = crisp_lift(lambda x: x * x + 1.0)
+        xs = np.linspace(-1.0, 1.0, 101)
+        many = scalarize_many(f, xs, CFG)
+        np.testing.assert_array_equal(many, scalarize_many(twin, xs, CFG))
+        np.testing.assert_allclose(
+            many, [scalarize(f, float(x), CFG) for x in xs], rtol=0, atol=1e-12
         )
+
+    def test_scalarize_many_takes_one_block_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(level_calculus, "_MANY_ROWS", 7)
+        rows = []
+
+        def counted(level_map):
+            def level(x, a):
+                rows.append(len(x))
+                return level_map(x, a)
+
+            return level
+
+        f = dataclasses.replace(
+            EX41, level_lo=counted(EX41.level_lo),
+            level_hi=counted(EX41.level_hi),
+        )
+        xs = np.linspace(-1.0, 1.0, 20)
+        many = scalarize_many(f, xs, CFG)
+        assert rows == [7, 7, 7, 7, 6, 6]
+        np.testing.assert_array_equal(
+            many,
+            np.concatenate([scalarize_many(EX41, xs[i:i + 7], CFG)
+                            for i in (0, 7, 14)]),
+        )
+
+    def test_scalarize_many_memory_stays_one_block(self, monkeypatch):
+        monkeypatch.setattr(level_calculus, "_MANY_ROWS", 5000)
+
+        def peak(n):
+            xs = np.linspace(-1.0, 1.0, n)
+            tracemalloc.start()
+            try:
+                scalarize_many(EX41, xs, CFG)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_block = peak(5000)
+        assert peak(20000) < 1.2 * one_block
 
     def test_scalarize_many_enforces_the_domain(self):
         f = dataclasses.replace(EX41, domain=(0.0, 1.0))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from fuzzynewton import (
     InsufficientDataError,
     IterationRecord,
     NewtonConfig,
+    OneSidedStencilWarning,
     ProblemSpec,
     STATUS_CONVERGED,
     STATUS_D2_NEAR_ZERO,
@@ -144,6 +146,20 @@ class TestSolve:
         assert res.xstar == -0.68
         assert res.iterations == 1
         assert not f.contains(res.trace[-1].x_k + res.trace[-1].step)
+
+    def test_stencil_point_outside_the_domain(self):
+        # at x0 = 0 the one-sided stencil is (0, h, 2h) and F'' needs 2h,
+        # past the domain's upper end: a status, not a raise
+        f = dataclasses.replace(
+            EX41, d1_lo=None, d1_hi=None, d2_lo=None, d2_hi=None,
+            domain=(0.0, 1.5e-5),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OneSidedStencilWarning)
+            res = solve(f, NewtonConfig(x0=0.0))
+        assert res.status == STATUS_LEFT_DOMAIN
+        assert (res.xstar, res.iterations) == (0.0, 0)
+        assert res.stationarity_kind == "inconclusive"
 
     def test_step_far_past_the_domain_edge(self):
         # F' = -2.64 and F'' = 0.8 at -0.6: the step lands at 2.7

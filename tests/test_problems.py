@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from fuzzynewton import (
     scalarize,
     scalarize_d1,
     scalarize_d2,
+    scalarize_many,
     serialize_problem_config,
     solve,
 )
@@ -305,6 +307,29 @@ class TestGridOracle:
         )
         xg = grid_search_min(f, (0.0, 2.5), CFG, step=1e-4)
         assert xg == pytest.approx(1.0, abs=2e-4)
+
+    def test_two_blocks_match_a_chunked_argmin(self):
+        # 30001 points are two scalarize_many blocks of 20000 and 10001;
+        # the minimizer near 0.6993 lies in the second
+        f = build_max_return_fuzzy()
+        a, step, n = 0.45, 1e-5, 30001
+        best_x, best_v = None, math.inf
+        for start in range(0, n, 20000):
+            xs = a + step * np.arange(start, min(start + 20000, n))
+            vals = scalarize_many(f, xs, CFG)
+            i = int(np.argmin(vals))
+            if vals[i] < best_v:
+                best_x, best_v = float(xs[i]), float(vals[i])
+        assert best_x > a + 20000 * step
+        assert grid_search_min(f, (a, 0.75), CFG) == best_x
+
+    def test_reversed_bracket_or_bad_step_raises(self):
+        f = build_example_4_1()
+        with pytest.raises(ValueError, match="reversed"):
+            grid_search_min(f, (1.0, 0.0), CFG)
+        for step in (0.0, -1e-3, math.nan):
+            with pytest.raises(ValueError, match="step must be positive"):
+                grid_search_min(f, (0.0, 1.0), CFG, step=step)
 
     def test_nan_in_the_bracket_raises(self):
         # F = (x - 0.5)^2 per level, NaN below x = 0.2: argmin used to
