@@ -424,13 +424,7 @@ def _cmd_check(args) -> int:
                          **_given(nbhd=args.nbhd, samples=args.samples))
     for line in report.lines():
         sys.stdout.write(line + "\n")
-    if report.ok:
-        verdict = "pass"
-    elif report.stationary and report.non_dominance.samples == 0:
-        verdict = "inconclusive"
-    else:
-        verdict = "fail"
-    sys.stdout.write(f"verdict: {verdict}\n")
+    sys.stdout.write(f"verdict: {report.verdict}\n")
     return 0 if report.ok else 3
 
 

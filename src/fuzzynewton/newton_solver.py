@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -195,14 +194,16 @@ class OrderEstimate:
     pairs_used: int
 
 
-def estimate_convergence_order(
-    trace, xstar: float, tail_pairs: int = 4
-) -> OrderEstimate:
+# Consecutive error pairs at the end of a trace that the order fit uses.
+_TAIL_PAIRS = 4
+
+
+def estimate_convergence_order(trace, xstar: float) -> OrderEstimate:
     """Least-squares fit of log e_{k+1} against log e_k on the trace tail.
 
     Errors e_k = |x_k - xstar| are taken from the trace records; zero
     errors and exact repeats are dropped.  The fit uses the last
-    ``tail_pairs`` consecutive pairs (the asymptotic regime); fewer than
+    _TAIL_PAIRS consecutive pairs (the asymptotic regime); fewer than
     four usable iterates raise InsufficientDataError.
     """
     errors: list[float] = []
@@ -217,7 +218,7 @@ def estimate_convergence_order(
         )
     logs = np.log(errors)
     xs, ys = logs[:-1], logs[1:]
-    n = min(tail_pairs, xs.size)
+    n = min(_TAIL_PAIRS, xs.size)
     xs, ys = xs[-n:], ys[-n:]
     slope, intercept = np.polyfit(xs, ys, 1)
     return OrderEstimate(
@@ -240,18 +241,23 @@ class VerificationReport:
     comp_minus: ComparabilityReport
 
     @property
-    def ok(self) -> bool:
-        """Stationary, and no dominator among at least one sample.
+    def verdict(self) -> str:
+        """fail when not stationary or dominated, inconclusive when no
+        sample was compared, pass otherwise.
 
         Comparability, the paper's sufficient condition for non-dominance
         at a stationary point, is reported but left out: max_return_fuzzy's
         answer reads ``incomparable at lambda=0.000384615385`` and passes.
         """
-        return (
-            self.stationary
-            and not self.non_dominance.dominated
-            and self.non_dominance.samples > 0
-        )
+        if not self.stationary or self.non_dominance.dominated:
+            return "fail"
+        if self.non_dominance.samples == 0:
+            return "inconclusive"
+        return "pass"
+
+    @property
+    def ok(self) -> bool:
+        return self.verdict == "pass"
 
     def lines(self) -> list[str]:
         return [
@@ -277,20 +283,18 @@ def check_point(
     cfg: NewtonConfig,
     nbhd: float = _NBHD,
     samples: int = _SAMPLES,
-    stat_tol: Optional[float] = None,
 ) -> VerificationReport:
     """Stationarity, level-derivative, non-dominance, and comparability
     checks at an arbitrary point.
 
-    The default stationarity tolerance is 10 * eps * max(1, |F''(x)|),
-    the one that solve's stationarity kind uses.
+    The stationarity tolerance is 10 * eps * max(1, |F''(x)|), the one
+    that solve's stationarity kind uses.
     """
     point = _Point(f, x, cfg.scal)
     # the level slopes first: they fetch the stencil levels d1 and d2 reuse
     level_d1_max = point.level_d1_max()
     d1, d2 = point.d1(), point.d2()
-    if stat_tol is None:
-        stat_tol = _stat_tol(cfg.eps, d2)
+    stat_tol = _stat_tol(cfg.eps, d2)
     m = cfg.scal.alpha_points
     return VerificationReport(
         xstar=x,
@@ -311,7 +315,6 @@ def verify_solution(
     cfg: NewtonConfig,
     nbhd: float = _NBHD,
     samples: int = _SAMPLES,
-    stat_tol: Optional[float] = None,
 ) -> VerificationReport:
     """Post-hoc verification at a converged iterate (see check_point)."""
     if result.status != STATUS_CONVERGED:
@@ -319,4 +322,4 @@ def verify_solution(
             f"verification requires a converged result, got status "
             f"{result.status!r}"
         )
-    return check_point(f, result.xstar, cfg, nbhd, samples, stat_tol)
+    return check_point(f, result.xstar, cfg, nbhd, samples)

@@ -29,6 +29,7 @@ import numpy as np
 from .errors import ConfigFormatError, SingularLevelError
 from .fuzzy_core import TriangularFuzzy, _square_lo, triangular_from_record, triangular_to_record
 from .level_calculus import FuzzyFunction, ScalarizationConfig, crisp_lift, negate, scalarize_many
+from .newton_solver import NewtonConfig
 
 __all__ = [
     "MaxReturnParams",
@@ -238,7 +239,7 @@ class ResolvedProblem:
     label: str
     function: FuzzyFunction
     x0: float = 1.0
-    eps: float = 1e-5
+    eps: float = NewtonConfig.eps
     scal: ScalarizationConfig = ScalarizationConfig()
     bracket: Optional[tuple[float, float]] = None
     params: Optional[MaxReturnParams] = None
@@ -252,33 +253,29 @@ class ResolvedProblem:
 # contracts; hence the larger recommended step for this problem only.
 FUZZY_MAX_RETURN_SCAL = ScalarizationConfig(fd_step=1e-4)
 
-# Each built-in kind: its builder from params, its default params (None
-# for a kind that takes none), its recommended settings and its bracket.
-_BUILTINS = {
+# Each problem kind: its builder from params and coefficients, its
+# default params (None for a kind that takes none), its recommended
+# settings and its bracket (None for a kind that has none).  Every kind
+# but the last is a built-in.
+_KINDS = {
     "example_4_1": (
-        lambda _: build_example_4_1(), None, ScalarizationConfig(), (-0.5, 0.5)
+        lambda params, coeffs: build_example_4_1(), None,
+        ScalarizationConfig(), (-0.5, 0.5),
     ),
     "max_return_crisp": (
-        build_max_return_crisp, DEFAULT_CRISP_PARAMS, ScalarizationConfig(),
-        (0.0, 1.5),
+        lambda params, coeffs: build_max_return_crisp(params),
+        DEFAULT_CRISP_PARAMS, ScalarizationConfig(), (0.0, 1.5),
     ),
     "max_return_fuzzy": (
-        build_max_return_fuzzy, DEFAULT_FUZZY_PARAMS, FUZZY_MAX_RETURN_SCAL,
-        (0.0, 1.5),
+        lambda params, coeffs: build_max_return_fuzzy(params),
+        DEFAULT_FUZZY_PARAMS, FUZZY_MAX_RETURN_SCAL, (0.0, 1.5),
+    ),
+    "fuzzy_polynomial": (
+        lambda params, coeffs: build_fuzzy_polynomial(coeffs), None,
+        ScalarizationConfig(), None,
     ),
 }
-BUILTIN_NAMES = tuple(_BUILTINS)
-
-
-def _resolve_builtin(
-    name: str, params: Optional[MaxReturnParams]
-) -> ResolvedProblem:
-    build, default, scal, bracket = _BUILTINS[name]
-    params = params or default
-    return ResolvedProblem(
-        label=name, function=build(params), scal=scal, bracket=bracket,
-        params=params,
-    )
+BUILTIN_NAMES = tuple(_KINDS)[:-1]
 
 
 @dataclass(frozen=True)
@@ -295,7 +292,7 @@ class ProblemSpec:
     alpha_points: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in BUILTIN_NAMES + ("fuzzy_polynomial",):
+        if self.kind not in _KINDS:
             raise ConfigFormatError(f"unknown problem kind {self.kind!r}")
         if self.kind == "fuzzy_polynomial" and not self.coefficients:
             raise ConfigFormatError(
@@ -303,7 +300,7 @@ class ProblemSpec:
             )
         if self.kind != "fuzzy_polynomial" and self.coefficients is not None:
             raise ConfigFormatError(f"{self.kind} takes no coefficients")
-        if self.params is not None and not self.kind.startswith("max_return"):
+        if self.params is not None and _KINDS[self.kind][1] is None:
             raise ConfigFormatError(f"{self.kind} takes no params")
         if self.sense not in ("minimize", "maximize"):
             raise ConfigFormatError(
@@ -317,25 +314,20 @@ def resolve_problem(spec: ProblemSpec) -> ResolvedProblem:
     The solver minimizes, so a "maximize" sense resolves to the negated
     function.
     """
-    if spec.kind == "fuzzy_polynomial":
-        fn = build_fuzzy_polynomial(spec.coefficients)
-        base = ResolvedProblem(label=fn.name, function=fn)
-    else:
-        base = _resolve_builtin(spec.kind, spec.params)
+    build, default, scal, bracket = _KINDS[spec.kind]
+    params = spec.params or default
+    fn = build(params, spec.coefficients)
     if spec.domain is not None:
-        fn = dataclasses.replace(base.function, domain=spec.domain)
-        base = dataclasses.replace(base, function=fn, bracket=spec.domain)
+        fn = dataclasses.replace(fn, domain=spec.domain)
+        bracket = spec.domain
     if spec.sense == "maximize":
-        fn = negate(base.function)
-        base = dataclasses.replace(base, label=fn.name, function=fn)
-    scal = base.scal
+        fn = negate(fn)
     if spec.alpha_points is not None:
         scal = dataclasses.replace(scal, alpha_points=spec.alpha_points)
-    return dataclasses.replace(
-        base,
-        x0=base.x0 if spec.x0 is None else float(spec.x0),
-        eps=base.eps if spec.eps is None else float(spec.eps),
-        scal=scal,
+    return ResolvedProblem(
+        label=fn.name, function=fn, scal=scal, bracket=bracket, params=params,
+        **{key: float(getattr(spec, key)) for key in ("x0", "eps")
+           if getattr(spec, key) is not None},
     )
 
 

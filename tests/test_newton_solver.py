@@ -291,5 +291,3 @@ class TestVerification:
         rep = check_point(EX41, 0.0, NewtonConfig(x0=0.0))
         # 10 * eps * max(1, |F''|) with F'' = 8
         assert rep.stat_tol == pytest.approx(8e-4)
-        tight = check_point(EX41, 0.0, NewtonConfig(x0=0.0), stat_tol=1e-9)
-        assert tight.stat_tol == 1e-9
