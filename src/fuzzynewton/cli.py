@@ -245,10 +245,12 @@ def _solve_report(resolved: ResolvedProblem, cfg: NewtonConfig) -> dict:
     except InsufficientDataError:
         order = None
     # the NewtonConfig fields, with the scalarization's in place of scal
-    config = dataclasses.asdict(cfg)
-    config.update(config.pop("scal"))
     params = resolved.params
-    config["params"] = None if params is None else _params_to_json(params)
+    config = {
+        **vars(cfg), **vars(cfg.scal),
+        "params": None if params is None else _params_to_json(params),
+    }
+    del config["scal"]
     return {
         **summary,
         "problem": resolved.label,

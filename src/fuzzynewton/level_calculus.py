@@ -36,6 +36,8 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -105,6 +107,10 @@ class FuzzyFunction:
     def has_analytic_d2(self) -> bool:
         return self.d2_lo is not None and self.d2_hi is not None
 
+    def __post_init__(self):
+        if not self.domain[0] <= self.domain[1]:
+            raise ValueError(f"domain {self.domain} needs lo <= hi")
+
     def contains(self, x):
         """Whether x lies in the closed domain, elementwise; NaN does not."""
         return (self.domain[0] <= x) & (x <= self.domain[1])
@@ -119,6 +125,12 @@ class ScalarizationConfig:
     fd_step: float = 1e-5
 
     def __post_init__(self):
+        if isinstance(self.alpha_points, bool) or not isinstance(
+            self.alpha_points, numbers.Integral
+        ):
+            raise ValueError(
+                f"alpha_points must be an integer, got {self.alpha_points!r}"
+            )
         if self.quadrature not in ("trapezoid", "simpson"):
             raise ValueError(
                 f"quadrature must be 'trapezoid' or 'simpson', got "
@@ -288,14 +300,24 @@ def _stencil(f: FuzzyFunction, x: float, h: float):
         raise DomainError(
             f"domain too narrow for a finite-difference stencil around x={x}"
         )
-    # stacklevel 5: the caller of the public function (scalarize_d1,
-    # solve, check_point, ...) that reached here through _Point.
     warnings.warn(
         f"stencil shrunk to one-sided ({side}) at the domain boundary",
         OneSidedStencilWarning,
-        stacklevel=5,
+        stacklevel=_outside_stacklevel(),
     )
     return points, first
+
+
+def _outside_stacklevel() -> int:
+    """The stacklevel at which a warnings.warn call in this function's
+    caller names the first frame outside this package, at any depth."""
+    package = __name__.rpartition(".")[0]
+    frame, level = sys._getframe(2), 2
+    while frame.f_back is not None and frame.f_globals.get(
+        "__name__", ""
+    ).startswith(package + "."):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 class _Point:

@@ -4,8 +4,10 @@ The solver drives x_{k+1} = x_k - F'(x_k)/F''(x_k) on the scalarized
 objective F of a fuzzy-valued function, terminating on a small step, a
 vanishing second derivative, an exhausted iteration budget, non-finite
 values, or a step or finite-difference stencil out of the function's
-domain.  Every outcome is a status on the result, never an exception,
-and the full iteration trace is always returned.
+domain.  Each of these outcomes is a status on the result, with the full
+iteration trace.  Two cases raise instead: a start point outside the
+domain (DomainError), and levels that do not form a fuzzy number at an
+iterate (MalformedFunctionError).
 
 No damping or line search is applied; divergence and cycling surface as
 the max-iter status, with an end point labelled not-stationary.
@@ -116,7 +118,7 @@ def _stationarity_kind(f, xstar, cfg) -> str:
     try:
         point = _Point(f, xstar, cfg.scal)
         d1, d2 = point.d1(), point.d2()
-    except Exception:
+    except (NumericError, DomainError):
         return "inconclusive"
     if not (math.isfinite(d1) and math.isfinite(d2)) or abs(d2) < cfg.d2_floor:
         return "inconclusive"
@@ -134,7 +136,8 @@ def solve(f: FuzzyFunction, cfg: NewtonConfig) -> SolveResult:
     evaluation stops being a number, and left-domain when a step, or a
     finite-difference stencil point around an iterate, lands outside the
     domain of f.  xstar is the last finite iterate in the domain.  A
-    start x0 outside the domain raises DomainError.
+    start x0 outside the domain raises DomainError, and levels that do
+    not form a fuzzy number at an iterate raise MalformedFunctionError.
     """
     if not f.contains(cfg.x0):
         raise DomainError(f"x0={cfg.x0} outside the function domain")

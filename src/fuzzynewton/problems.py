@@ -247,10 +247,12 @@ class ResolvedProblem:
 
 # The fuzzy return-risk levels are piecewise smooth: near the minimizer
 # the scalarized objective carries a band of extra curvature roughly 1e-3
-# wide (the residual midpoint sweeps the alpha grid there).  An undamped
-# Newton step computed from 1e-5 finite differences bounces across that
-# band indefinitely, while a 1e-4 step averages over it and the iteration
-# contracts; hence the larger recommended step for this problem only.
+# wide (the residual midpoint sweeps the alpha grid there).  From the
+# default x0 = 1, an undamped Newton step computed from 1e-5 finite
+# differences bounces across that band indefinitely, while a 1e-4 step
+# converges; hence the larger recommended step for this problem only.
+# Neither step converges from every start (x0 = 0.9, 1.2 and 1.25
+# two-cycle at 1e-4; ROADMAP item 4).
 FUZZY_MAX_RETURN_SCAL = ScalarizationConfig(fd_step=1e-4)
 
 # Each problem kind: its builder from params and coefficients, its
@@ -331,8 +333,11 @@ def resolve_problem(spec: ProblemSpec) -> ResolvedProblem:
     )
 
 
-# The optional numeric config keys and their types.
-_OPTIONAL_NUMBERS = (("x0", float), ("eps", float), ("alpha_points", int))
+# The optional numeric config keys and how each is read: alpha_points is
+# passed as given, for ScalarizationConfig to check.
+_OPTIONAL_NUMBERS = (
+    ("x0", float), ("eps", float), ("alpha_points", lambda v: v),
+)
 
 
 def _param_from_json(v) -> ParamValue:

@@ -348,6 +348,22 @@ class TestErrorPaths:
         assert code == 1
         assert "nope" in err
 
+    @pytest.mark.parametrize("value", [11.9, 101.0])
+    def test_config_grid_size_must_be_an_integer(self, tmp_path, capsys, value):
+        # not truncated to an int, and rejected as --alpha-grid 11.9 is
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"kind": "example_4_1", "alpha_points": value}))
+        code, out, err = run(capsys, "solve", "--problem", str(cfg))
+        assert (code, out) == (1, "")
+        assert f"alpha_points must be an integer, got {value!r}" in err
+
+    def test_config_domain_must_not_be_reversed(self, tmp_path, capsys):
+        cfg = tmp_path / "reversed.json"
+        cfg.write_text(json.dumps({"kind": "example_4_1", "domain": [1, -1]}))
+        code, out, err = run(capsys, "solve", "--problem", str(cfg))
+        assert (code, out) == (1, "")
+        assert "domain (1.0, -1.0) needs lo <= hi" in err
+
     def test_unknown_flag(self, capsys):
         code, _, err = run(capsys, "solve", "--problem", "example_4_1",
                            "--bogus", "1")

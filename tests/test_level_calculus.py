@@ -61,6 +61,14 @@ class TestScalarizationConfig:
             ScalarizationConfig(alpha_points=100, quadrature="simpson")
         ScalarizationConfig(alpha_points=100, quadrature="trapezoid")
 
+    @pytest.mark.parametrize("m", [11.9, 101.0, True, "101"])
+    def test_rejects_a_grid_size_that_is_not_an_integer(self, m):
+        with pytest.raises(ValueError, match="alpha_points must be an integer"):
+            ScalarizationConfig(alpha_points=m)
+
+    def test_accepts_a_numpy_integer_grid_size(self):
+        assert ScalarizationConfig(alpha_points=np.int64(51)).alpha_points == 51
+
     def test_rejects_tiny_grid_and_bad_step(self):
         with pytest.raises(ValueError):
             ScalarizationConfig(alpha_points=2)
@@ -346,6 +354,16 @@ class TestContains:
         assert not dataclasses.replace(EX41, domain=(0.0, 1.0)).contains(
             math.nan
         )
+
+    @pytest.mark.parametrize(
+        "domain", [(1.0, -1.0), (math.nan, 1.0), (0.0, math.nan)]
+    )
+    def test_reversed_or_nan_domain_is_rejected(self, domain):
+        with pytest.raises(ValueError, match="needs lo <= hi"):
+            dataclasses.replace(EX41, domain=domain)
+
+    def test_single_point_domain_is_accepted(self):
+        assert dataclasses.replace(EX41, domain=(0.5, 0.5)).contains(0.5)
 
     def test_unbounded_domain_accepts_everything(self):
         xs = np.array([-math.inf, -1e308, 0.0, 1e308, math.inf])

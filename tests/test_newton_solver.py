@@ -185,6 +185,36 @@ class TestSolve:
             "local-min"
         )
 
+    def test_end_point_label_lets_a_level_map_bug_through(self):
+        # a bug in a level map raises whether it hits inside the loop
+        # (max_iter=2) or only at the end point (max_iter=1)
+        def g(x):
+            if x < 0.5:
+                raise KeyError(x)
+            return x * x
+
+        f = crisp_lift(g)  # F' and F'' by differences of F
+        for max_iter in (1, 2):
+            with pytest.raises(KeyError):
+                solve(f, NewtonConfig(x0=1.0, max_iter=max_iter))
+
+    def test_one_sided_stencil_warnings_name_the_caller(self):
+        # F' = 0 lies 1e-5 from the lower end: the stencil at the answer
+        # is one-sided, in solve's end-point label and in verification
+        f = dataclasses.replace(
+            EX41, d1_lo=None, d1_hi=None, d2_lo=None, d2_hi=None,
+            domain=(-1e-5, 1.0),
+        )
+        cfg = NewtonConfig(x0=0.5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = solve(f, cfg)
+            verify_solution(f, res, cfg)
+        assert res.status == STATUS_CONVERGED
+        assert len(caught) >= 2
+        assert {w.category for w in caught} == {OneSidedStencilWarning}
+        assert {w.filename for w in caught} == {__file__}
+
     def test_two_cycle_end_point_is_not_stationary(self):
         resolved = resolve_problem(ProblemSpec(kind="max_return_fuzzy"))
         scal = dataclasses.replace(resolved.scal, fd_step=1e-5)
@@ -266,10 +296,11 @@ class TestVerification:
         assert not rep.stationary
         assert rep.non_dominance.dominated
         assert not rep.ok
+        assert rep.verdict == "fail"
 
     def test_check_point_accepts_exact_minimizer(self):
         rep = check_point(EX41, 0.0, NewtonConfig(x0=0.0))
-        assert rep.ok
+        assert rep.ok and rep.verdict == "pass"
         assert rep.level_d1_max < 1e-8
 
     def test_check_point_with_no_sample_is_not_ok(self):
@@ -277,6 +308,7 @@ class TestVerification:
         assert rep.stationary and not rep.non_dominance.dominated
         assert rep.non_dominance.samples == 0
         assert not rep.ok
+        assert rep.verdict == "inconclusive"
         assert not rep.comp_plus.ok and not rep.comp_minus.ok
 
     def test_check_point_needs_room_for_the_stencil(self):

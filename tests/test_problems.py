@@ -211,6 +211,37 @@ class TestResolveProblem:
         with pytest.raises(DomainError):
             scalarize(resolved.function, 0.0, resolved.scal)
 
+    def test_grid_size_is_checked_when_resolved(self):
+        for text in ('{"kind": "example_4_1", "alpha_points": 11.9}',
+                     '{"kind": "example_4_1", "alpha_points": 101.0}'):
+            spec = parse_problem_config(text)
+            with pytest.raises(ValueError, match="must be an integer"):
+                resolve_problem(spec)
+        with pytest.raises(ValueError, match="must be an integer"):
+            resolve_problem(ProblemSpec(kind="example_4_1", alpha_points=11.9))
+
+    @pytest.mark.parametrize("kind", BUILTIN_NAMES)
+    def test_reversed_domain_is_rejected_when_resolved(self, kind):
+        spec = parse_problem_config(
+            json.dumps({"kind": kind, "domain": [1, -1]})
+        )
+        with pytest.raises(ValueError, match="needs lo <= hi"):
+            resolve_problem(spec)
+        with pytest.raises(ValueError, match="needs lo <= hi"):
+            resolve_problem(ProblemSpec(kind=kind, domain=(1.0, -1.0)))
+
+    def test_polynomial_label_and_settings(self):
+        spec = ProblemSpec(
+            kind="fuzzy_polynomial",
+            coefficients=(TriangularFuzzy(0.0, 1.0, 2.0),) * 3,
+            sense="maximize", x0=0.5,
+        )
+        resolved = resolve_problem(spec)
+        assert resolved.label == "-(fuzzy_polynomial(degree=2))"
+        assert (resolved.x0, resolved.eps) == (0.5, 1e-5)
+        assert (resolved.bracket, resolved.params) == (None, None)
+        assert resolved.scal == ScalarizationConfig()
+
     @pytest.mark.parametrize("kind", BUILTIN_NAMES)
     def test_maximize_sense_negates_the_objective(self, kind):
         plain = resolve_problem(ProblemSpec(kind=kind))
