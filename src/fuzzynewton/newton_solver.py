@@ -245,8 +245,9 @@ class VerificationReport:
 
     @property
     def verdict(self) -> str:
-        """fail when not stationary or dominated, inconclusive when no
-        sample was compared, pass otherwise.
+        """"fail" when the point is not stationary or a sample dominates
+        it, "inconclusive" when non-dominance compared no sample, and
+        "pass" otherwise.
 
         Comparability, the paper's sufficient condition for non-dominance
         at a stationary point, is reported but left out: max_return_fuzzy's
