@@ -25,8 +25,7 @@ from typing import Optional
 
 from .defuzzify import centroid
 from .errors import FuzzyNewtonError, InsufficientDataError
-from .fuzzy_core import triangular_from_record
-from .level_calculus import eval_fuzzy, scalarize
+from .level_calculus import _Point
 from .newton_solver import (
     STATUS_CONVERGED,
     NewtonConfig,
@@ -42,6 +41,7 @@ from .problems import (
     MaxReturnParams,
     ProblemSpec,
     ResolvedProblem,
+    _param_from_json,
     _params_from_json,
     _params_to_json,
     parse_problem_config,
@@ -87,14 +87,11 @@ def _fmt6(v) -> str:
 
 
 def _param_flag(text: str):
-    """Parse a parameter flag: plain number or 'left,peak,right'."""
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) == 1:
-        return float(parts[0])
-    if len(parts) == 3:
-        return triangular_from_record(parts)
-    raise _UsageError(
-        f"parameter must be a number or 'left,peak,right', got {text!r}"
+    """Parse a parameter flag, a number or 'left,peak,right', with the
+    reader of a config's params."""
+    values = [float(part) for part in text.split(",")]
+    return _param_from_json(
+        values if len(values) > 1 else values[0], "parameter"
     )
 
 
@@ -212,16 +209,18 @@ def _solve_summary(
     resolved: ResolvedProblem, cfg: NewtonConfig
 ) -> tuple[SolveResult, dict]:
     """Solve; return the result and a summary with the answer's fuzzy
-    value and centroid."""
+    value, its centroid and F, from one evaluation of the answer."""
     t0 = time.perf_counter()
     result = solve(resolved.function, cfg)
     wall = time.perf_counter() - t0
-    fval = eval_fuzzy(resolved.function, result.xstar, cfg.scal.alpha_points)
+    point = _Point(resolved.function, result.xstar, cfg.scal)
+    fval = point.fuzzy_value()
     return result, {
         "status": result.status,
         "stationarity_kind": result.stationarity_kind,
         "iterations": result.iterations,
         "xstar": float(result.xstar),
+        "F_xstar": point.value(),
         "value": float(centroid(fval)),
         "fvalue_support_lo": float(fval.lo[0]),
         "fvalue_core_mid": float(0.5 * (fval.lo[-1] + fval.hi[-1])),
@@ -231,8 +230,8 @@ def _solve_summary(
 
 
 def _solve_report(resolved: ResolvedProblem, cfg: NewtonConfig) -> dict:
-    """The solve summary plus F(xstar), the convergence order, the trace,
-    the settings and, for a converged solve, the verification."""
+    """The solve summary plus the convergence order, the trace, the
+    settings and, for a converged solve, the verification."""
     result, summary = _solve_summary(resolved, cfg)
     f = resolved.function
     verification = None
@@ -255,7 +254,6 @@ def _solve_report(resolved: ResolvedProblem, cfg: NewtonConfig) -> dict:
         **summary,
         "problem": resolved.label,
         "config": config,
-        "F_xstar": float(scalarize(f, result.xstar, cfg.scal)),
         "convergence_order": order,
         "trace": _trace_rows(result),
         "verification": verification,
@@ -375,7 +373,7 @@ def _sweep_rows(path: str) -> list[MaxReturnParams]:
     for i, item in enumerate(data):
         try:
             rows.append(_params_from_json(item))
-        except (FuzzyNewtonError, ValueError, TypeError) as err:
+        except (FuzzyNewtonError, ValueError) as err:
             raise _UsageError(f"sweep row {i} is malformed: {err}") from err
     return rows
 

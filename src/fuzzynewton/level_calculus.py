@@ -465,7 +465,10 @@ def _first_witness(
     rows of the block and x0's row.  A row whose levels break an
     invariant raises MalformedFunctionError if no witness comes before
     it, as when each sample is evaluated, validated and compared in turn.
+    A reach that is not positive and finite raises ValueError.
     """
+    if not 0.0 < reach < math.inf:
+        raise ValueError(f"nbhd must be positive and finite, got {reach}")
     _require_in_domain(f, x0)
     coincident = 1e-12 * max(1.0, abs(x0), reach)
     kept = np.flatnonzero(~(np.abs(xs - x0) <= coincident) & f.contains(xs))

@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigFormatError, SingularLevelError
-from .fuzzy_core import TriangularFuzzy, _square_lo, triangular_from_record, triangular_to_record
+from .fuzzy_core import TriangularFuzzy, _square_lo, triangular_to_record
 from .level_calculus import FuzzyFunction, ScalarizationConfig, crisp_lift, negate, scalarize_many
 from .newton_solver import NewtonConfig
 
@@ -54,8 +54,7 @@ C2 = 0.1256
 C1 = -0.1589
 C0 = 0.05139
 
-Scalar = Union[int, float]
-ParamValue = Union[Scalar, TriangularFuzzy]
+ParamValue = Union[int, float, TriangularFuzzy]
 
 
 def _as_triangular(v: ParamValue) -> TriangularFuzzy:
@@ -82,9 +81,7 @@ class MaxReturnParams:
 
     @property
     def is_fuzzy(self) -> bool:
-        return isinstance(self.Va, TriangularFuzzy) or isinstance(
-            self.rho, TriangularFuzzy
-        )
+        return any(isinstance(v, TriangularFuzzy) for v in vars(self).values())
 
 
 DEFAULT_FUZZY_PARAMS = MaxReturnParams(
@@ -167,7 +164,8 @@ def build_max_return_crisp(
     their peaks.
     """
     va = _as_triangular(p.Va).peak
-    k = _as_triangular(p.rho).peak / (va * va)
+    # where Va * Va underflows to 0, k is inf, as in the fuzzy levels
+    k = np.divide(_as_triangular(p.rho).peak, va * va)
 
     def g(x):
         x = np.asarray(x, float)
@@ -294,7 +292,7 @@ class ProblemSpec:
     alpha_points: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise ConfigFormatError(f"unknown problem kind {self.kind!r}")
         if self.kind == "fuzzy_polynomial" and not self.coefficients:
             raise ConfigFormatError(
@@ -333,102 +331,102 @@ def resolve_problem(spec: ProblemSpec) -> ResolvedProblem:
     )
 
 
-# The optional numeric config keys and how each is read: alpha_points is
-# passed as given, for ScalarizationConfig to check.
-_OPTIONAL_NUMBERS = (
-    ("x0", float), ("eps", float), ("alpha_points", lambda v: v),
-)
-
-
-def _param_from_json(v) -> ParamValue:
-    if isinstance(v, (int, float)):
+def _number(v, what: str) -> float:
+    """A number from outside as a float: a JSON int or float, not a bool,
+    a string or a container.  Ranges are checked where the value is used."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigFormatError(f"{what} must be a number, got {v!r}")
+    try:
         return float(v)
-    if isinstance(v, (list, tuple)) and len(v) == 3:
-        return triangular_from_record(v)
-    raise ConfigFormatError(
-        f"parameter must be a number or a [left, peak, right] triple, "
-        f"got {v!r}"
-    )
+    except OverflowError as err:
+        raise ConfigFormatError(f"{what} is out of a float's range") from err
 
 
-def _param_to_json(v: ParamValue):
-    if isinstance(v, TriangularFuzzy):
-        return triangular_to_record(v)
+def _items(v, what: str, n: Optional[int] = None) -> list:
+    """v if it is a JSON list, of n items when n is given."""
+    if not isinstance(v, list) or n not in (None, len(v)):
+        raise ConfigFormatError(f"{what}, got {v!r}")
     return v
+
+
+def _triangular(v, what: str) -> TriangularFuzzy:
+    """A [left, peak, right] list of numbers as a TriangularFuzzy."""
+    triple = _items(v, f"{what} must be a [left, peak, right] triple", 3)
+    return TriangularFuzzy(*(_number(e, f"an entry of {what}") for e in triple))
+
+
+def _param_from_json(v, name: str) -> ParamValue:
+    """A crisp parameter is a number, a fuzzy one a triple."""
+    return _triangular(v, name) if isinstance(v, list) else _number(v, name)
 
 
 def _params_from_json(data) -> MaxReturnParams:
     """MaxReturnParams from a {"Va": ..., "rho": ...} object."""
-    if not isinstance(data, dict) or set(data) - {"Va", "rho"}:
+    if not isinstance(data, dict) or set(data) != {"Va", "rho"}:
         raise ConfigFormatError(
             "params must be an object with keys 'Va' and 'rho'"
         )
     return MaxReturnParams(
-        Va=_param_from_json(data.get("Va")),
-        rho=_param_from_json(data.get("rho")),
+        **{name: _param_from_json(v, name) for name, v in data.items()}
     )
 
 
 def _params_to_json(p: MaxReturnParams) -> dict:
-    return {"Va": _param_to_json(p.Va), "rho": _param_to_json(p.rho)}
+    return {name: triangular_to_record(v) if isinstance(v, TriangularFuzzy)
+            else v for name, v in vars(p).items()}
+
+
+# The reader and the writer of each config key whose JSON value is not
+# the ProblemSpec field as it is; every other key is passed as given,
+# for ProblemSpec, resolve_problem or ScalarizationConfig to check.
+_CODECS = {
+    "coefficients": (
+        lambda v: tuple(_triangular(c, "a coefficient") for c in _items(
+            v, "coefficients must be a list of [left, peak, right] triples"
+        )),
+        lambda cs: [triangular_to_record(c) for c in cs],
+    ),
+    "params": (_params_from_json, _params_to_json),
+    "domain": (
+        lambda v: tuple(_number(b, "a domain bound") for b in
+                        _items(v, "domain must be a [lo, hi] pair", 2)),
+        list,
+    ),
+    **{key: (lambda v, key=key: _number(v, key), lambda v: v)
+       for key in ("x0", "eps")},
+}
+_AS_IS = (lambda v: v, lambda v: v)
 
 
 def parse_problem_config(text: str) -> ProblemSpec:
-    """Parse the JSON problem-config format into a ProblemSpec."""
+    """Parse the JSON problem-config format into a ProblemSpec.
+
+    A key whose value is null is taken as absent.
+    """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigFormatError(f"config is not valid JSON: {err}") from err
-    if not isinstance(data, dict) or "kind" not in data:
+    if not isinstance(data, dict) or data.get("kind") is None:
         raise ConfigFormatError("config must be an object with a 'kind' key")
     unknown = set(data) - {f.name for f in dataclasses.fields(ProblemSpec)}
     if unknown:
         raise ConfigFormatError(
             f"unknown config keys: {', '.join(sorted(unknown))}"
         )
-    coefficients = None
-    if data.get("coefficients") is not None:
-        try:
-            coefficients = tuple(
-                triangular_from_record(c) for c in data["coefficients"]
-            )
-        except (TypeError, ValueError) as err:
-            raise ConfigFormatError(
-                f"coefficients must be [left, peak, right] triples: {err}"
-            ) from err
-    params = data.get("params")
-    domain = None
-    if data.get("domain") is not None:
-        d = data["domain"]
-        if not (isinstance(d, (list, tuple)) and len(d) == 2):
-            raise ConfigFormatError("domain must be a [lo, hi] pair")
-        domain = (float(d[0]), float(d[1]))
-    return ProblemSpec(
-        kind=data["kind"],
-        coefficients=coefficients,
-        params=None if params is None else _params_from_json(params),
-        domain=domain,
-        sense=data.get("sense", "minimize"),
-        **{key: cast(data[key]) for key, cast in _OPTIONAL_NUMBERS
-           if data.get(key) is not None},
-    )
+    return ProblemSpec(**{
+        key: _CODECS.get(key, _AS_IS)[0](value)
+        for key, value in data.items() if value is not None
+    })
 
 
 def serialize_problem_config(spec: ProblemSpec) -> str:
     """Emit the JSON form; parse(serialize(spec)) reproduces spec exactly."""
-    data: dict = {"kind": spec.kind, "sense": spec.sense}
-    if spec.coefficients is not None:
-        data["coefficients"] = [
-            triangular_to_record(c) for c in spec.coefficients
-        ]
-    if spec.params is not None:
-        data["params"] = _params_to_json(spec.params)
-    if spec.domain is not None:
-        data["domain"] = list(spec.domain)
-    for key, _ in _OPTIONAL_NUMBERS:
-        value = getattr(spec, key)
-        if value is not None:
-            data[key] = value
+    data = {
+        f.name: _CODECS.get(f.name, _AS_IS)[1](getattr(spec, f.name))
+        for f in dataclasses.fields(ProblemSpec)
+        if getattr(spec, f.name) is not None
+    }
     return json.dumps(data, indent=2, sort_keys=True)
 
 

@@ -335,6 +335,21 @@ class TestCheckCommand:
         assert out.count("inconclusive (0 samples in the domain)") == 3
 
 
+    @pytest.mark.parametrize("nbhd", ["-0.01", "nan"])
+    def test_nbhd_must_be_positive_and_finite(self, capsys, nbhd):
+        # -0.01 read "comparable along d=+1 ... in (0, -0.01)" from
+        # samples on the minus side, and nan read inconclusive
+        code, out, err = run(
+            capsys, "check", "--problem", "example_4_1", "--xstar", "0",
+            "--nbhd", nbhd,
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: nbhd must be positive and finite, got "
+            f"{float(nbhd)}\n"
+        )
+
+
 class TestErrorPaths:
     def test_unknown_problem(self, capsys):
         code, _, err = run(capsys, "solve", "--problem", "mystery")

@@ -424,6 +424,17 @@ class TestNeighborhoodChecks:
         rep = comparability_check(f, 0.0, +1.0, 0.02, 1)
         assert rep.samples == 1 and rep.ok
 
+    # np.linspace warns on an infinite end before the check is reached
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("reach", [0.0, -0.01, math.nan, math.inf])
+    def test_reach_must_be_positive_and_finite(self, reach):
+        # a negative reach sampled the side opposite the direction it
+        # reported, and NaN read as no sample in the domain
+        with pytest.raises(ValueError, match="positive and finite"):
+            comparability_check(EX41, 0.0, +1.0, reach, 25)
+        with pytest.raises(ValueError, match="positive and finite"):
+            non_dominance_check(EX41, 0.0, reach, 25)
+
     def test_domain_limits_sampling(self):
         f = dataclasses.replace(EX41, domain=(0.0, 2.0))
         verdict = non_dominance_check(f, 0.0, 0.01, 25)

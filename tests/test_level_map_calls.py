@@ -89,13 +89,8 @@ def test_verify_calls_do_not_grow_with_samples(name):
     assert calls == [BUILTIN_CALLS[name][1]] * 2
 
 
-def test_table_solves_without_verifying(monkeypatch, tmp_path):
-    # The five-row reference sweep of the CLI golden test: a solve and
-    # the fuzzy value at xstar per row. Verifying each row as well, and
-    # evaluating F(xstar), made 1028 calls. Each crisp row's stationarity
-    # kind takes F' at xstar: 2 calls.
-    sweep = tmp_path / "sweep.json"
-    sweep.write_text(json.dumps(FILES["sweep.json"]))
+def _cli_calls(monkeypatch, argv, code):
+    """Level-map calls of one cli.main run, which must exit with code."""
     counter = Counter()
 
     def counted_resolve(spec):
@@ -107,5 +102,31 @@ def test_table_solves_without_verifying(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "resolve_problem", counted_resolve)
     with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
         warnings.simplefilter("ignore")
-        assert cli.main(["table", "--sweep", str(sweep)]) == 0
-    assert counter.calls == 314
+        assert cli.main(argv) == code
+    return counter.calls
+
+
+# A `solve` report: the solve and the verification of BUILTIN_CALLS,
+# plus the answer's fuzzy value and F(xstar) from one evaluation of
+# xstar (2 calls). Evaluating them apart made 52/76/88.
+REPORT_CALLS = {
+    "example_4_1": 50,
+    "max_return_crisp": 74,
+    "max_return_fuzzy": 86,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_CALLS))
+def test_solve_report_evaluates_the_answer_once(monkeypatch, name):
+    calls = _cli_calls(monkeypatch, ["solve", "--problem", name], 0)
+    assert calls == REPORT_CALLS[name]
+
+
+def test_table_solves_without_verifying(monkeypatch, tmp_path):
+    # The five-row reference sweep of the CLI golden test: a solve and
+    # the fuzzy value at xstar per row. Verifying each row as well, and
+    # evaluating F(xstar) apart, made 1028 calls. Each crisp row's
+    # stationarity kind takes F' at xstar: 2 calls.
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps(FILES["sweep.json"]))
+    assert _cli_calls(monkeypatch, ["table", "--sweep", str(sweep)], 0) == 314

@@ -307,6 +307,42 @@ class TestConfigFiles:
         with pytest.raises(ConfigFormatError):
             parse_problem_config("{not json")
 
+    @pytest.mark.parametrize("config, message", [
+        ({"x0": True}, "x0 must be a number, got True"),
+        ({"x0": "1"}, "x0 must be a number, got '1'"),
+        ({"x0": [1]}, "x0 must be a number, got [1]"),
+        ({"x0": 10**400}, "x0 is out of a float's range"),
+        ({"eps": {}}, "eps must be a number, got {}"),
+        ({"domain": [[0], 1]}, "a domain bound must be a number, got [0]"),
+        ({"domain": [0, 1, 2]}, "domain must be a [lo, hi] pair"),
+        ({"kind": ["example_4_1"]}, "unknown problem kind ['example_4_1']"),
+        ({"kind": "max_return_crisp", "params": {"Va": True, "rho": 1}},
+         "Va must be a number, got True"),
+        ({"kind": "max_return_crisp", "params": {"Va": 0.00168}},
+         "params must be an object with keys 'Va' and 'rho'"),
+        ({"kind": "fuzzy_polynomial", "coefficients": [["1", 2, 3]]},
+         "an entry of a coefficient must be a number, got '1'"),
+        ({"kind": "fuzzy_polynomial", "coefficients": {"a": [1, 2, 3]}},
+         "coefficients must be a list of [left, peak, right] triples"),
+    ])
+    def test_a_number_is_a_json_int_or_float(self, config, message):
+        # every number goes through one reader: not a bool, a string or
+        # a container, each a ConfigFormatError naming the key
+        with pytest.raises(ConfigFormatError) as err:
+            parse_problem_config(json.dumps({"kind": "example_4_1", **config}))
+        assert message in str(err.value)
+
+    def test_null_is_absent_for_every_key(self):
+        config = {key: None for key in
+                  ("coefficients", "params", "domain", "sense", "x0", "eps",
+                   "alpha_points")}
+        spec = parse_problem_config(
+            json.dumps({"kind": "example_4_1", **config})
+        )
+        assert spec == ProblemSpec(kind="example_4_1")
+        with pytest.raises(ConfigFormatError, match="'kind' key"):
+            parse_problem_config('{"kind": null}')
+
     def test_parse_rejects_bad_params(self):
         with pytest.raises(ConfigFormatError):
             parse_problem_config(

@@ -1,16 +1,24 @@
-"""Randomized property suites for arithmetic, order, metric, and calculus."""
+"""Randomized property suites for arithmetic, order, metric, calculus,
+and the command line's handling of problem input."""
 
+import contextlib
 import dataclasses
+import io
+import json
+import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzynewton import (
     FuzzyNumber,
     HukuharaNonexistence,
     ScalarizationConfig,
+    TriangularFuzzy,
     add,
     build_fuzzy_polynomial,
     comparability_check,
@@ -33,6 +41,14 @@ from fuzzynewton import (
     scalarize,
     scalarize_many,
     square,
+)
+from fuzzynewton import cli
+from fuzzynewton.problems import (
+    BUILTIN_NAMES,
+    MaxReturnParams,
+    ProblemSpec,
+    parse_problem_config,
+    serialize_problem_config,
 )
 from helpers import (
     GRID_SIZES,
@@ -324,3 +340,146 @@ class TestBatchedChecksMatchPerSampleLoop:
         assert rep.samples == used
         assert rep.ok == (i is None and used > 0)
         assert rep.witness == (None if i is None else lams[i])
+
+
+KINDS = BUILTIN_NAMES + ("fuzzy_polynomial",)
+CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ProblemSpec))
+
+positive = st.floats(1e-6, 10.0)
+# A valid Va or rho, as JSON and as a parameter value.
+json_params = positive | st.lists(positive, min_size=3, max_size=3).map(
+    sorted
+)
+params = json_params.map(
+    lambda v: TriangularFuzzy(*v) if isinstance(v, list) else v
+)
+
+
+@st.composite
+def problem_specs(draw):
+    """A valid ProblemSpec of any kind, each optional key present or not."""
+    kind = draw(st.sampled_from(KINDS))
+    optional = {
+        "domain": st.lists(st.floats(allow_nan=False), min_size=2,
+                           max_size=2).map(lambda d: tuple(sorted(d))),
+        "sense": st.sampled_from(["minimize", "maximize"]),
+        "x0": st.floats(allow_nan=False, allow_infinity=False),
+        "eps": st.floats(1e-12, 1.0),
+        "alpha_points": st.integers(1, 20).map(lambda k: 2 * k + 1),
+    }
+    if kind == "fuzzy_polynomial":
+        coefficients = st.lists(triangulars(), min_size=1, max_size=4)
+        optional["coefficients"] = coefficients.map(tuple)
+    elif kind != "example_4_1":
+        optional["params"] = st.builds(MaxReturnParams, Va=params, rho=params)
+    fields = draw(st.fixed_dictionaries({}, optional=optional))
+    if kind == "fuzzy_polynomial":
+        fields.setdefault("coefficients", draw(optional["coefficients"]))
+    return ProblemSpec(kind=kind, **fields)
+
+
+@given(problem_specs())
+def test_config_round_trip(spec):
+    assert parse_problem_config(serialize_problem_config(spec)) == spec
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+
+
+def any_value(key):
+    """Any JSON value for a config key.  A large alpha_points allocates a
+    grid of that many levels, so the integers drawn for it stay small."""
+    if key == "alpha_points":
+        return st.integers(-3, 41) | json_values.filter(
+            lambda v: type(v) is not int
+        )
+    return json_values
+
+
+@st.composite
+def altered(draw, valid, keys):
+    """A dict drawn from valid with up to two of keys dropped or given
+    any JSON value, so that each draw reaches past the other checks."""
+    data = draw(valid)
+    for key in draw(st.lists(st.sampled_from(keys), max_size=2, unique=True)):
+        if draw(st.booleans()):
+            data.pop(key, None)
+        else:
+            data[key] = draw(any_value(key))
+    return data
+
+
+configs = altered(
+    problem_specs().map(serialize_problem_config).map(json.loads),
+    CONFIG_KEYS,
+)
+sweep_rows = altered(
+    st.fixed_dictionaries({"Va": json_params, "rho": json_params}),
+    ("Va", "rho", "sigma"),
+) | json_values
+param_flags = st.text(max_size=12) | st.one_of(
+    json_params.map(lambda v: v if isinstance(v, list) else [v]),
+    st.lists(st.integers(-3, 3) | st.floats(), min_size=1, max_size=4),
+).map(lambda xs: ",".join(map(str, xs)))
+
+
+def run_cli(*argv):
+    """cli.main's exit code and stderr, with warnings ignored: the suite
+    turns them into errors, which the command line does not (say, a numpy
+    overflow warning at x0 = 1e300).  Each solve stops after 3 steps."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(
+        io.StringIO()
+    ), contextlib.redirect_stderr(err):
+        warnings.simplefilter("ignore")
+        code = cli.main([*argv, "--max-iter", "3"])
+    return code, err.getvalue()
+
+
+def assert_exit_contract(code, err):
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        lines = err.splitlines()
+        assert lines[0].startswith("error: ")
+        assert sum(line.startswith("error:") for line in lines) == 1
+
+
+@pytest.fixture(scope="module")
+def input_file():
+    with tempfile.TemporaryDirectory() as tmp:
+        yield os.path.join(tmp, "input.json")
+
+
+class TestNoTracebackFromInput:
+    """Any problem input ends in an exit code and, for exit 1, one error
+    line; never in an exception (ROADMAP item 6)."""
+
+    @settings(max_examples=150)
+    @given(configs)
+    @example({"kind": "example_4_1", "x0": [1]})
+    @example({"kind": ["example_4_1"]})
+    def test_config(self, input_file, config):
+        with open(input_file, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        assert_exit_contract(*run_cli("solve", "--problem", input_file))
+
+    @settings(max_examples=60)
+    @given(st.lists(sweep_rows, max_size=3))
+    def test_sweep_rows(self, input_file, rows):
+        with open(input_file, "w", encoding="utf-8") as fh:
+            json.dump(rows, fh)
+        assert_exit_contract(*run_cli("table", "--sweep", input_file))
+
+    @settings(max_examples=100)
+    @given(st.sampled_from(["--Va", "--rho"]), param_flags)
+    @example("--Va", "1.3919927888207968e-294")
+    def test_param_flags(self, flag, text):
+        assert_exit_contract(
+            *run_cli("solve", "--problem", "max_return_crisp", flag, text)
+        )
