@@ -359,7 +359,7 @@ params = json_params.map(
 def problem_specs(draw):
     """A valid ProblemSpec of any kind, each optional key present or not."""
     kind = draw(st.sampled_from(KINDS))
-    optional = {
+    required, optional = {}, {
         "domain": st.lists(st.floats(allow_nan=False), min_size=2,
                            max_size=2).map(lambda d: tuple(sorted(d))),
         "sense": st.sampled_from(["minimize", "maximize"]),
@@ -368,13 +368,12 @@ def problem_specs(draw):
         "alpha_points": st.integers(1, 20).map(lambda k: 2 * k + 1),
     }
     if kind == "fuzzy_polynomial":
-        coefficients = st.lists(triangulars(), min_size=1, max_size=4)
-        optional["coefficients"] = coefficients.map(tuple)
+        required["coefficients"] = st.lists(
+            triangulars(), min_size=1, max_size=4
+        ).map(tuple)
     elif kind != "example_4_1":
         optional["params"] = st.builds(MaxReturnParams, Va=params, rho=params)
-    fields = draw(st.fixed_dictionaries({}, optional=optional))
-    if kind == "fuzzy_polynomial":
-        fields.setdefault("coefficients", draw(optional["coefficients"]))
+    fields = draw(st.fixed_dictionaries(required, optional=optional))
     return ProblemSpec(kind=kind, **fields)
 
 
