@@ -29,7 +29,7 @@ def centroid(a: FuzzyNumber) -> float:
     Falls back to the alpha = 1 level midpoint when the number is crisp
     (denominator below 1e-14).
     """
-    _, w = _quad_weights(a.m, "simpson" if a.m % 2 else "trapezoid")
+    w = _quad_weights(a.m, "simpson" if a.m % 2 else "trapezoid")
     num = float(w @ ((a.hi * a.hi - a.lo * a.lo) / 2.0))
     den = float(w @ (a.hi - a.lo))
     if den < CRISP_DENOMINATOR_FLOOR:

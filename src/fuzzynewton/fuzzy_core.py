@@ -18,6 +18,7 @@ the same kernels.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -130,29 +131,58 @@ def uniform_alphas(m: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, m)
 
 
+# typed, so that m = 5.0 is not served the grid of 5 but rejected as
+# uniform_alphas rejects it
+@functools.lru_cache(maxsize=32, typed=True)
+def _grid(m: int) -> np.ndarray:
+    """The uniform m-point grid, validated once and shared by every
+    caller: a read-only view of a read-only base, so no holder can make
+    it writeable again."""
+    # a copy owns its memory, where linspace may return a view
+    base = uniform_alphas(m).copy()
+    _validate_grid(base)
+    base.flags.writeable = False
+    return base.view()
+
+
+def _is_grid(alphas) -> bool:
+    """Whether alphas is the very object _grid returns for its size."""
+    return (
+        isinstance(alphas, np.ndarray)
+        and not alphas.flags.writeable
+        and alphas.ndim == 1
+        and alphas.size >= 2
+        and alphas is _grid(alphas.size)
+    )
+
+
 class FuzzyNumber:
     """A fuzzy number sampled on a uniform alpha-grid.
 
     Holds three parallel immutable arrays: ``alphas`` (the grid),
     ``lo`` (lower level endpoints, nondecreasing in alpha) and ``hi``
     (upper endpoints, nonincreasing in alpha).  Construction validates
-    per-level ordering, nestedness, and grid uniformity.
+    per-level ordering, nestedness, and grid uniformity; the shared
+    grid of ``_grid`` is taken as it is, since it was validated when it
+    was built and cannot be written.
     """
 
     __slots__ = ("alphas", "lo", "hi")
 
     def __init__(self, alphas, lo, hi):
         # Copy so freezing the arrays never flips flags on caller data.
-        alphas = np.array(alphas, dtype=float, copy=True)
+        if not _is_grid(alphas):
+            alphas = np.array(alphas, dtype=float, copy=True)
+            _validate_grid(alphas)
+            alphas.flags.writeable = False
         lo = np.array(lo, dtype=float, copy=True)
         hi = np.array(hi, dtype=float, copy=True)
-        _validate_grid(alphas)
         if lo.shape != alphas.shape or hi.shape != alphas.shape:
             raise InvalidLevelError(
                 "alphas, lo, hi must be one-dimensional and equally long"
             )
         _validate_levels(alphas, lo, hi)
-        for arr in (alphas, lo, hi):
+        for arr in (lo, hi):
             arr.flags.writeable = False
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "lo", lo)
@@ -274,13 +304,13 @@ def _require_same_grid(a: FuzzyNumber, b: FuzzyNumber) -> None:
 
 def discretize(t: TriangularFuzzy, m: int = _ALPHA_POINTS) -> FuzzyNumber:
     """Sample a triangular fuzzy number onto the uniform m-point grid."""
-    alphas = uniform_alphas(m)
+    alphas = _grid(m)
     return FuzzyNumber(alphas, *t.cut(alphas))
 
 
 def crisp(value: float, m: int = _ALPHA_POINTS) -> FuzzyNumber:
     """A real number embedded as a fuzzy number (all levels degenerate)."""
-    alphas = uniform_alphas(m)
+    alphas = _grid(m)
     v = np.full(m, float(value))
     return FuzzyNumber(alphas, v, v.copy())
 

@@ -19,6 +19,13 @@ derivatives, the fuzzy value and the level slopes.  The Newton solver,
 the verifier, the grid oracle and the centroid all read values through
 it.
 
+The alpha grid of each size is one object, fuzzy_core's ``_grid``: built
+and validated once, read-only, and passed to every level map and every
+fuzzy value.  So a FuzzyNumber on it skips the grid check, and the
+built-in level maps keep the alpha-cuts of their triangular parameters
+for the last grid they saw, found by identity, instead of cutting them
+on every call; an alpha array of a caller's own is cut afresh each time.
+
 The neighbourhood checks (comparability and non-dominance) fetch the
 point and all of its samples in the domain as one x-column, validate
 the block with fuzzy_core's row-wise invariant kernel and compare it
@@ -49,9 +56,9 @@ from .fuzzy_core import (
     _ALPHA_POINTS,
     FuzzyNumber,
     _comparable,
+    _grid,
     _invalid_rows,
     _lt,
-    uniform_alphas,
 )
 
 __all__ = [
@@ -142,15 +149,16 @@ class ScalarizationConfig:
             raise ValueError("simpson quadrature needs an odd alpha_points")
         if not self.fd_step > 0:
             raise ValueError("fd_step must be positive")
+        # a plain int, so that a numpy integer reads the shared grid
+        object.__setattr__(self, "alpha_points", int(self.alpha_points))
 
 
 @functools.lru_cache(maxsize=32)
-def _quad_weights(m: int, quadrature: str) -> tuple[np.ndarray, np.ndarray]:
-    """The uniform m-point alpha grid and its trapezoid or Simpson weights.
+def _quad_weights(m: int, quadrature: str) -> np.ndarray:
+    """The trapezoid or Simpson weights of the m-point alpha grid.
 
     Built once per (m, quadrature) and shared read-only.
     """
-    alphas = uniform_alphas(m)
     h = 1.0 / (m - 1)
     if quadrature == "trapezoid":
         w = np.full(m, h)
@@ -160,9 +168,8 @@ def _quad_weights(m: int, quadrature: str) -> tuple[np.ndarray, np.ndarray]:
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
         w *= h / 3.0
-    alphas.flags.writeable = False
     w.flags.writeable = False
-    return alphas, w
+    return w
 
 
 def crisp_lift(
@@ -242,9 +249,12 @@ def _levels(lo_map: LevelMap, hi_map: LevelMap, x, alphas: np.ndarray):
     (n, 1) gives (n, m) arrays.
     """
     shape = np.broadcast(x, alphas).shape
-    lo = np.broadcast_to(np.asarray(lo_map(x, alphas), float), shape)
-    hi = np.broadcast_to(np.asarray(hi_map(x, alphas), float), shape)
-    return lo, hi
+
+    def shaped(values):
+        values = np.asarray(values, float)
+        return values if values.shape == shape else np.broadcast_to(values, shape)
+
+    return shaped(lo_map(x, alphas)), shaped(hi_map(x, alphas))
 
 
 def _levels_each(f: FuzzyFunction, xs: np.ndarray, alphas: np.ndarray):
@@ -333,7 +343,8 @@ class _Point:
         _require_in_domain(f, x)
         self.f, self.x, self.cfg = f, x, cfg
         self.h = cfg.fd_step * max(1.0, abs(x))
-        self.alphas, self.w = _quad_weights(cfg.alpha_points, cfg.quadrature)
+        self.alphas = _grid(cfg.alpha_points)
+        self.w = _quad_weights(cfg.alpha_points, cfg.quadrature)
         self._levels: dict = {}
         self._values: dict = {}
         self._fd = None
@@ -400,7 +411,7 @@ def eval_fuzzy(f: FuzzyFunction, x: float, m: int = _ALPHA_POINTS) -> FuzzyNumbe
     fuzzy-number invariants at some (x, alpha).
     """
     _require_in_domain(f, x)
-    alphas = uniform_alphas(m)
+    alphas = _grid(m)
     return _fuzzy_number(
         f, x, alphas, *_levels(f.level_lo, f.level_hi, x, alphas)
     )
@@ -424,7 +435,8 @@ def scalarize_many(f: FuzzyFunction, xs, cfg: ScalarizationConfig) -> np.ndarray
     inside = f.contains(xs)
     if not np.all(inside):
         _require_in_domain(f, float(xs[np.argmin(inside)]))
-    alphas, w = _quad_weights(cfg.alpha_points, cfg.quadrature)
+    alphas = _grid(cfg.alpha_points)
+    w = _quad_weights(cfg.alpha_points, cfg.quadrature)
     values = np.empty(xs.size)
     for start in range(0, xs.size, _MANY_ROWS):
         block = xs[start:start + _MANY_ROWS]
@@ -465,15 +477,12 @@ def _first_witness(
     rows of the block and x0's row.  A row whose levels break an
     invariant raises MalformedFunctionError if no witness comes before
     it, as when each sample is evaluated, validated and compared in turn.
-    A reach that is not positive and finite raises ValueError.
     """
-    if not 0.0 < reach < math.inf:
-        raise ValueError(f"nbhd must be positive and finite, got {reach}")
     _require_in_domain(f, x0)
     coincident = 1e-12 * max(1.0, abs(x0), reach)
     kept = np.flatnonzero(~(np.abs(xs - x0) <= coincident) & f.contains(xs))
     points = np.concatenate(([x0], xs[kept]))
-    alphas = uniform_alphas(m)
+    alphas = _grid(m)
     for start in range(0, points.size, _WITNESS_ROWS):
         rows = points[start:start + _WITNESS_ROWS]
         lo, hi = _levels_each(f, rows, alphas)
@@ -492,6 +501,13 @@ def _first_witness(
             i = start + stop - 1
             return int(kept[i - 1]), i
     return None, kept.size
+
+
+def _require_reach(reach: float) -> None:
+    """Raise ValueError unless the reach of a sampling check is positive
+    and finite; checked before the samples are spread over it."""
+    if not 0.0 < reach < math.inf:
+        raise ValueError(f"nbhd must be positive and finite, got {reach}")
 
 
 # How a check that compared no sample describes itself.
@@ -539,8 +555,10 @@ def comparability_check(
 
     Returns the first violating lambda as a witness on failure.  Sampled
     points falling outside the domain are skipped; with none left, the
-    report is not ok.
+    report is not ok.  A delta that is not positive and finite raises
+    ValueError.
     """
+    _require_reach(delta)
     lams = np.linspace(0.0, delta, samples + 2)[1:-1]
     i, used = _first_witness(
         f, x0, x0 + lams * d, delta, m,
@@ -580,7 +598,9 @@ def non_dominance_check(
 
     A sampling check, not a proof; the verdict records how many points
     were examined, and with none it describes itself as inconclusive.
+    An eps that is not positive and finite raises ValueError.
     """
+    _require_reach(eps_nbhd)
     grid = np.linspace(xstar - eps_nbhd, xstar + eps_nbhd, samples)
     i, used = _first_witness(f, xstar, grid, eps_nbhd, m, _lt)
     return NonDominanceVerdict(

@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigFormatError, SingularLevelError
-from .fuzzy_core import TriangularFuzzy, _square_lo, triangular_to_record
+from .fuzzy_core import TriangularFuzzy, _is_grid, _square_lo, triangular_to_record
 from .level_calculus import FuzzyFunction, ScalarizationConfig, crisp_lift, negate, scalarize_many
 from .newton_solver import NewtonConfig
 
@@ -91,6 +91,29 @@ DEFAULT_FUZZY_PARAMS = MaxReturnParams(
 DEFAULT_CRISP_PARAMS = MaxReturnParams(Va=0.00168, rho=1.0)
 
 
+def _cuts(params: Sequence[TriangularFuzzy]):
+    """A function of an alpha array a giving each of params' cut (lo, hi)
+    at a.
+
+    The cuts at the shared alpha grid are kept for the last grid seen,
+    matched by identity; an alpha array of the caller's own is cut
+    afresh on every call, so changing it in place is seen.
+    """
+    last = (None, None)
+
+    def cuts(a):
+        nonlocal last
+        grid, kept = last
+        if a is grid:
+            return kept
+        kept = [p.cut(np.asarray(a, float)) for p in params]
+        if _is_grid(a):
+            last = a, kept
+        return kept
+
+    return cuts
+
+
 def build_fuzzy_polynomial(
     coeffs: Sequence[TriangularFuzzy], name: str = ""
 ) -> FuzzyFunction:
@@ -105,22 +128,23 @@ def build_fuzzy_polynomial(
     if len(coeffs) < 1:
         raise ValueError("need at least one coefficient")
     coeffs = tuple(coeffs)
+    cuts = _cuts(coeffs)
 
     def level_map(order: int, lower: bool):
         """The lower or upper endpoint of the n-th x-derivative, n = order:
         d^n/dx^n x^i = i!/(i-n)! * x^(i-n), and 0 for n > i."""
-        terms = [(c, i, math.perm(i, order), max(i - order, 0))
-                 for i, c in enumerate(coeffs)]
+        terms = [(i, math.perm(i, order), max(i - order, 0))
+                 for i in range(len(coeffs))]
 
         def level(x, a):
             x = np.asarray(x, float)
-            a = np.asarray(a, float)
             out = np.zeros(np.broadcast(x, a).shape)
-            for c, i, factor, power in terms:
-                cl, cu = c.cut(a)
+            for (i, factor, power), (cl, cu) in zip(terms, cuts(a)):
                 if not lower:
                     cl, cu = cu, cl
-                out = out + np.where(x**i >= 0.0, cl, cu) * (factor * x**power)
+                xi = x**i
+                xp = xi if power == i else x**power
+                out = out + np.where(xi >= 0.0, cl, cu) * (factor * xp)
             return out
 
         return level
@@ -198,14 +222,11 @@ def build_max_return_fuzzy(
     in x; no analytic derivatives are supplied, so the solver uses
     finite differences on the scalarization.
     """
-    va = _as_triangular(p.Va)
-    rho = _as_triangular(p.rho)
+    cuts = _cuts((_as_triangular(p.Va), _as_triangular(p.rho)))
 
     def _pieces(x, a):
         x = np.asarray(x, float)
-        a = np.asarray(a, float)
-        vl, vu = va.cut(a)
-        rl_w, ru_w = rho.cut(a)
+        (vl, vu), (rl_w, ru_w) = cuts(a)
         c = _c_poly(x)
         rl = c - vu
         ru = c - vl

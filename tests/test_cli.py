@@ -335,10 +335,11 @@ class TestCheckCommand:
         assert out.count("inconclusive (0 samples in the domain)") == 3
 
 
-    @pytest.mark.parametrize("nbhd", ["-0.01", "nan"])
+    @pytest.mark.parametrize("nbhd", ["-0.01", "nan", "inf"])
     def test_nbhd_must_be_positive_and_finite(self, capsys, nbhd):
         # -0.01 read "comparable along d=+1 ... in (0, -0.01)" from
-        # samples on the minus side, and nan read inconclusive
+        # samples on the minus side, nan read inconclusive, and inf
+        # printed numpy warnings before the error line
         code, out, err = run(
             capsys, "check", "--problem", "example_4_1", "--xstar", "0",
             "--nbhd", nbhd,

@@ -116,6 +116,12 @@ class TestFuzzyNumber:
     def test_non_uniform_grid_rejected(self):
         with pytest.raises(InvalidLevelError):
             FuzzyNumber(np.array([0.0, 0.3, 1.0]), np.zeros(3), np.ones(3))
+        # read-only and the size of a shared grid, but not that grid
+        tri(0.0, 1.0, 2.0, m=3)
+        alphas = np.array([0.0, 0.3, 1.0])
+        alphas.flags.writeable = False
+        with pytest.raises(InvalidLevelError):
+            FuzzyNumber(alphas, np.zeros(3), np.ones(3))
 
     def test_crossed_levels_rejected_with_alpha(self):
         alphas = uniform_alphas(5)
@@ -151,7 +157,11 @@ class TestFuzzyNumber:
     def test_equality_and_hash(self):
         a = tri(0.0, 1.0, 2.0)
         b = tri(0.0, 1.0, 2.0)
+        assert a.alphas is b.alphas  # the shared grid
         assert a == b and hash(a) == hash(b)
+        c = FuzzyNumber(uniform_alphas(11), a.lo, a.hi)
+        assert c.alphas is not a.alphas
+        assert a == c and hash(a) == hash(c)
         assert a != tri(0.0, 1.0, 2.5)
         assert a != tri(0.0, 1.0, 2.0, m=21)
 

@@ -67,7 +67,8 @@ class TestScalarizationConfig:
             ScalarizationConfig(alpha_points=m)
 
     def test_accepts_a_numpy_integer_grid_size(self):
-        assert ScalarizationConfig(alpha_points=np.int64(51)).alpha_points == 51
+        m = ScalarizationConfig(alpha_points=np.int64(51)).alpha_points
+        assert m == 51 and type(m) is int
 
     def test_rejects_tiny_grid_and_bad_step(self):
         with pytest.raises(ValueError):
@@ -85,6 +86,12 @@ class TestEvalAndScalarize:
         assert v.lo[0] == pytest.approx(1.0)
         assert v.hi[0] == pytest.approx(5.0)
         assert v.lo[-1] == v.hi[-1] == pytest.approx(3.0)
+
+    def test_values_share_one_grid_that_cannot_be_made_writeable(self):
+        v = eval_fuzzy(EX41, 1.0, 11)
+        assert v.alphas is eval_fuzzy(EX41, 2.0, 11).alphas
+        with pytest.raises(ValueError):
+            v.alphas.flags.writeable = True
 
     def test_malformed_levels_reported_with_location(self):
         bad = FuzzyFunction(
@@ -424,8 +431,6 @@ class TestNeighborhoodChecks:
         rep = comparability_check(f, 0.0, +1.0, 0.02, 1)
         assert rep.samples == 1 and rep.ok
 
-    # np.linspace warns on an infinite end before the check is reached
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("reach", [0.0, -0.01, math.nan, math.inf])
     def test_reach_must_be_positive_and_finite(self, reach):
         # a negative reach sampled the side opposite the direction it

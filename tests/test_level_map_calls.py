@@ -16,8 +16,13 @@ import warnings
 
 import pytest
 
-from fuzzynewton import cli
-from fuzzynewton.newton_solver import NewtonConfig, solve, verify_solution
+from fuzzynewton import TriangularFuzzy, cli
+from fuzzynewton.newton_solver import (
+    NewtonConfig,
+    check_point,
+    solve,
+    verify_solution,
+)
 from fuzzynewton.problems import ProblemSpec, resolve_problem
 
 from test_cli_golden import FILES
@@ -87,6 +92,32 @@ def test_verify_calls_do_not_grow_with_samples(name):
         verify_solution(f, result, cfg, samples=samples)
         calls.append(counter.calls)
     assert calls == [BUILTIN_CALLS[name][1]] * 2
+
+
+# TriangularFuzzy.cut calls of a freshly built function over a solve
+# and a check_point at its answer: each coefficient or parameter is cut
+# once, on the shared alpha grid. Cutting on every level-map call made
+# 136 + 56 / 0 / 144 + 24.
+CUT_CALLS = {
+    "example_4_1": 4,
+    "max_return_crisp": 0,
+    "max_return_fuzzy": 2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CUT_CALLS))
+def test_each_parameter_is_cut_once_per_grid(monkeypatch, name):
+    f, cfg = _builtin(name)
+    counter = Counter()
+    cut = TriangularFuzzy.cut
+
+    def counted(t, a):
+        counter.calls += 1
+        return cut(t, a)
+
+    monkeypatch.setattr(TriangularFuzzy, "cut", counted)
+    check_point(f, solve(f, cfg).xstar, cfg)
+    assert counter.calls == CUT_CALLS[name]
 
 
 def _cli_calls(monkeypatch, argv, code):

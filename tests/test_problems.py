@@ -35,6 +35,8 @@ from fuzzynewton import (
     solve,
 )
 
+from test_level_map_calls import LEVEL_FIELDS
+
 CFG = ScalarizationConfig()
 
 
@@ -77,6 +79,23 @@ class TestFuzzyPolynomial:
     def test_needs_at_least_one_coefficient(self):
         with pytest.raises(ValueError):
             build_fuzzy_polynomial(())
+
+
+
+@pytest.mark.parametrize("build", [build_example_4_1, build_max_return_fuzzy])
+def test_levels_follow_an_alpha_array_changed_in_place(build):
+    # coefficient cuts are kept only for the shared grid, never for an
+    # alpha array of the caller's own
+    f, fresh = build(), build()
+    alphas = np.linspace(0.0, 1.0, 5)
+    maps = [k for k in LEVEL_FIELDS if getattr(f, k) is not None]
+    for k in maps:
+        getattr(f, k)(0.5, alphas)
+    alphas[:] = [1.0, 0.75, 0.5, 0.25, 0.0]
+    for k in maps:
+        np.testing.assert_array_equal(
+            getattr(f, k)(0.5, alphas), getattr(fresh, k)(0.5, alphas.copy())
+        )
 
 
 class TestMaxReturnParams:
