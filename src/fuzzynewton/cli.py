@@ -24,10 +24,11 @@ import time
 from typing import Optional
 
 from .defuzzify import centroid
-from .errors import FuzzyNewtonError, InsufficientDataError
+from .errors import FuzzyNewtonError, InsufficientDataError, MalformedFunctionError, NumericError
 from .level_calculus import _Point
 from .newton_solver import (
     STATUS_CONVERGED,
+    STATUS_NON_FINITE,
     NewtonConfig,
     SolveResult,
     VerificationReport,
@@ -54,16 +55,21 @@ TRACE_COLUMNS = ("k", "x_k", "x_next", "f_lo0", "f_lo1", "f_hi1", "f_hi0")
 # The solver settings the reports echo, and the outcome keys of a solve
 # report in the order the csv report lists them.
 CONFIG_KEYS = ("x0", "eps", "max_iter", "alpha_points", "quadrature", "fd_step")
-SUMMARY_KEYS = (
-    "status",
-    "stationarity_kind",
-    "iterations",
-    "xstar",
+# The keys read from the answer's fuzzy value, null where a non-finite
+# solve ended at a point whose levels cannot be evaluated.
+ANSWER_KEYS = (
     "F_xstar",
     "value",
     "fvalue_support_lo",
     "fvalue_core_mid",
     "fvalue_support_hi",
+)
+SUMMARY_KEYS = (
+    "status",
+    "stationarity_kind",
+    "iterations",
+    "xstar",
+    *ANSWER_KEYS,
     "convergence_order",
     "wall_time_s",
 )
@@ -81,6 +87,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt6(v) -> str:
+    if v is None:
+        return "n/a"
     if isinstance(v, float):
         return f"{v:.6g}"
     return str(v)
@@ -214,17 +222,25 @@ def _solve_summary(
     result = solve(resolved.function, cfg)
     wall = time.perf_counter() - t0
     point = _Point(resolved.function, result.xstar, cfg.scal)
-    fval = point.fuzzy_value()
+    try:
+        fval = point.fuzzy_value()
+        answer = map(float, (
+            point.value(),
+            centroid(fval),
+            fval.lo[0],
+            0.5 * (fval.lo[-1] + fval.hi[-1]),
+            fval.hi[0],
+        ))
+    except (NumericError, MalformedFunctionError):
+        if result.status != STATUS_NON_FINITE:
+            raise
+        answer = [None] * len(ANSWER_KEYS)
     return result, {
         "status": result.status,
         "stationarity_kind": result.stationarity_kind,
         "iterations": result.iterations,
         "xstar": float(result.xstar),
-        "F_xstar": point.value(),
-        "value": float(centroid(fval)),
-        "fvalue_support_lo": float(fval.lo[0]),
-        "fvalue_core_mid": float(0.5 * (fval.lo[-1] + fval.hi[-1])),
-        "fvalue_support_hi": float(fval.hi[0]),
+        **dict(zip(ANSWER_KEYS, answer)),
         "wall_time_s": wall,
     }
 

@@ -99,6 +99,11 @@ class TriangularFuzzy:
     right: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.left, self.peak, self.right))):
+            raise InvalidLevelError(
+                f"triangular vertices must be finite, got "
+                f"({self.left}, {self.peak}, {self.right})"
+            )
         if not (self.left <= self.peak <= self.right):
             raise InvalidLevelError(
                 f"triangular shape requires left <= peak <= right, got "

@@ -22,9 +22,9 @@ it.
 The alpha grid of each size is one object, fuzzy_core's ``_grid``: built
 and validated once, read-only, and passed to every level map and every
 fuzzy value.  So a FuzzyNumber on it skips the grid check, and the
-built-in level maps keep the alpha-cuts of their triangular parameters
-for the last grid they saw, found by identity, instead of cutting them
-on every call; an alpha array of a caller's own is cut afresh each time.
+built-in level maps keep what they derive from alpha alone in one table
+for the last grid they saw, found by identity (see ``problems``); an
+alpha array of a caller's own gets a fresh table each time.
 
 The neighbourhood checks (comparability and non-dominance) fetch the
 point and all of its samples in the domain as one x-column, validate
@@ -147,8 +147,10 @@ class ScalarizationConfig:
             raise ValueError("alpha_points must be at least 3")
         if self.quadrature == "simpson" and self.alpha_points % 2 == 0:
             raise ValueError("simpson quadrature needs an odd alpha_points")
-        if not self.fd_step > 0:
-            raise ValueError("fd_step must be positive")
+        if not 0.0 < self.fd_step < math.inf:
+            raise ValueError(
+                f"fd_step must be positive and finite, got {self.fd_step}"
+            )
         # a plain int, so that a numpy integer reads the shared grid
         object.__setattr__(self, "alpha_points", int(self.alpha_points))
 

@@ -69,8 +69,8 @@ class NewtonConfig:
     def __post_init__(self):
         if not math.isfinite(self.x0):
             raise ValueError("x0 must be finite")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if not self.d2_floor > 0:

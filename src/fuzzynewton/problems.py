@@ -14,6 +14,11 @@ Three built-ins are registered:
 
 User-defined fuzzy-polynomial objectives use the same machinery through
 ``build_fuzzy_polynomial`` and the JSON problem-config format.
+
+What a builder derives from alpha alone, the coefficient cuts or the
+return-risk bounds with their weights rho_L/V_U^2 and rho_U/V_L^2, is
+tabled by ``_per_grid`` once per shared alpha grid; the level maps do
+only the x-side work on each call.
 """
 
 from __future__ import annotations
@@ -91,27 +96,23 @@ DEFAULT_FUZZY_PARAMS = MaxReturnParams(
 DEFAULT_CRISP_PARAMS = MaxReturnParams(Va=0.00168, rho=1.0)
 
 
-def _cuts(params: Sequence[TriangularFuzzy]):
-    """A function of an alpha array a giving each of params' cut (lo, hi)
-    at a.
-
-    The cuts at the shared alpha grid are kept for the last grid seen,
-    matched by identity; an alpha array of the caller's own is cut
-    afresh on every call, so changing it in place is seen.
-    """
+def _per_grid(table):
+    """a -> table(a), the data a builder derives from an alpha array alone,
+    kept for the last shared alpha grid seen (matched by identity); an
+    alpha array of the caller's own gets a fresh table on every call."""
     last = (None, None)
 
-    def cuts(a):
+    def at(a):
         nonlocal last
         grid, kept = last
         if a is grid:
             return kept
-        kept = [p.cut(np.asarray(a, float)) for p in params]
+        kept = table(np.asarray(a, float))
         if _is_grid(a):
             last = a, kept
         return kept
 
-    return cuts
+    return at
 
 
 def build_fuzzy_polynomial(
@@ -128,22 +129,21 @@ def build_fuzzy_polynomial(
     if len(coeffs) < 1:
         raise ValueError("need at least one coefficient")
     coeffs = tuple(coeffs)
-    cuts = _cuts(coeffs)
+    cuts = _per_grid(lambda a: [c.cut(a) for c in coeffs])
 
     def level_map(order: int, lower: bool):
         """The lower or upper endpoint of the n-th x-derivative, n = order:
-        d^n/dx^n x^i = i!/(i-n)! * x^(i-n), and 0 for n > i."""
-        terms = [(i, math.perm(i, order), max(i - order, 0))
-                 for i in range(len(coeffs))]
+        d^n/dx^n x^i = i!/(i-n)! * x^(i-n), so only terms i >= n count."""
 
         def level(x, a):
             x = np.asarray(x, float)
             out = np.zeros(np.broadcast(x, a).shape)
-            for (i, factor, power), (cl, cu) in zip(terms, cuts(a)):
+            for i, (cl, cu) in enumerate(cuts(a)[order:], order):
                 if not lower:
                     cl, cu = cu, cl
                 xi = x**i
-                xp = xi if power == i else x**power
+                xp = xi if order == 0 else x**(i - order)
+                factor = math.perm(i, order)
                 out = out + np.where(xi >= 0.0, cl, cu) * (factor * xp)
             return out
 
@@ -222,27 +222,25 @@ def build_max_return_fuzzy(
     in x; no analytic derivatives are supplied, so the solver uses
     finite differences on the scalarization.
     """
-    cuts = _cuts((_as_triangular(p.Va), _as_triangular(p.rho)))
+    va, rho = _as_triangular(p.Va), _as_triangular(p.rho)
 
-    def _pieces(x, a):
-        x = np.asarray(x, float)
-        (vl, vu), (rl_w, ru_w) = cuts(a)
-        c = _c_poly(x)
-        rl = c - vu
-        ru = c - vl
-        return x, vl, vu, rl_w, ru_w, rl, ru
+    @_per_grid
+    def table(a):
+        (vl, vu), (rl, ru) = va.cut(a), rho.cut(a)
+        return vl, vu, rl / (vu * vu), ru / (vl * vl)
 
     def level_lo(x, a):
-        x, vl, vu, rl_w, _, rl, ru = _pieces(x, a)
-        s_lo = _square_lo(rl, ru)
-        k_lo = rl_w / (vu * vu)
-        return LIN1 * x + LIN0 + k_lo * s_lo
+        vl, vu, k_lo, _ = table(a)
+        x = np.asarray(x, float)
+        c = _c_poly(x)
+        return LIN1 * x + LIN0 + k_lo * _square_lo(c - vu, c - vl)
 
     def level_hi(x, a):
-        x, vl, _, _, ru_w, rl, ru = _pieces(x, a)
-        s_hi = np.maximum(rl * rl, ru * ru)
-        k_hi = ru_w / (vl * vl)
-        return LIN1 * x + LIN0 + k_hi * s_hi
+        vl, vu, _, k_hi = table(a)
+        x = np.asarray(x, float)
+        c = _c_poly(x)
+        rl, ru = c - vu, c - vl
+        return LIN1 * x + LIN0 + k_hi * np.maximum(rl * rl, ru * ru)
 
     return FuzzyFunction(
         level_lo=level_lo,

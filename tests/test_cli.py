@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -10,9 +11,14 @@ import sys
 
 import pytest
 
+from fuzzynewton import cli
 from fuzzynewton.cli import main
+from fuzzynewton.newton_solver import STATUS_CONVERGED, SolveResult
 
 TWO_THIRDS = 2.0 / 3.0
+# the report keys read from the answer's fuzzy value
+ANSWER_KEYS = ("F_xstar", "value", "fvalue_support_lo", "fvalue_core_mid",
+               "fvalue_support_hi")
 
 
 def run(capsys, *argv):
@@ -405,6 +411,106 @@ class TestErrorPaths:
         code, _, err = run(capsys, "solve", "--problem", "max_return_crisp",
                            "--Va", "1,2")
         assert code == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (("max_return_crisp", "--Va", "inf"),
+         "triangular vertices must be finite, got (inf, inf, inf)"),
+        (("max_return_crisp", "--rho", "1,2,inf"),
+         "triangular vertices must be finite, got (1.0, 2.0, inf)"),
+        (("max_return_crisp", "--eps", "inf"),
+         "eps must be positive and finite, got inf"),
+        (("example_4_1", "--fd-step", "inf"),
+         "fd_step must be positive and finite, got inf"),
+        (("max_return_fuzzy", "--fd-step", "inf"),
+         "fd_step must be positive and finite, got inf"),
+    ])
+    def test_non_finite_flag_is_one_error_line(self, capsys, argv, message):
+        code, out, err = run(capsys, "solve", "--problem", *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("config, vertices", [
+        ({"kind": "fuzzy_polynomial", "coefficients": [[1, 2, math.inf]]},
+         "(1.0, 2.0, inf)"),
+        ({"kind": "max_return_fuzzy",
+          "params": {"Va": [0.001, 0.002, math.inf], "rho": 1}},
+         "(0.001, 0.002, inf)"),
+        ({"kind": "max_return_crisp",
+          "params": {"Va": 0.00168, "rho": -math.inf}},
+         "(-inf, -inf, -inf)"),
+    ])
+    def test_infinity_in_a_config_is_one_error_line(
+        self, tmp_path, capsys, config, vertices
+    ):
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(config))  # inf is written as Infinity
+        code, out, err = run(capsys, "solve", "--problem", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: triangular vertices must be finite, got {vertices}\n"
+
+    def test_infinite_domain_bound_is_legal(self, tmp_path, capsys):
+        path = tmp_path / "domain.json"
+        path.write_text(json.dumps(
+            {"kind": "example_4_1", "domain": [-math.inf, math.inf]}
+        ))
+        code, _, err = run(capsys, "solve", "--problem", str(path))
+        assert (code, err) == (0, "")
+
+
+# x0 = 1e300 overflows the level maps, with numpy warnings on the way
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteAnswer:
+    """A solve that ends non-finite at a point whose levels cannot be
+    evaluated is reported, with the answer's values null, and exits 2."""
+
+    ARGV = ("solve", "--problem", "example_4_1", "--x0", "1e300")
+
+    def test_text_report(self, capsys):
+        code, out, _ = run(capsys, *self.ARGV)
+        assert code == 2
+        assert "status: non-finite" in out
+        assert "F(xstar)  = n/a\n" in out
+        assert (
+            "value     = n/a (defuzzified); fuzzy value (n/a, n/a, n/a)\n"
+            in out
+        )
+
+    def test_json_and_csv_reports(self, capsys):
+        code, out, _ = run(capsys, *self.ARGV, "--format", "json")
+        rep = json.loads(out)
+        assert (code, rep["status"]) == (2, "non-finite")
+        assert [rep[key] for key in ANSWER_KEYS] == [None] * 5
+        code, out, _ = run(capsys, *self.ARGV, "--format", "csv")
+        rows = list(csv.reader(io.StringIO(out)))
+        scalars = dict(rows[1:rows.index([])])
+        assert (code, scalars["status"]) == (2, "non-finite")
+        assert [scalars[key] for key in ANSWER_KEYS] == [""] * 5
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_table_keeps_the_row(self, tmp_path, capsys, fmt):
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps([{"Va": 0.00168, "rho": 1.0}]))
+        code, out, _ = run(capsys, "table", "--sweep", str(sweep),
+                           "--x0", "1e100", "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            row = json.loads(out)["rows"][0]
+            assert (row["value"], row["status"]) == (None, "non-finite")
+        else:
+            rows = (list(csv.reader(io.StringIO(out))) if fmt == "csv"
+                    else [line.split() for line in out.splitlines()])
+            assert rows[1][3:5] == ["" if fmt == "csv" else "n/a",
+                                    "non-finite"]
+
+    def test_converged_answer_with_malformed_levels_exits_one(
+        self, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "solve", lambda f, cfg: SolveResult(
+            STATUS_CONVERGED, 1e300, (), "local-min"
+        ))
+        code, out, err = run(capsys, "solve", "--problem", "example_4_1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: levels of example_4_1 are invalid")
+        assert err.count("\n") == 1
 
 
 def test_console_entrypoint_runs():

@@ -1,5 +1,7 @@
 """Unit tests for interval/level containers and fuzzy arithmetic."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,14 @@ class TestTriangular:
             TriangularFuzzy(2.0, 1.0, 3.0)
         with pytest.raises(InvalidLevelError):
             TriangularFuzzy(0.0, 2.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("where", range(3))
+    def test_non_finite_vertex_rejected(self, bad, where):
+        vertices = [-1.0, 0.5, 4.0]
+        vertices[where] = bad
+        with pytest.raises(InvalidLevelError, match="must be finite"):
+            TriangularFuzzy(*vertices)
 
     def test_alpha_cut_endpoints(self):
         t = TriangularFuzzy(-1.0, 0.5, 4.0)

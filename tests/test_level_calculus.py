@@ -77,6 +77,8 @@ class TestScalarizationConfig:
             ScalarizationConfig(fd_step=0.0)
         with pytest.raises(ValueError):
             ScalarizationConfig(fd_step=-1e-5)
+        with pytest.raises(ValueError, match="positive and finite, got inf"):
+            ScalarizationConfig(fd_step=math.inf)
 
 
 class TestEvalAndScalarize:

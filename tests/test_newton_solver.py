@@ -48,6 +48,8 @@ class TestNewtonConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             NewtonConfig(x0=1.0, eps=0.0)
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            NewtonConfig(x0=1.0, eps=math.inf)
         with pytest.raises(ValueError):
             NewtonConfig(x0=1.0, max_iter=0)
         with pytest.raises(ValueError):

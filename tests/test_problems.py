@@ -34,6 +34,7 @@ from fuzzynewton import (
     serialize_problem_config,
     solve,
 )
+from fuzzynewton.fuzzy_core import _grid
 
 from test_level_map_calls import LEVEL_FIELDS
 
@@ -81,7 +82,6 @@ class TestFuzzyPolynomial:
             build_fuzzy_polynomial(())
 
 
-
 @pytest.mark.parametrize("build", [build_example_4_1, build_max_return_fuzzy])
 def test_levels_follow_an_alpha_array_changed_in_place(build):
     # coefficient cuts are kept only for the shared grid, never for an
@@ -96,6 +96,66 @@ def test_levels_follow_an_alpha_array_changed_in_place(build):
         np.testing.assert_array_equal(
             getattr(f, k)(0.5, alphas), getattr(fresh, k)(0.5, alphas.copy())
         )
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
+
+
+X_COLUMN = np.array([[-1.5], [-0.3], [0.0], [0.7]])
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_levels_on_alternating_shared_grids_match_a_fresh_function(name):
+    # the alpha-side table is kept for the last shared grid only; going
+    # back to a grid seen before must not serve the other grid's table
+    def build():
+        return resolve_problem(ProblemSpec(kind=name)).function
+
+    f = build()
+    maps = [k for k in LEVEL_FIELDS if getattr(f, k) is not None]
+    for grid in (_grid(101), _grid(1001), _grid(101)):
+        for x in (0.7, X_COLUMN):
+            for k in maps:
+                assert_same_bits(
+                    getattr(f, k)(x, grid), getattr(build(), k)(x, grid)
+                )
+
+
+def test_polynomial_maps_match_a_term_by_term_reference():
+    coeffs = (
+        TriangularFuzzy(-2.0, -1.5, 0.5),
+        TriangularFuzzy(0.25, 1.0, 3.0),
+        TriangularFuzzy(-4.0, -3.0, -2.5),
+        TriangularFuzzy(0.5, 0.75, 2.0),
+        TriangularFuzzy(-1.0, 0.125, 0.5),
+    )
+    f = build_fuzzy_polynomial(coeffs)
+    a = _grid(101)
+
+    def reference(order, lower, x):
+        # d^n/dx^n of sum_i c_i x^i, one nonzero term at a time; a term
+        # takes the lower cut where x^i >= 0 and the upper one elsewhere
+        x = np.asarray(x, float)
+        out = np.zeros(np.broadcast(x, a).shape)
+        for i in range(order, len(coeffs)):
+            c = coeffs[i]
+            lo = (1.0 - a) * c.left + a * c.peak
+            hi = (1.0 - a) * c.right + a * c.peak
+            if not lower:
+                lo, hi = hi, lo
+            d = math.perm(i, order) * x ** (i - order)
+            out = out + np.where(x**i >= 0.0, lo, hi) * d
+        return out
+
+    for order, prefix in enumerate(("level", "d1", "d2")):
+        for side in ("lo", "hi"):
+            level = getattr(f, f"{prefix}_{side}")
+            for x in (-1.5, -0.3, 0.0, 0.7, X_COLUMN):
+                want = reference(order, side == "lo", x)
+                assert_same_bits(level(x, a), want)
 
 
 class TestMaxReturnParams:
