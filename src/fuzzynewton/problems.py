@@ -226,8 +226,8 @@ def build_max_return_fuzzy(
 
     @_per_grid
     def table(a):
-        (vl, vu), (rl, ru) = va.cut(a), rho.cut(a)
-        return vl, vu, rl / (vu * vu), ru / (vl * vl)
+        (vl, vu), (rho_l, rho_u) = va.cut(a), rho.cut(a)
+        return vl, vu, rho_l / (vu * vu), rho_u / (vl * vl)
 
     def level_lo(x, a):
         vl, vu, k_lo, _ = table(a)
