@@ -49,7 +49,6 @@ print("\nVerification at the solution")
 report = verify_solution(f, res, cfg)
 for line in report.lines():
     print(f"  {line}")
-print(f"  accepted: {report.ok}")
 
 print("\nStarting at the curvature zero x = -2/3 trips the guard")
 flat = solve(f, NewtonConfig(x0=-2.0 / 3.0))

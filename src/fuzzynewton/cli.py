@@ -5,11 +5,18 @@ iteration trace plus a summary; ``table`` sweeps a list of (Va, rho)
 instances and prints one row per instance; ``check`` audits an arbitrary
 point for stationarity and non-dominance.
 
-Exit codes: 0 success/converged, 1 usage or input errors, 2 a solve
-ended in a non-convergence status, 3 a check failed or was inconclusive
-(no neighbourhood sample in the domain).  Reports go to
-stdout (or --out); all formats carry the same numeric content, with text
-rounded to 6 significant digits and csv/json at full precision.
+A point's verification has one wording, ``VerificationReport.lines()``,
+which ends with the verdict: ``check`` prints it, and a converged
+``solve`` prints it under ``verification:`` in text and writes its
+fields, the verdict included, in csv and json.
+
+Exit codes: 0 success/converged, 1 usage or input errors (one ``error:``
+line on stderr, an out-of-memory one included), 2 a solve ended in a
+non-convergence status, 3 a check failed or was inconclusive (no
+neighbourhood sample in the domain).  Reports go to stdout (or --out);
+all formats carry the same numeric content, with text rounded to 6
+significant digits and csv/json at full precision.  numpy's
+floating-point warnings are off while a command runs.
 """
 
 from __future__ import annotations
@@ -22,6 +29,8 @@ import json
 import sys
 import time
 from typing import Optional
+
+import numpy as np
 
 from .defuzzify import centroid
 from .errors import FuzzyNewtonError, InsufficientDataError, MalformedFunctionError, NumericError
@@ -95,12 +104,10 @@ def _fmt6(v) -> str:
 
 
 def _param_flag(text: str):
-    """Parse a parameter flag, a number or 'left,peak,right', with the
-    reader of a config's params."""
+    """A parameter flag, a number or 'left,peak,right', as the JSON value
+    that the reader of a config's params takes."""
     values = [float(part) for part in text.split(",")]
-    return _param_from_json(
-        values if len(values) > 1 else values[0], "parameter"
-    )
+    return values if len(values) > 1 else values[0]
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -165,7 +172,10 @@ def _load_resolved(problem_arg: str, va, rho) -> ResolvedProblem:
     if resolved.params is None:
         raise _UsageError("--Va/--rho only apply to the max-return problems")
     # resolved.params holds the problem's own defaults where spec has none
-    params = dataclasses.replace(resolved.params, **_given(Va=va, rho=rho))
+    params = dataclasses.replace(resolved.params, **{
+        name: _param_from_json(value, f"--{name}")
+        for name, value in _given(Va=va, rho=rho).items()
+    })
     return resolve_problem(dataclasses.replace(spec, params=params))
 
 
@@ -210,6 +220,7 @@ def _verification_dict(rep: VerificationReport) -> dict:
         "non_dominance": rep.non_dominance.describe(),
         "comparability_plus": rep.comp_plus.describe(),
         "comparability_minus": rep.comp_minus.describe(),
+        "verdict": rep.verdict,
     }
 
 
@@ -247,12 +258,12 @@ def _solve_summary(
 
 def _solve_report(resolved: ResolvedProblem, cfg: NewtonConfig) -> dict:
     """The solve summary plus the convergence order, the trace, the
-    settings and, for a converged solve, the verification."""
+    settings and, for a converged solve, the VerificationReport."""
     result, summary = _solve_summary(resolved, cfg)
     f = resolved.function
     verification = None
     if result.status == STATUS_CONVERGED:
-        verification = _verification_dict(verify_solution(f, result, cfg))
+        verification = verify_solution(f, result, cfg)
     try:
         order = float(
             estimate_convergence_order(result.trace, result.xstar).order
@@ -282,7 +293,9 @@ def _text_row(cells, width: int) -> str:
 
 
 def _render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # a solve report's VerificationReport is written as its fields
+    return json.dumps(payload, indent=2, sort_keys=True,
+                      default=_verification_dict) + "\n"
 
 
 def _render_solve_text(rep: dict) -> str:
@@ -318,17 +331,8 @@ def _render_solve_text(rep: dict) -> str:
             f"estimated convergence order = {_fmt6(rep['convergence_order'])}\n"
         )
     if rep["verification"] is not None:
-        ver = rep["verification"]
         out.write("verification:\n")
-        out.write(
-            f"  |F'(xstar)| = {_fmt6(abs(ver['d1']))} "
-            f"(tol {_fmt6(ver['stat_tol'])}, "
-            f"{'ok' if ver['stationary'] else 'FAILED'})\n"
-        )
-        out.write(f"  max level derivative = {_fmt6(ver['level_d1_max'])}\n")
-        out.write(f"  non-dominance: {ver['non_dominance']}\n")
-        out.write(f"  comparability (+): {ver['comparability_plus']}\n")
-        out.write(f"  comparability (-): {ver['comparability_minus']}\n")
+        out.writelines(f"  {line}\n" for line in rep["verification"].lines())
     out.write(f"wall_time_s: {rep['wall_time_s']:.6g}\n")
     return out.getvalue()
 
@@ -347,6 +351,11 @@ def _render_solve_csv(rep: dict) -> str:
         for name in ("Va", "rho")
     )
     writer.writerows([key, rep[key]] for key in SUMMARY_KEYS)
+    if rep["verification"] is not None:
+        writer.writerows(
+            [f"verification_{key}", value] for key, value
+            in _verification_dict(rep["verification"]).items()
+        )
     writer.writerow([])
     writer.writerow(TRACE_COLUMNS)
     writer.writerows([row[c] for c in TRACE_COLUMNS] for row in rep["trace"])
@@ -438,9 +447,7 @@ def _cmd_check(args) -> int:
     cfg = NewtonConfig(x0=args.xstar, eps=resolved.eps, scal=resolved.scal)
     report = check_point(resolved.function, args.xstar, cfg,
                          **_given(nbhd=args.nbhd, samples=args.samples))
-    for line in report.lines():
-        sys.stdout.write(line + "\n")
-    sys.stdout.write(f"verdict: {report.verdict}\n")
+    sys.stdout.writelines(f"{line}\n" for line in report.lines())
     return 0 if report.ok else 3
 
 
@@ -452,13 +459,19 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             sys.stderr.write("a subcommand is required\n")
             return 1
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "table":
-            return _cmd_table(args)
-        return _cmd_check(args)
+        # every non-finite value is reported as an error, a status or a
+        # null answer, so numpy's warnings would only repeat it on stderr
+        with np.errstate(all="ignore"):
+            if args.command == "solve":
+                return _cmd_solve(args)
+            if args.command == "table":
+                return _cmd_table(args)
+            return _cmd_check(args)
     except (_UsageError, FuzzyNewtonError, ValueError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
+        return 1
+    except MemoryError as err:
+        sys.stderr.write(f"error: out of memory: {err}\n")
         return 1
 
 

@@ -264,6 +264,7 @@ class VerificationReport:
         return self.verdict == "pass"
 
     def lines(self) -> list[str]:
+        """The report's one wording, ending with the verdict."""
         return [
             f"|F'(xstar)| = {abs(self.d1):.6g} "
             f"({'<' if self.stationary else '>='} tol {self.stat_tol:.6g})",
@@ -272,6 +273,7 @@ class VerificationReport:
             f"non-dominance: {self.non_dominance.describe()}",
             f"comparability (+): {self.comp_plus.describe()}",
             f"comparability (-): {self.comp_minus.describe()}",
+            f"verdict: {self.verdict}",
         ]
 
 

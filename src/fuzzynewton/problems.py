@@ -31,7 +31,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigFormatError, SingularLevelError
+from .errors import ConfigFormatError, InvalidLevelError, SingularLevelError
 from .fuzzy_core import TriangularFuzzy, _is_grid, _square_lo, triangular_to_record
 from .level_calculus import FuzzyFunction, ScalarizationConfig, crisp_lift, negate, scalarize_many
 from .newton_solver import NewtonConfig
@@ -368,15 +368,28 @@ def _items(v, what: str, n: Optional[int] = None) -> list:
     return v
 
 
+def _vertices(what: str, *vertices: float) -> TriangularFuzzy:
+    """TriangularFuzzy(*vertices), with what named in its error."""
+    try:
+        return TriangularFuzzy(*vertices)
+    except InvalidLevelError as err:
+        raise InvalidLevelError(f"{what}: {err}") from err
+
+
 def _triangular(v, what: str) -> TriangularFuzzy:
     """A [left, peak, right] list of numbers as a TriangularFuzzy."""
     triple = _items(v, f"{what} must be a [left, peak, right] triple", 3)
-    return TriangularFuzzy(*(_number(e, f"an entry of {what}") for e in triple))
+    return _vertices(what, *(_number(e, f"an entry of {what}") for e in triple))
 
 
 def _param_from_json(v, name: str) -> ParamValue:
-    """A crisp parameter is a number, a fuzzy one a triple."""
-    return _triangular(v, name) if isinstance(v, list) else _number(v, name)
+    """A crisp parameter is a number, a fuzzy one a triple; either must
+    make a valid TriangularFuzzy."""
+    if isinstance(v, list):
+        return _triangular(v, name)
+    v = _number(v, name)
+    _vertices(name, v, v, v)
+    return v
 
 
 def _params_from_json(data) -> MaxReturnParams:

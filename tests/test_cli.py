@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from fuzzynewton import cli
+from fuzzynewton import cli, fuzzy_core, level_calculus
 from fuzzynewton.cli import main
 from fuzzynewton.newton_solver import STATUS_CONVERGED, SolveResult
 
@@ -142,15 +142,17 @@ class TestSolveCommand:
         assert cfg["fd_step"] == 1e-4
 
 
+    # x^2 (.) (1, 2, 3) has no maximum: Newton finds the stationary point
+    # of -F at 0, a local max of -F that a neighbour dominates
+    MAXIMIZE_SQUARE = {
+        "kind": "fuzzy_polynomial",
+        "coefficients": [[0, 0, 0], [0, 0, 0], [1, 2, 3]],
+        "sense": "maximize", "x0": 0.5,
+    }
+
     def test_maximize_sense_is_honoured(self, tmp_path, capsys):
-        # x^2 (.) (1, 2, 3) has no maximum: Newton finds the stationary
-        # point of -F at 0, a local max of -F that a neighbour dominates
         cfg = tmp_path / "max.json"
-        cfg.write_text(json.dumps({
-            "kind": "fuzzy_polynomial",
-            "coefficients": [[0, 0, 0], [0, 0, 0], [1, 2, 3]],
-            "sense": "maximize", "x0": 0.5,
-        }))
+        cfg.write_text(json.dumps(self.MAXIMIZE_SQUARE))
         code, out, _ = run(capsys, "solve", "--problem", str(cfg),
                            "--format", "json")
         rep = json.loads(out)
@@ -161,6 +163,22 @@ class TestSolveCommand:
                            "--xstar", "0")
         assert code == 3
         assert "verdict: fail" in out
+
+    def test_maximize_sense_reads_fail_in_every_solve_format(
+        self, tmp_path, capsys
+    ):
+        # the converged answer that check fails: the solve report says so
+        cfg = tmp_path / "max.json"
+        cfg.write_text(json.dumps(self.MAXIMIZE_SQUARE))
+        code, out, _ = run(capsys, "solve", "--problem", str(cfg))
+        assert code == 0
+        assert "\n  verdict: fail\n" in out
+        _, out, _ = run(capsys, "solve", "--problem", str(cfg),
+                        "--format", "json")
+        assert json.loads(out)["verification"]["verdict"] == "fail"
+        _, out, _ = run(capsys, "solve", "--problem", str(cfg),
+                        "--format", "csv")
+        assert ["verification_verdict", "fail"] in csv.reader(io.StringIO(out))
 
     def test_step_out_of_the_domain_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "domain.json"
@@ -226,6 +244,34 @@ class TestReportFormats:
         assert f"{rep['value']:.6g}" in text_out
         for jrow in rep["trace"]:
             assert f"{jrow['x_k']:.6g}" in text_out
+
+    def test_solve_prints_the_check_report_of_its_answer(self, capsys):
+        _, out, _ = run(capsys, "solve", "--problem", "max_return_crisp",
+                        "--format", "json")
+        xstar = json.loads(out)["xstar"]
+        _, text_out, _ = run(capsys, "solve", "--problem", "max_return_crisp")
+        code, check_out, _ = run(capsys, "check", "--problem",
+                                 "max_return_crisp", "--xstar", repr(xstar))
+        assert code == 0
+        block = text_out.split("verification:\n")[1].split("wall_time_s")[0]
+        assert block == "".join(
+            f"  {line}\n" for line in check_out.splitlines()
+        )
+
+    def test_csv_carries_the_verification_of_a_converged_solve(self, capsys):
+        _, json_out, _ = run(capsys, "solve", "--problem", "example_4_1",
+                             "--format", "json")
+        _, csv_out, _ = run(capsys, "solve", "--problem", "example_4_1",
+                            "--format", "csv")
+        rows = list(csv.reader(io.StringIO(csv_out)))
+        scalars = dict(rows[1:rows.index([])])
+        ver = json.loads(json_out)["verification"]
+        assert {key: scalars[f"verification_{key}"] for key in ver} == {
+            key: str(value) for key, value in ver.items()
+        }
+        _, csv_out, _ = run(capsys, "solve", "--problem", "example_4_1",
+                            "--x0", repr(-TWO_THIRDS), "--format", "csv")
+        assert "verification_" not in csv_out
 
     def test_trace_columns_cover_support_and_core(self, capsys):
         _, out, _ = run(capsys, "solve", "--problem", "example_4_1",
@@ -426,26 +472,60 @@ class TestErrorPaths:
     ])
     def test_non_finite_flag_is_one_error_line(self, capsys, argv, message):
         code, out, err = run(capsys, "solve", "--problem", *argv)
+        if message.startswith("triangular"):
+            message = f"{argv[1]}: {message}"  # names the parameter's flag
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    # each config is (the key the error names, the config's content)
     @pytest.mark.parametrize("config, vertices", [
-        ({"kind": "fuzzy_polynomial", "coefficients": [[1, 2, math.inf]]},
+        (("a coefficient",
+          {"kind": "fuzzy_polynomial", "coefficients": [[1, 2, math.inf]]}),
          "(1.0, 2.0, inf)"),
-        ({"kind": "max_return_fuzzy",
-          "params": {"Va": [0.001, 0.002, math.inf], "rho": 1}},
+        (("Va", {"kind": "max_return_fuzzy",
+                 "params": {"Va": [0.001, 0.002, math.inf], "rho": 1}}),
          "(0.001, 0.002, inf)"),
-        ({"kind": "max_return_crisp",
-          "params": {"Va": 0.00168, "rho": -math.inf}},
+        (("rho", {"kind": "max_return_crisp",
+                  "params": {"Va": 0.00168, "rho": -math.inf}}),
          "(-inf, -inf, -inf)"),
     ])
     def test_infinity_in_a_config_is_one_error_line(
         self, tmp_path, capsys, config, vertices
     ):
+        key, content = config
         path = tmp_path / "inf.json"
-        path.write_text(json.dumps(config))  # inf is written as Infinity
+        path.write_text(json.dumps(content))  # inf is written as Infinity
         code, out, err = run(capsys, "solve", "--problem", str(path))
         assert (code, out) == (1, "")
-        assert err == f"error: triangular vertices must be finite, got {vertices}\n"
+        assert err == (
+            f"error: {key}: triangular vertices must be finite, got {vertices}\n"
+        )
+
+    def test_sweep_row_names_the_non_finite_key(self, tmp_path, capsys):
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps([{"Va": 0.00168, "rho": math.inf}]))
+        code, out, err = run(capsys, "table", "--sweep", str(sweep))
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: sweep row 0 is malformed: rho: triangular vertices "
+            "must be finite, got (inf, inf, inf)\n"
+        )
+
+    def test_out_of_memory_is_one_error_line(self, tmp_path, monkeypatch,
+                                             capsys):
+        # a grid this size needs 7.28 TiB; the builder is stubbed, so
+        # nothing is allocated
+        def no_memory(m):
+            raise MemoryError(f"Unable to allocate a grid of {m} levels")
+
+        monkeypatch.setattr(fuzzy_core, "_grid", no_memory)
+        monkeypatch.setattr(level_calculus, "_grid", no_memory)
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({"kind": "example_4_1",
+                                   "alpha_points": 1000000000001}))
+        code, out, err = run(capsys, "solve", "--problem", str(cfg))
+        assert (code, out) == (1, "")
+        assert err == ("error: out of memory: Unable to allocate a grid of "
+                       "1000000000001 levels\n")
 
     def test_infinite_domain_bound_is_legal(self, tmp_path, capsys):
         path = tmp_path / "domain.json"
@@ -456,17 +536,16 @@ class TestErrorPaths:
         assert (code, err) == (0, "")
 
 
-# x0 = 1e300 overflows the level maps, with numpy warnings on the way
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestNonFiniteAnswer:
     """A solve that ends non-finite at a point whose levels cannot be
-    evaluated is reported, with the answer's values null, and exits 2."""
+    evaluated is reported, with the answer's values null, and exits 2.
+    x0 = 1e300 overflows the level maps; numpy's warnings stay silent."""
 
     ARGV = ("solve", "--problem", "example_4_1", "--x0", "1e300")
 
     def test_text_report(self, capsys):
-        code, out, _ = run(capsys, *self.ARGV)
-        assert code == 2
+        code, out, err = run(capsys, *self.ARGV)
+        assert (code, err) == (2, "")
         assert "status: non-finite" in out
         assert "F(xstar)  = n/a\n" in out
         assert (
@@ -489,9 +568,9 @@ class TestNonFiniteAnswer:
     def test_table_keeps_the_row(self, tmp_path, capsys, fmt):
         sweep = tmp_path / "sweep.json"
         sweep.write_text(json.dumps([{"Va": 0.00168, "rho": 1.0}]))
-        code, out, _ = run(capsys, "table", "--sweep", str(sweep),
-                           "--x0", "1e100", "--format", fmt)
-        assert code == 0
+        code, out, err = run(capsys, "table", "--sweep", str(sweep),
+                             "--x0", "1e100", "--format", fmt)
+        assert (code, err) == (0, "")
         if fmt == "json":
             row = json.loads(out)["rows"][0]
             assert (row["value"], row["status"]) == (None, "non-finite")

@@ -299,6 +299,7 @@ class TestVerification:
         assert rep.non_dominance.dominated
         assert not rep.ok
         assert rep.verdict == "fail"
+        assert rep.lines()[-1] == "verdict: fail"
 
     def test_check_point_accepts_exact_minimizer(self):
         rep = check_point(EX41, 0.0, NewtonConfig(x0=0.0))
