@@ -106,7 +106,12 @@ def _fmt6(v) -> str:
 def _param_flag(text: str):
     """A parameter flag, a number or 'left,peak,right', as the JSON value
     that the reader of a config's params takes."""
-    values = [float(part) for part in text.split(",")]
+    try:
+        values = [float(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number or left,peak,right, got {text!r}"
+        ) from None
     return values if len(values) > 1 else values[0]
 
 

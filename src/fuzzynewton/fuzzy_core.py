@@ -52,10 +52,7 @@ __all__ = [
     "distance",
     "hukuhara_diff",
     "levels_equal",
-    "fuzzy_to_record",
-    "fuzzy_from_record",
     "triangular_to_record",
-    "triangular_from_record",
 ]
 
 # Absolute slack used when validating level ordering and nestedness; scaled
@@ -469,24 +466,6 @@ def levels_equal(a: FuzzyNumber, b: FuzzyNumber, tol: float = EQUALITY_TOL) -> b
     )
 
 
-def fuzzy_to_record(a: FuzzyNumber) -> dict:
-    """Plain-data form {alphas, lo, hi} used by config files and reports."""
-    return {
-        "alphas": a.alphas.tolist(),
-        "lo": a.lo.tolist(),
-        "hi": a.hi.tolist(),
-    }
-
-
-def fuzzy_from_record(rec: dict) -> FuzzyNumber:
-    return FuzzyNumber(rec["alphas"], rec["lo"], rec["hi"])
-
-
 def triangular_to_record(t: TriangularFuzzy) -> list:
-    """[left, peak, right] list form."""
+    """[left, peak, right] list form, as problems._triangular reads it."""
     return [t.left, t.peak, t.right]
-
-
-def triangular_from_record(rec) -> TriangularFuzzy:
-    left, peak, right = (float(v) for v in rec)
-    return TriangularFuzzy(left, peak, right)

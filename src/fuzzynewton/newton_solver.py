@@ -28,6 +28,7 @@ from .level_calculus import (
     NonDominanceVerdict,
     ScalarizationConfig,
     _Point,
+    _require_in_domain,
     comparability_check,
     non_dominance_check,
 )
@@ -139,8 +140,7 @@ def solve(f: FuzzyFunction, cfg: NewtonConfig) -> SolveResult:
     start x0 outside the domain raises DomainError, and levels that do
     not form a fuzzy number at an iterate raise MalformedFunctionError.
     """
-    if not f.contains(cfg.x0):
-        raise DomainError(f"x0={cfg.x0} outside the function domain")
+    _require_in_domain(f, cfg.x0)
     xk = float(cfg.x0)
     trace: list[IterationRecord] = []
     status = STATUS_MAX_ITER

@@ -75,3 +75,16 @@ def triangulars(draw, lo: float = -100.0, span: float = 50.0):
     b = a + draw(finite(0.0, span))
     c = b + draw(finite(0.0, span))
     return TriangularFuzzy(a, b, c)
+
+
+def crisp_polynomial(coeffs) -> np.polynomial.Polynomial:
+    """The exact scalarization of build_fuzzy_polynomial(coeffs).
+
+    The level sum lo + hi of a term c_i * x^i is (c_L + c_U) * x^i
+    whatever the sign of x^i, and for a triangular c_i its integral over
+    alpha is (left + 2 peak + right) / 2.  Any rule exact for affine
+    integrands (the trapezoid, Simpson at any odd m) gives this exactly.
+    """
+    return np.polynomial.Polynomial(
+        [(c.left + 2.0 * c.peak + c.right) / 2.0 for c in coeffs]
+    )

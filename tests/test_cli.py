@@ -458,6 +458,15 @@ class TestErrorPaths:
                            "--Va", "1,2")
         assert code == 1
 
+    @pytest.mark.parametrize("flag, text", [("--Va", "abc"),
+                                            ("--rho", "1,x,3")])
+    def test_param_flag_names_what_it_takes(self, capsys, flag, text):
+        code, out, err = run(capsys, "solve", "--problem", "max_return_crisp",
+                             flag, text)
+        assert (code, out) == (1, "")
+        assert err == (f"error: argument {flag}: expected a number or "
+                       f"left,peak,right, got {text!r}\n")
+
     @pytest.mark.parametrize("argv, message", [
         (("max_return_crisp", "--Va", "inf"),
          "triangular vertices must be finite, got (inf, inf, inf)"),
@@ -498,6 +507,18 @@ class TestErrorPaths:
         assert (code, out) == (1, "")
         assert err == (
             f"error: {key}: triangular vertices must be finite, got {vertices}\n"
+        )
+
+    def test_misordered_triple_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "misordered.json"
+        path.write_text(json.dumps(
+            {"kind": "fuzzy_polynomial", "coefficients": [[3, 2, 1]]}
+        ))
+        code, out, err = run(capsys, "solve", "--problem", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: a coefficient: triangular shape requires "
+            "left <= peak <= right, got (3.0, 2.0, 1.0)\n"
         )
 
     def test_sweep_row_names_the_non_finite_key(self, tmp_path, capsys):

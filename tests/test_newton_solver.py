@@ -136,8 +136,12 @@ class TestSolve:
 
     def test_x0_outside_domain(self):
         f = dataclasses.replace(EX41, domain=(0.0, 2.0))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as err:
             solve(f, NewtonConfig(x0=-1.0))
+        # worded as every other domain check, with the domain's bounds
+        assert str(err.value) == (
+            "x=-1.0 outside the function domain [0.0, 2.0]"
+        )
 
     def test_step_leaving_domain(self):
         # curvature is negative at -0.68, the step jumps far left; the

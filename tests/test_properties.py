@@ -39,6 +39,8 @@ from fuzzynewton import (
     reciprocal,
     scalar_mul,
     scalarize,
+    scalarize_d1,
+    scalarize_d2,
     scalarize_many,
     square,
 )
@@ -53,6 +55,7 @@ from fuzzynewton.problems import (
 from helpers import (
     GRID_SIZES,
     assert_valid_fuzzy,
+    crisp_polynomial,
     finite,
     fuzzy_numbers,
     fuzzy_pairs,
@@ -286,6 +289,35 @@ class TestScalarizationProperties:
         expected = (t.left + t.right) / 2.0 + t.peak
         assert scalarize(f, x, CFG) == pytest.approx(expected, abs=1e-9)
         assert eval_fuzzy(f, x, CFG.alpha_points) == v
+
+    @given(
+        st.lists(triangulars(), min_size=1, max_size=5),
+        st.lists(finite(-3.0, 3.0), min_size=1, max_size=5),
+        st.sampled_from([("simpson", 3), ("simpson", 5), ("simpson", 101),
+                         ("trapezoid", 3), ("trapezoid", 4),
+                         ("trapezoid", 101)]),
+    )
+    @example(  # a quartic at negative x, each triple's ends of both signs
+        [TriangularFuzzy(-2.0, 0.5, 1.0)] * 5, [-1.5, -0.25],
+        ("trapezoid", 4),
+    )
+    def test_polynomial_matches_its_exact_scalarization(self, coeffs, xs,
+                                                        rule):
+        quadrature, m = rule
+        cfg = ScalarizationConfig(alpha_points=m, quadrature=quadrature)
+        f = build_fuzzy_polynomial(coeffs)
+        exact = crisp_polynomial(coeffs)
+        # the size of the summed terms, which bounds the rounding error
+        size = np.polynomial.Polynomial(
+            [abs(c.left) + 2.0 * abs(c.peak) + abs(c.right) for c in coeffs]
+        )
+        for n, F in enumerate((scalarize, scalarize_d1, scalarize_d2)):
+            for x in xs:
+                error = abs(F(f, x, cfg) - exact.deriv(n)(x))
+                assert error <= 1e-12 * size.deriv(n)(abs(x)), (n, x)
+        xs = np.array(xs)
+        errors = np.abs(scalarize_many(f, xs, cfg) - exact(xs))
+        assert np.all(errors <= 1e-12 * size(np.abs(xs)))
 
 
 def first_witness_by_sample(f, x0, xs, reach, m, is_witness):
