@@ -13,7 +13,10 @@ nonexistence is reported as a value, not an exception).  The level
 invariants and the order are each defined once, as private kernels over
 level arrays of any leading shape, so that a block of many samples is
 validated and compared at once; FuzzyNumber and leq/lt/comparable call
-the same kernels.
+the same kernels.  One kernel, _invalid_rows, decides in a few numpy
+calls whether each row is a fuzzy number; only a row it rejects is
+worded, by _level_faults, which finds the first fault at the lowest
+alpha.
 """
 
 from __future__ import annotations
@@ -237,9 +240,22 @@ def _validate_grid(alphas: np.ndarray) -> None:
 
 def _slack(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The tolerance of each row of levels shaped (..., m), as (..., 1):
-    EQUALITY_TOL scaled by the row's largest endpoint magnitude, or 1."""
-    scale = np.max(np.maximum(np.abs(lo), np.abs(hi)), axis=-1, keepdims=True)
+    EQUALITY_TOL scaled by the row's largest endpoint magnitude, or 1.
+    It is not finite exactly when the row holds a NaN or an infinity."""
+    scale = np.maximum(np.abs(lo), np.abs(hi)).max(axis=-1, keepdims=True)
     return EQUALITY_TOL * np.maximum(1.0, scale)
+
+
+def _breaks(lo: np.ndarray, hi: np.ndarray, tol: np.ndarray) -> tuple:
+    """The masks of the invariants that tol bounds, for levels shaped
+    (..., m): lo > hi, a lower endpoint that decreases and an upper one
+    that increases from one level to the next, each beyond tol.  The
+    nestedness masks are one level shorter."""
+    return (
+        lo > hi + tol,
+        lo[..., 1:] - lo[..., :-1] < -tol,
+        hi[..., 1:] - hi[..., :-1] > tol,
+    )
 
 
 # What each mask of _level_faults reports, and the offset from a mask
@@ -252,49 +268,58 @@ _FAULTS = (
 )
 
 
-def _level_faults(lo: np.ndarray, hi: np.ndarray) -> tuple:
-    """The invariants of levels shaped (..., m), checked row by row.
+def _invalid_rows(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Which rows of levels shaped (..., m) are not fuzzy numbers.
 
-    Returns one mask per entry of _FAULTS: a non-finite endpoint, lo > hi,
-    a lower endpoint that decreases and an upper one that increases from
-    one level to the next, each beyond the row's _slack.  The nestedness
-    masks are one level shorter.
+    The one kernel that decides validity, for a FuzzyNumber and for a
+    block of sampled levels alike.  A row is finite exactly when its
+    _slack is, so finiteness is read from that one value per row and not
+    from each endpoint.
     """
-    # inf - inf gives nan only in rows the first mask already rejects
+    # inf - inf gives nan only in rows whose slack is not finite
     with np.errstate(invalid="ignore"):
         tol = _slack(lo, hi)
+        order, lower, upper = _breaks(lo, hi, tol)
         return (
-            ~(np.isfinite(lo) & np.isfinite(hi)),
-            lo > hi + tol,
-            np.diff(lo, axis=-1) < -tol,
-            np.diff(hi, axis=-1) > tol,
+            ~np.isfinite(tol[..., 0])
+            | order.any(axis=-1)
+            | (lower | upper).any(axis=-1)
         )
 
 
-def _invalid_rows(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Which rows of levels shaped (..., m) break an invariant."""
-    return np.any([bad.any(axis=-1) for bad in _level_faults(lo, hi)], axis=0)
+def _level_faults(lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """One mask per entry of _FAULTS, to word a row that _invalid_rows
+    rejects: a non-finite endpoint, then the masks of _breaks."""
+    with np.errstate(invalid="ignore"):
+        return (
+            ~(np.isfinite(lo) & np.isfinite(hi)),
+            *_breaks(lo, hi, _slack(lo, hi)),
+        )
 
 
 def _validate_levels(alphas, lo, hi) -> None:
-    """Raise InvalidLevelError at the lowest alpha whose level breaks an
-    invariant; at one alpha, ordering is reported before the lower and
-    then the upper nestedness.  Non-finite endpoints are reported first."""
+    """Raise InvalidLevelError unless the levels form a fuzzy number.
+
+    _invalid_rows decides; only a row it rejects is worded, from
+    _level_faults, at the lowest alpha whose level breaks an invariant.
+    At one alpha, ordering is reported before the lower and then the
+    upper nestedness; non-finite endpoints are reported first.
+    """
+    if not _invalid_rows(lo, hi):
+        return
     # (not the non-finite kind, level index, rank) of each kind's first
     # violation; the smallest is reported
-    first = [
+    _, i, rank = min(
         (rank > 0, int(np.argmax(bad)) + offset, rank)
         for rank, ((_, offset), bad) in enumerate(
             zip(_FAULTS, _level_faults(lo, hi))
         )
-        if np.any(bad)
-    ]
-    if first:
-        _, i, rank = min(first)
-        raise InvalidLevelError(
-            _FAULTS[rank][0].format(a=alphas[i], lo=lo[i], hi=hi[i]),
-            alpha=float(alphas[i]),
-        )
+        if bad.any()
+    )
+    raise InvalidLevelError(
+        _FAULTS[rank][0].format(a=alphas[i], lo=lo[i], hi=hi[i]),
+        alpha=float(alphas[i]),
+    )
 
 
 def _require_same_grid(a: FuzzyNumber, b: FuzzyNumber) -> None:

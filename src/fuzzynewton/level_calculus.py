@@ -277,7 +277,7 @@ def _integrate(lo: np.ndarray, hi: np.ndarray, w: np.ndarray, x):
     """
     values = (lo + hi) @ w
     finite = np.isfinite(values)
-    if not np.all(finite):
+    if not finite.all():
         bad = np.ravel(x)[np.argmin(np.ravel(finite))]
         raise NumericError(f"non-finite level values at x={bad}")
     return values

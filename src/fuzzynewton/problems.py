@@ -474,13 +474,16 @@ def grid_search_min(
     scalarize_many call, which bounds memory by taking 20000 points at a
     time, and returns the first grid point with the smallest value.
     This is the independent oracle the Newton answers are checked
-    against.  A non-finite F raises NumericError; a reversed bracket or
-    a step that is not positive raises ValueError.
+    against.  A non-finite F raises NumericError; a bracket that is not
+    finite or is reversed, or a step that is not positive and finite,
+    raises ValueError.
     """
     a, b = bracket
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"bracket {bracket} must be finite")
     if not a <= b:
         raise ValueError(f"bracket {bracket} is reversed")
-    if not step > 0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
     xs = a + step * np.arange(int(round((b - a) / step)) + 1)
     return float(xs[np.argmin(scalarize_many(f, xs, cfg))])

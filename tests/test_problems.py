@@ -473,9 +473,15 @@ class TestGridOracle:
         f = build_example_4_1()
         with pytest.raises(ValueError, match="reversed"):
             grid_search_min(f, (1.0, 0.0), CFG)
-        for step in (0.0, -1e-3, math.nan):
+        for step in (0.0, -1e-3, math.nan, math.inf):
             with pytest.raises(ValueError, match="step must be positive"):
                 grid_search_min(f, (0.0, 1.0), CFG, step=step)
+        for bracket in (
+            (-0.5, math.inf), (-math.inf, 0.5), (-math.inf, math.inf),
+            (math.nan, 0.5),
+        ):
+            with pytest.raises(ValueError, match="must be finite"):
+                grid_search_min(f, bracket, CFG)
 
     def test_nan_in_the_bracket_raises(self):
         # F = (x - 0.5)^2 per level, NaN below x = 0.2: argmin used to

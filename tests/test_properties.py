@@ -5,6 +5,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from fuzzynewton import (
     FuzzyNumber,
     HukuharaNonexistence,
+    InvalidLevelError,
     ScalarizationConfig,
     TriangularFuzzy,
     add,
@@ -45,6 +47,12 @@ from fuzzynewton import (
     square,
 )
 from fuzzynewton import cli
+from fuzzynewton.fuzzy_core import (
+    EQUALITY_TOL,
+    _grid,
+    _invalid_rows,
+    _level_faults,
+)
 from fuzzynewton.problems import (
     BUILTIN_NAMES,
     MaxReturnParams,
@@ -253,6 +261,117 @@ def polynomial_functions(draw):
     return build_fuzzy_polynomial(coeffs)
 
 
+def reference_fault(lo, hi):
+    """The first fault of one row of levels on the uniform grid, as
+    (message, alpha), or None for a fuzzy number: the documented rules
+    written level by level, apart from fuzzy_core's kernels.  A
+    non-finite endpoint comes first; otherwise the lowest alpha, where
+    ordering comes before the lower and then the upper nestedness."""
+    alphas = _grid(lo.size)
+    for a, l, h in zip(alphas, lo, hi):
+        if not (math.isfinite(l) and math.isfinite(h)):
+            return f"level endpoints must be finite (alpha={a:.6g})", a
+    tol = EQUALITY_TOL * max(1.0, *map(abs, lo), *map(abs, hi))
+    for i, a in enumerate(alphas):
+        if lo[i] > hi[i] + tol:
+            return (f"level ordering lo <= hi fails at alpha={a:.6g} "
+                    f"({lo[i]} > {hi[i]})"), a
+        if i and lo[i] - lo[i - 1] < -tol:
+            return ("nestedness fails: lower endpoints decrease at "
+                    f"alpha={a:.6g}"), a
+        if i and hi[i] - hi[i - 1] > tol:
+            return ("nestedness fails: upper endpoints increase at "
+                    f"alpha={a:.6g}"), a
+    return None
+
+
+def last_good(bad, v, toward):
+    """The float next to the edge of bad, on its good side: bad does not
+    hold there and holds one ulp further toward +-inf."""
+    while bad(v):
+        v = math.nextafter(v, -toward)
+    while not bad(math.nextafter(v, toward)):
+        v = math.nextafter(v, toward)
+    return v
+
+
+@st.composite
+def level_rows(draw, m):
+    """One row of levels on the m-point grid, as (lo, hi): a fuzzy
+    number, or one with a NaN or an infinity in lo or in hi, or with a
+    crossing or a nestedness break exactly at the row's tolerance or
+    one ulp past it.
+
+    hi[0] is the largest magnitude S, and every edit stays below it, so
+    the tolerance is EQUALITY_TOL * max(1, S) whatever the edit.
+    """
+    big = draw(finite(0.5, 1e12))
+    fractions = st.lists(finite(0.0, 1.0), min_size=m, max_size=m)
+    lo = -0.5 * big * np.array(sorted(draw(fractions), reverse=True))
+    hi = 0.5 * big * np.array(sorted(draw(fractions), reverse=True))
+    hi[0] = big
+    tol = EQUALITY_TOL * max(1.0, big)
+    kinds = ["valid", "non-finite", "crossing", "lower"] + ["upper"] * (m > 2)
+    kind = draw(st.sampled_from(kinds))
+    past = draw(st.booleans())
+    if kind == "non-finite":
+        ends = draw(st.sampled_from([lo, hi]))
+        ends[draw(st.integers(0, m - 1))] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf])
+        )
+    elif kind == "crossing":
+        # levels j.. collapse to lo = hi[j] + tol, hi = hi[j]
+        j = draw(st.integers(1, m - 1))
+        h = hi[j]
+        v = last_good(lambda v: v > h + tol, h + tol, math.inf)
+        lo[j:] = math.nextafter(v, math.inf) if past else v
+        hi[j:] = h
+    elif kind == "lower":
+        j = draw(st.integers(1, m - 1))
+        a = lo[j - 1]
+        v = last_good(lambda v: v - a < -tol, a - tol, -math.inf)
+        lo[j] = math.nextafter(v, -math.inf) if past else v
+    elif kind == "upper":
+        j = draw(st.integers(2, m - 1))
+        b = hi[j - 1]
+        v = last_good(lambda v: v - b > tol, b + tol, math.inf)
+        hi[j] = math.nextafter(v, math.inf) if past else v
+    return lo, hi
+
+
+@st.composite
+def level_blocks(draw):
+    """A block of one to four level rows on one grid, shaped (n, m)."""
+    m = draw(st.integers(2, 7))
+    rows = draw(st.lists(level_rows(m), min_size=1, max_size=4))
+    return tuple(np.array(ends) for ends in zip(*rows))
+
+
+class TestValidityKernel:
+    """_invalid_rows decides whether a row is a fuzzy number and
+    _level_faults words a rejected row's first fault; both must agree
+    with each other and with the level-by-level reference."""
+
+    @given(level_blocks())
+    def test_kernel_agrees_with_the_wording_path(self, block):
+        lo, hi = block
+        worded = np.any(
+            [bad.any(axis=-1) for bad in _level_faults(lo, hi)], axis=0
+        )
+        np.testing.assert_array_equal(_invalid_rows(lo, hi), worded)
+        alphas = _grid(lo.shape[1])
+        for row_lo, row_hi, bad in zip(lo, hi, worded):
+            assert _invalid_rows(row_lo, row_hi) == bad
+            fault = reference_fault(row_lo, row_hi)
+            assert bad == (fault is not None)
+            if fault is None:
+                FuzzyNumber(alphas, row_lo, row_hi)
+                continue
+            with pytest.raises(InvalidLevelError) as err:
+                FuzzyNumber(alphas, row_lo, row_hi)
+            assert (str(err.value), err.value.alpha) == fault
+
+
 class TestScalarizationProperties:
     @given(polynomial_functions(), finite(-3.0, 3.0))
     def test_negation_antisymmetry(self, f, x):
@@ -301,6 +420,9 @@ class TestScalarizationProperties:
         [TriangularFuzzy(-2.0, 0.5, 1.0)] * 5, [-1.5, -0.25],
         ("trapezoid", 4),
     )
+    @example(  # subnormal levels: the weighted sum rounds to 0, F is 1e-323
+        [TriangularFuzzy(0.0, 5e-324, 5e-324)], [0.0], ("simpson", 3),
+    )
     def test_polynomial_matches_its_exact_scalarization(self, coeffs, xs,
                                                         rule):
         quadrature, m = rule
@@ -311,13 +433,23 @@ class TestScalarizationProperties:
         size = np.polynomial.Polynomial(
             [abs(c.left) + 2.0 * abs(c.peak) + abs(c.right) for c in coeffs]
         )
+        # below the smallest normal float rounding is absolute, so the
+        # bound has a floor: two subnormal ulps per level summed, scaled
+        # by |x|^i as the terms are
+        ulps = np.polynomial.Polynomial(
+            [2.0 * m * np.finfo(float).smallest_subnormal] * len(coeffs)
+        )
+
+        def bound(n, x):
+            return 1e-12 * size.deriv(n)(x) + ulps.deriv(n)(x)
+
         for n, F in enumerate((scalarize, scalarize_d1, scalarize_d2)):
             for x in xs:
                 error = abs(F(f, x, cfg) - exact.deriv(n)(x))
-                assert error <= 1e-12 * size.deriv(n)(abs(x)), (n, x)
+                assert error <= bound(n, abs(x)), (n, x)
         xs = np.array(xs)
         errors = np.abs(scalarize_many(f, xs, cfg) - exact(xs))
-        assert np.all(errors <= 1e-12 * size(np.abs(xs)))
+        assert np.all(errors <= bound(0, np.abs(xs)))
 
 
 def first_witness_by_sample(f, x0, xs, reach, m, is_witness):
