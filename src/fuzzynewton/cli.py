@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import sys
@@ -131,7 +132,10 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of this process: a parse leaves no state on it,
+    and its usage and help read the streams when they are printed."""
     parser = _Parser(prog="fuzzynewton", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 

@@ -475,8 +475,8 @@ def grid_search_min(
     time, and returns the first grid point with the smallest value.
     This is the independent oracle the Newton answers are checked
     against.  A non-finite F raises NumericError; a bracket that is not
-    finite or is reversed, or a step that is not positive and finite,
-    raises ValueError.
+    finite or is reversed, a step that is not positive and finite, or a
+    point count that overflows raises ValueError.
     """
     a, b = bracket
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -485,5 +485,10 @@ def grid_search_min(
         raise ValueError(f"bracket {bracket} is reversed")
     if not 0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
-    xs = a + step * np.arange(int(round((b - a) / step)) + 1)
+    count = (b - a) / step
+    if not math.isfinite(count):
+        raise ValueError(
+            f"bracket {bracket} at step {step} has too many points"
+        )
+    xs = a + step * np.arange(int(round(count)) + 1)
     return float(xs[np.argmin(scalarize_many(f, xs, cfg))])

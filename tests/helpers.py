@@ -88,3 +88,12 @@ def crisp_polynomial(coeffs) -> np.polynomial.Polynomial:
     return np.polynomial.Polynomial(
         [(c.left + 2.0 * c.peak + c.right) / 2.0 for c in coeffs]
     )
+
+
+def size_polynomial(coeffs) -> np.polynomial.Polynomial:
+    """The size of crisp_polynomial(coeffs)'s summed level terms, with
+    coefficients |left| + 2 |peak| + |right|: at |x| it bounds the
+    magnitudes that rounding errors in F scale with."""
+    return np.polynomial.Polynomial(
+        [abs(c.left) + 2.0 * abs(c.peak) + abs(c.right) for c in coeffs]
+    )

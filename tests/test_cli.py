@@ -14,6 +14,8 @@ import pytest
 from fuzzynewton import cli, fuzzy_core, level_calculus
 from fuzzynewton.cli import main
 from fuzzynewton.newton_solver import STATUS_CONVERGED, SolveResult
+from fuzzynewton.problems import DEFAULT_CRISP_PARAMS
+from test_cli_golden import CASES, GOLDEN, _mask, run_case
 
 TWO_THIRDS = 2.0 / 3.0
 # the report keys read from the answer's fuzzy value
@@ -611,6 +613,54 @@ class TestNonFiniteAnswer:
         assert (code, out) == (1, "")
         assert err.startswith("error: levels of example_4_1 are invalid")
         assert err.count("\n") == 1
+
+
+class TestParserReuse:
+    """main builds its parser once per process, so no call may leave
+    state on it that a later call's output shows."""
+
+    def test_one_parser_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_a_reused_parser_answers_as_a_new_one(self, capsys):
+        argvs = (
+            ["solve", "--problem", "max_return_crisp", "--Va", "abc"],
+            [],
+            ["--help"],
+            ["solve", "--problem", "max_return_crisp", "--Va", "0.0017"],
+            ["solve", "--problem", "max_return_crisp"],
+        )
+
+        def call(argv):
+            try:
+                code = main(list(argv))
+            except SystemExit as stop:
+                code = f"SystemExit({stop.code})"
+            captured = capsys.readouterr()
+            return code, _mask(captured.out), _mask(captured.err)
+
+        first = []
+        for argv in argvs:
+            cli._build_parser.cache_clear()
+            first.append(call(argv))
+        cli._build_parser.cache_clear()
+        parser = cli._build_parser()
+        reused = [call(argv) for argv in argvs]
+        assert cli._build_parser() is parser
+        assert reused == first
+        assert [code for code, _, _ in reused] == [1, 1, "SystemExit(0)", 0, 0]
+        assert reused[0][2] == [
+            "error: argument --Va: expected a number or left,peak,right, "
+            "got 'abc'", ""]
+        assert reused[1][2][-2:] == ["a subcommand is required", ""]
+        default = DEFAULT_CRISP_PARAMS
+        assert "params: Va=0.0017 rho=1.0" in reused[3][1]
+        assert f"params: Va={default.Va} rho={default.rho}" in reused[4][1]
+
+    def test_golden_cases_in_reverse_order(self, tmp_path):
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        for name in sorted(CASES, reverse=True):
+            assert run_case(name, tmp_path) == golden[name], name
 
 
 def test_console_entrypoint_runs():

@@ -482,6 +482,10 @@ class TestGridOracle:
         ):
             with pytest.raises(ValueError, match="must be finite"):
                 grid_search_min(f, bracket, CFG)
+        # finite inputs whose point count (b - a) / step overflows
+        for bracket, step in (((-1e308, 1e308), 1e-5), ((0.0, 1.0), 5e-324)):
+            with pytest.raises(ValueError, match="has too many points"):
+                grid_search_min(f, bracket, CFG, step=step)
 
     def test_nan_in_the_bracket_raises(self):
         # F = (x - 0.5)^2 per level, NaN below x = 0.2: argmin used to

@@ -57,6 +57,7 @@ from fuzzynewton.problems import (
     BUILTIN_NAMES,
     MaxReturnParams,
     ProblemSpec,
+    grid_search_min,
     parse_problem_config,
     serialize_problem_config,
 )
@@ -69,6 +70,7 @@ from helpers import (
     fuzzy_pairs,
     fuzzy_triples,
     positive_fuzzy_numbers,
+    size_polynomial,
     triangulars,
 )
 
@@ -430,9 +432,7 @@ class TestScalarizationProperties:
         f = build_fuzzy_polynomial(coeffs)
         exact = crisp_polynomial(coeffs)
         # the size of the summed terms, which bounds the rounding error
-        size = np.polynomial.Polynomial(
-            [abs(c.left) + 2.0 * abs(c.peak) + abs(c.right) for c in coeffs]
-        )
+        size = size_polynomial(coeffs)
         # below the smallest normal float rounding is absolute, so the
         # bound has a floor: two subnormal ulps per level summed, scaled
         # by |x|^i as the terms are
@@ -450,6 +450,68 @@ class TestScalarizationProperties:
         xs = np.array(xs)
         errors = np.abs(scalarize_many(f, xs, cfg) - exact(xs))
         assert np.all(errors <= bound(0, np.abs(xs)))
+
+    @given(
+        st.lists(triangulars(), min_size=1, max_size=5),
+        finite(-3.0, 3.0),
+        st.sampled_from([1e-6, 1e-5, 1e-4, 1e-2]),
+    )
+    def test_finite_differences_match_the_exact_scalarization(
+        self, coeffs, x, fd_step
+    ):
+        # without analytic level derivatives F' and F'' are the central
+        # stencil's (F(x+h) - F(x-h)) / 2h and (F(x-h) - 2F(x) + F(x+h)) / h^2
+        cfg = ScalarizationConfig(fd_step=fd_step)
+        f = dataclasses.replace(build_fuzzy_polynomial(coeffs), d1_lo=None,
+                                d1_hi=None, d2_lo=None, d2_hi=None)
+        exact = crisp_polynomial(coeffs)
+        h = fd_step * max(1.0, abs(x))
+        reach = abs(x) + h
+        # |F^(n)| on [x - h, x + h] is at most |F|^(n)(|x| + h), where |F|
+        # has the absolute coefficients of F
+        absolute = np.polynomial.Polynomial(np.abs(exact.coef))
+        # each F value is off by a few roundings per term and per level
+        # summed, or by subnormal ulps where the terms underflow
+        tiny = np.finfo(float).smallest_subnormal * cfg.alpha_points
+        delta = (8.0 * np.finfo(float).eps * size_polynomial(coeffs)(reach)
+                 + tiny * len(coeffs))
+        # truncation h^2/6 F''' and h^2/12 F''''; rounding 2δ/2h and 4δ/h^2
+        d1_tol = h * h / 6.0 * absolute.deriv(3)(reach) + delta / h
+        d2_tol = h * h / 12.0 * absolute.deriv(4)(reach) + 4.0 * delta / h**2
+        assert abs(scalarize_d1(f, x, cfg) - exact.deriv(1)(x)) <= d1_tol
+        assert abs(scalarize_d2(f, x, cfg) - exact.deriv(2)(x)) <= d2_tol
+
+
+class TestGridOracleProperties:
+    @given(
+        st.lists(triangulars(lo=-5.0, span=3.0), min_size=1, max_size=5),
+        st.integers(-192, 128),
+        st.integers(1, 64),
+    )
+    def test_grid_minimum_matches_the_exact_minimum(self, coeffs, start,
+                                                    points):
+        # a bracket of whole steps, so that both ends are grid points
+        step = 1.0 / 64.0
+        a, b = start * step, (start + points) * step
+        f = build_fuzzy_polynomial(coeffs)
+        exact = crisp_polynomial(coeffs)
+        xg = grid_search_min(f, (a, b), CFG, step=step)
+        assert a <= xg <= b
+        # F's least value on [a, b] is at an end or a root of F'; the real
+        # part of a complex root is one more point of the bracket, which
+        # can raise the least candidate value but never hide the minimum
+        roots = np.roots(exact.deriv().coef[::-1]).real
+        candidates = [a, b, *roots[(a <= roots) & (roots <= b)]]
+        least = min(exact(c) for c in candidates)
+        # some grid point lies within step/2 of the minimizer, and
+        # |F'| <= |F|'(max(|a|, |b|)) on the bracket
+        far = max(abs(a), abs(b))
+        reach = step / 2.0 * np.polynomial.Polynomial(
+            np.abs(exact.coef)).deriv()(far)
+        # exact F rounds as the summed terms do, with a floor for
+        # subnormal coefficients
+        rounding = 1e-12 * size_polynomial(coeffs)(far) + 1e-300
+        assert least - rounding <= exact(xg) <= least + reach + rounding
 
 
 def first_witness_by_sample(f, x0, xs, reach, m, is_witness):
