@@ -86,14 +86,10 @@ SUMMARY_KEYS = (
 TABLE_COLUMNS = ("Va", "rho", "xstar", "value", "status", "iterations")
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad flags; route that into exit 1.
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _fmt6(v) -> str:
@@ -169,7 +165,7 @@ def _load_resolved(problem_arg: str, va, rho) -> ResolvedProblem:
             with open(problem_arg, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as err:
-            raise _UsageError(
+            raise ValueError(
                 f"unknown problem {problem_arg!r} (not a builtin "
                 f"{'/'.join(BUILTIN_NAMES)} and not a readable config file: "
                 f"{err})"
@@ -179,7 +175,7 @@ def _load_resolved(problem_arg: str, va, rho) -> ResolvedProblem:
     if va is None and rho is None:
         return resolved
     if resolved.params is None:
-        raise _UsageError("--Va/--rho only apply to the max-return problems")
+        raise ValueError("--Va/--rho only apply to the max-return problems")
     # resolved.params holds the problem's own defaults where spec has none
     params = dataclasses.replace(resolved.params, **{
         name: _param_from_json(value, f"--{name}")
@@ -398,17 +394,17 @@ def _sweep_rows(path: str) -> list[MaxReturnParams]:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as err:
-        raise _UsageError(f"cannot read sweep file: {err}") from err
+        raise ValueError(f"cannot read sweep file: {err}") from err
     except json.JSONDecodeError as err:
-        raise _UsageError(f"sweep file is not valid JSON: {err}") from err
+        raise ValueError(f"sweep file is not valid JSON: {err}") from err
     if not isinstance(data, list):
-        raise _UsageError("sweep file must hold a JSON list of rows")
+        raise ValueError("sweep file must hold a JSON list of rows")
     rows = []
     for i, item in enumerate(data):
         try:
             rows.append(_params_from_json(item))
         except (FuzzyNewtonError, ValueError) as err:
-            raise _UsageError(f"sweep row {i} is malformed: {err}") from err
+            raise ValueError(f"sweep row {i} is malformed: {err}") from err
     return rows
 
 
@@ -476,7 +472,7 @@ def main(argv=None) -> int:
             if args.command == "table":
                 return _cmd_table(args)
             return _cmd_check(args)
-    except (_UsageError, FuzzyNewtonError, ValueError, OSError) as err:
+    except (FuzzyNewtonError, ValueError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 1
     except MemoryError as err:

@@ -219,9 +219,10 @@ class FuzzyNumber:
     def __eq__(self, other):
         if not isinstance(other, FuzzyNumber):
             return NotImplemented
-        if self.m != other.m or not np.array_equal(self.alphas, other.alphas):
+        try:
+            return levels_equal(self, other)
+        except GridMismatchError:
             return False
-        return levels_equal(self, other)
 
     def __hash__(self):
         # equality is tolerant, so only the grid size can be hashed
@@ -483,12 +484,8 @@ def hukuhara_diff(
 
 
 def levels_equal(a: FuzzyNumber, b: FuzzyNumber, tol: float = EQUALITY_TOL) -> bool:
-    """Level-wise equality within absolute tolerance on a shared grid."""
-    _require_same_grid(a, b)
-    return bool(
-        np.allclose(a.lo, b.lo, rtol=0.0, atol=tol)
-        and np.allclose(a.hi, b.hi, rtol=0.0, atol=tol)
-    )
+    """Level-wise equality within tol on a shared grid: distance <= tol."""
+    return bool(distance(a, b) <= tol)
 
 
 def triangular_to_record(t: TriangularFuzzy) -> list:

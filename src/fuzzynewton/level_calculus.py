@@ -123,6 +123,12 @@ class FuzzyFunction:
         return (self.domain[0] <= x) & (x <= self.domain[1])
 
 
+def _require_positive(name: str, value: float) -> None:
+    """Raise ValueError unless the setting name is positive and finite."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ScalarizationConfig:
     """Quadrature and finite-difference settings for the scalarization."""
@@ -147,10 +153,7 @@ class ScalarizationConfig:
             raise ValueError("alpha_points must be at least 3")
         if self.quadrature == "simpson" and self.alpha_points % 2 == 0:
             raise ValueError("simpson quadrature needs an odd alpha_points")
-        if not 0.0 < self.fd_step < math.inf:
-            raise ValueError(
-                f"fd_step must be positive and finite, got {self.fd_step}"
-            )
+        _require_positive("fd_step", self.fd_step)
         # a plain int, so that a numpy integer reads the shared grid
         object.__setattr__(self, "alpha_points", int(self.alpha_points))
 
@@ -235,7 +238,8 @@ def _require_in_domain(f: FuzzyFunction, x: float) -> None:
 _SCALAR_ONLY = (TypeError, ValueError)
 
 # Points per block in scalarize_many: 20000 x 101 levels is 16 MB per
-# float64 array.
+# float64 array.  Not _WITNESS_ROWS's 4096: there grid_oracle ran 8.2-8.8
+# against 10.5-11.6 ops/s (two 12 s pairs, 2 cores), at 53 MB RSS for 127.
 _MANY_ROWS = 20000
 
 # Rows of one level block in _first_witness, apart from _MANY_ROWS: its
@@ -505,30 +509,23 @@ def _first_witness(
     return None, kept.size
 
 
-def _require_reach(reach: float) -> None:
-    """Raise ValueError unless the reach of a sampling check is positive
-    and finite; checked before the samples are spread over it."""
-    if not 0.0 < reach < math.inf:
-        raise ValueError(f"nbhd must be positive and finite, got {reach}")
-
-
 # How a check that compared no sample describes itself.
 _NO_SAMPLE = "inconclusive (0 samples in the domain)"
 
 
 @dataclass(frozen=True)
 class ComparabilityReport:
-    """Outcome of sampling comparability along one direction.
+    """Outcome of sampling comparability along one direction."""
 
-    ``ok`` needs at least one sample compared: a check that found no
-    sample in the domain is inconclusive, not a pass.
-    """
-
-    ok: bool
     direction: float
     delta: float
     samples: int
     witness: Optional[float] = None
+
+    @property
+    def ok(self) -> bool:
+        """No witness among at least one sample; none is inconclusive."""
+        return self.witness is None and self.samples > 0
 
     def describe(self) -> str:
         if self.samples == 0:
@@ -560,14 +557,14 @@ def comparability_check(
     report is not ok.  A delta that is not positive and finite raises
     ValueError.
     """
-    _require_reach(delta)
+    _require_positive("nbhd", delta)
     lams = np.linspace(0.0, delta, samples + 2)[1:-1]
     i, used = _first_witness(
         f, x0, x0 + lams * d, delta, m,
         lambda *levels: ~_comparable(*levels),
     )
     return ComparabilityReport(
-        ok=i is None and used > 0, direction=d, delta=delta, samples=used,
+        direction=d, delta=delta, samples=used,
         witness=None if i is None else float(lams[i]),
     )
 
@@ -576,9 +573,12 @@ def comparability_check(
 class NonDominanceVerdict:
     """Outcome of a sampled search for dominating neighbors."""
 
-    dominated: bool
     samples: int
     dominator: Optional[float] = None
+
+    @property
+    def dominated(self) -> bool:
+        return self.dominator is not None
 
     def describe(self) -> str:
         if self.dominated:
@@ -602,10 +602,9 @@ def non_dominance_check(
     were examined, and with none it describes itself as inconclusive.
     An eps that is not positive and finite raises ValueError.
     """
-    _require_reach(eps_nbhd)
+    _require_positive("nbhd", eps_nbhd)
     grid = np.linspace(xstar - eps_nbhd, xstar + eps_nbhd, samples)
     i, used = _first_witness(f, xstar, grid, eps_nbhd, m, _lt)
     return NonDominanceVerdict(
-        dominated=i is not None, samples=used,
-        dominator=None if i is None else float(grid[i]),
+        samples=used, dominator=None if i is None else float(grid[i]),
     )

@@ -29,6 +29,7 @@ from .level_calculus import (
     ScalarizationConfig,
     _Point,
     _require_in_domain,
+    _require_positive,
     comparability_check,
     non_dominance_check,
 )
@@ -70,8 +71,7 @@ class NewtonConfig:
     def __post_init__(self):
         if not math.isfinite(self.x0):
             raise ValueError("x0 must be finite")
-        if not 0.0 < self.eps < math.inf:
-            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+        _require_positive("eps", self.eps)
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if not self.d2_floor > 0:
@@ -237,11 +237,14 @@ class VerificationReport:
     d1: float
     d2: float
     stat_tol: float
-    stationary: bool
     level_d1_max: float
     non_dominance: NonDominanceVerdict
     comp_plus: ComparabilityReport
     comp_minus: ComparabilityReport
+
+    @property
+    def stationary(self) -> bool:
+        return abs(self.d1) < self.stat_tol
 
     @property
     def verdict(self) -> str:
@@ -300,14 +303,12 @@ def check_point(
     # the level slopes first: they fetch the stencil levels d1 and d2 reuse
     level_d1_max = point.level_d1_max()
     d1, d2 = point.d1(), point.d2()
-    stat_tol = _stat_tol(cfg.eps, d2)
     m = cfg.scal.alpha_points
     return VerificationReport(
         xstar=x,
         d1=d1,
         d2=d2,
-        stat_tol=stat_tol,
-        stationary=abs(d1) < stat_tol,
+        stat_tol=_stat_tol(cfg.eps, d2),
         level_d1_max=level_d1_max,
         non_dominance=non_dominance_check(f, x, nbhd, samples, m),
         comp_plus=comparability_check(f, x, +1.0, nbhd, samples, m),

@@ -33,7 +33,10 @@ import numpy as np
 
 from .errors import ConfigFormatError, InvalidLevelError, SingularLevelError
 from .fuzzy_core import TriangularFuzzy, _is_grid, _square_lo, triangular_to_record
-from .level_calculus import FuzzyFunction, ScalarizationConfig, crisp_lift, negate, scalarize_many
+from .level_calculus import (
+    FuzzyFunction, ScalarizationConfig, _require_positive, crisp_lift, negate,
+    scalarize_many,
+)
 from .newton_solver import NewtonConfig
 
 __all__ = [
@@ -253,13 +256,16 @@ def build_max_return_fuzzy(
 class ResolvedProblem:
     """A ready-to-solve problem: function plus recommended settings."""
 
-    label: str
     function: FuzzyFunction
     x0: float = 1.0
     eps: float = NewtonConfig.eps
     scal: ScalarizationConfig = ScalarizationConfig()
     bracket: Optional[tuple[float, float]] = None
     params: Optional[MaxReturnParams] = None
+
+    @property
+    def label(self) -> str:
+        return self.function.name
 
 
 # The fuzzy return-risk levels are piecewise smooth: near the minimizer
@@ -344,7 +350,7 @@ def resolve_problem(spec: ProblemSpec) -> ResolvedProblem:
     if spec.alpha_points is not None:
         scal = dataclasses.replace(scal, alpha_points=spec.alpha_points)
     return ResolvedProblem(
-        label=fn.name, function=fn, scal=scal, bracket=bracket, params=params,
+        function=fn, scal=scal, bracket=bracket, params=params,
         **{key: float(getattr(spec, key)) for key in ("x0", "eps")
            if getattr(spec, key) is not None},
     )
@@ -470,9 +476,9 @@ def grid_search_min(
 ) -> float:
     """Brute-force minimizer of the scalarized F over a bracket.
 
-    Evaluates F on a uniform grid of the given step with one
-    scalarize_many call, which bounds memory by taking 20000 points at a
-    time, and returns the first grid point with the smallest value.
+    Evaluates F with one scalarize_many call, which bounds memory by
+    taking 20000 points at a time, on the grid a, a + step, ... that
+    ends at b, and returns the first grid point with the smallest value.
     This is the independent oracle the Newton answers are checked
     against.  A non-finite F raises NumericError; a bracket that is not
     finite or is reversed, a step that is not positive and finite, or a
@@ -483,12 +489,12 @@ def grid_search_min(
         raise ValueError(f"bracket {bracket} must be finite")
     if not a <= b:
         raise ValueError(f"bracket {bracket} is reversed")
-    if not 0 < step < math.inf:
-        raise ValueError(f"step must be positive and finite, got {step}")
+    _require_positive("step", step)
     count = (b - a) / step
     if not math.isfinite(count):
         raise ValueError(
             f"bracket {bracket} at step {step} has too many points"
         )
-    xs = a + step * np.arange(int(round(count)) + 1)
+    # the points a + step * i short of b, clipped as rounding can pass b
+    xs = np.append(np.minimum(a + step * np.arange(math.ceil(count)), b), b)
     return float(xs[np.argmin(scalarize_many(f, xs, cfg))])

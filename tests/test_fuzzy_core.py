@@ -171,7 +171,12 @@ class TestFuzzyNumber:
         assert c.alphas is not a.alphas
         assert a == c and hash(a) == hash(c)
         assert a != tri(0.0, 1.0, 2.5)
+        # numbers on different grids are unequal, not an error
         assert a != tri(0.0, 1.0, 2.0, m=21)
+        skewed = uniform_alphas(11)
+        skewed[5] += 1e-13
+        d = FuzzyNumber(skewed, a.lo, a.hi)
+        assert not a == d and a != d
 
     def test_numbers_equal_within_tolerance_hash_equally(self):
         a = tri(0.0, 1.0, 2.0)

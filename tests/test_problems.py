@@ -469,6 +469,24 @@ class TestGridOracle:
         assert best_x > a + 20000 * step
         assert grid_search_min(f, (a, 0.75), CFG) == best_x
 
+    def test_grid_stays_in_a_bracket_of_no_whole_number_of_steps(self):
+        # every grid point lies in [a, b], and b is the last; rounding
+        # (b - a) / step to whole steps used to miss either
+        f = build_example_4_1()
+        # 1.61 steps rounded to 2 answered 0.06, past b
+        assert grid_search_min(f, (-0.5, -0.05), CFG, step=0.28) == -0.05
+        # 1.29 steps rounded to 1 answered -0.15, missing the lower F(b)
+        assert grid_search_min(f, (-0.5, -0.05), CFG, step=0.35) == -0.05
+        # 3.57 steps rounded to 4 raised DomainError at x = 1.12
+        bounded = dataclasses.replace(f, domain=(0.0, 1.0))
+        assert grid_search_min(bounded, (0.0, 1.0), CFG, step=0.28) == 0.0
+        # (b - a) / step rounds to 126.00000000000001, and a + 126 * step
+        # rounds to a few ulps past b
+        a, b = -2.2886968657315765, 1.76790643234723
+        bounded = dataclasses.replace(f, domain=(a, b))
+        assert grid_search_min(bounded, (a, b), CFG,
+                               step=0.03219526427046672) == a
+
     def test_reversed_bracket_or_bad_step_raises(self):
         f = build_example_4_1()
         with pytest.raises(ValueError, match="reversed"):

@@ -53,6 +53,7 @@ from fuzzynewton.fuzzy_core import (
     _invalid_rows,
     _level_faults,
 )
+from fuzzynewton.level_calculus import _integrate, _quad_weights
 from fuzzynewton.problems import (
     BUILTIN_NAMES,
     MaxReturnParams,
@@ -84,6 +85,30 @@ CFG = ScalarizationConfig()
 def division_pairs(draw):
     m = draw(st.sampled_from(GRID_SIZES))
     return draw(fuzzy_numbers(m=m)), draw(positive_fuzzy_numbers(m=m))
+
+
+@st.composite
+def near_pairs(draw):
+    """a and a with every level moved by at most a few EQUALITY_TOL."""
+    a = draw(fuzzy_numbers())
+    shift = draw(finite(-3.0 * EQUALITY_TOL, 3.0 * EQUALITY_TOL))
+    return a, FuzzyNumber(a.alphas, a.lo + shift, a.hi + shift)
+
+
+@st.composite
+def ordered_pairs(draw):
+    """(a, b, quadrature) with leq(a, b) on a grid that quadrature takes:
+    b is a shifted by c >= 0, with its upper ends widened by an amount
+    that does not grow with alpha."""
+    quadrature = draw(st.sampled_from(["trapezoid", "simpson"]))
+    m = draw(st.integers(1, 50)) * 2 + 1
+    if quadrature == "trapezoid":
+        m -= draw(st.integers(0, 1))
+    a = draw(fuzzy_numbers(m=m))
+    c = draw(finite(0.0, 10.0))
+    widen = draw(finite(0.0, 10.0)) * (1.0 - a.alphas) ** draw(
+        finite(0.25, 3.0))
+    return a, FuzzyNumber(a.alphas, a.lo + c, a.hi + c + widen), quadrature
 
 
 def tol_for(*numbers: FuzzyNumber) -> float:
@@ -183,6 +208,18 @@ class TestOrderAxioms:
             assert comparable(a, b)
 
 
+class TestQuadratureIsMonotone:
+    @given(ordered_pairs())
+    def test_leq_never_raises_the_scalarization(self, case):
+        # F is a quadrature of lo + hi with positive weights, so a <= b in
+        # the fuzzy-max order gives F(a) <= F(b), in floating point too:
+        # each rounding step is monotone
+        a, b, quadrature = case
+        assert leq(a, b)
+        w = _quad_weights(a.m, quadrature)
+        assert _integrate(a.lo, a.hi, w, 0.0) <= _integrate(b.lo, b.hi, w, 0.0)
+
+
 class TestMetricAxioms:
     @given(fuzzy_numbers())
     def test_identity(self, a):
@@ -202,6 +239,13 @@ class TestMetricAxioms:
             assert d == 0.0
         else:
             assert d > 0.0
+
+    @given(st.one_of(fuzzy_pairs(), near_pairs()))
+    def test_levels_equal_is_distance_within_tol(self, pair):
+        a, b = pair
+        d = distance(a, b)
+        for tol in (0.0, EQUALITY_TOL, d, np.nextafter(d, -np.inf)):
+            assert levels_equal(a, b, tol) == (d <= tol)
 
     @given(fuzzy_triples())
     def test_triangle_inequality(self, triple):
@@ -487,12 +531,18 @@ class TestGridOracleProperties:
         st.lists(triangulars(lo=-5.0, span=3.0), min_size=1, max_size=5),
         st.integers(-192, 128),
         st.integers(1, 64),
+        finite(0.0, 1.0),
+        finite(0.0, 1.0),
+    )
+    @example(  # F = -2x falls to b, 1.6 steps from a
+        [TriangularFuzzy(0.0, 0.0, 0.0), TriangularFuzzy(-1.0, -1.0, -1.0)],
+        0, 1, 0.0, 0.6,
     )
     def test_grid_minimum_matches_the_exact_minimum(self, coeffs, start,
-                                                    points):
-        # a bracket of whole steps, so that both ends are grid points
+                                                    points, a_off, b_off):
+        # each end a whole number of steps or a fraction of one off it
         step = 1.0 / 64.0
-        a, b = start * step, (start + points) * step
+        a, b = (start + a_off) * step, (start + points + b_off) * step
         f = build_fuzzy_polynomial(coeffs)
         exact = crisp_polynomial(coeffs)
         xg = grid_search_min(f, (a, b), CFG, step=step)
@@ -503,8 +553,9 @@ class TestGridOracleProperties:
         roots = np.roots(exact.deriv().coef[::-1]).real
         candidates = [a, b, *roots[(a <= roots) & (roots <= b)]]
         least = min(exact(c) for c in candidates)
-        # some grid point lies within step/2 of the minimizer, and
-        # |F'| <= |F|'(max(|a|, |b|)) on the bracket
+        # the grid's gaps are at most a step, so some grid point lies
+        # within step/2 of the minimizer; and |F'| <= |F|'(max(|a|, |b|))
+        # on the bracket
         far = max(abs(a), abs(b))
         reach = step / 2.0 * np.polynomial.Polynomial(
             np.abs(exact.coef)).deriv()(far)
