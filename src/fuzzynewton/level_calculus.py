@@ -237,14 +237,20 @@ def _require_in_domain(f: FuzzyFunction, x: float) -> None:
 # What a level map written for a scalar x only raises on an x column.
 _SCALAR_ONLY = (TypeError, ValueError)
 
-# Points per block in scalarize_many: 20000 x 101 levels is 16 MB per
-# float64 array.  Not _WITNESS_ROWS's 4096: there grid_oracle ran 8.2-8.8
-# against 10.5-11.6 ops/s (two 12 s pairs, 2 cores), at 53 MB RSS for 127.
-_MANY_ROWS = 20000
+# Level values per block in scalarize_many: 8192 float64s is 64 KiB per
+# array, so a block takes max(1, 8192 // m) points (81 at m = 101).  Each
+# array must stay well below glibc's 128 KiB mmap threshold, or the kernel
+# maps, faults in and zeroes every temporary: with 20000-point blocks a
+# grid_oracle pass made ~430k minor faults against 6.7k at 8192 values,
+# 16384 values (162 rows) still made 659k and 32768 made 2.6M, and row
+# blocks of 1024-4096 read no faster than 20000 (2-core Xeon).
+_BLOCK_VALUES = 8192
 
-# Rows of one level block in _first_witness, apart from _MANY_ROWS: its
-# invariant and order kernels hold more arrays per row (at 20000 rows, a
-# 100 000-sample check_point peaked at 187 MB, against 65 MB at 4096).
+# Rows of one level block in _first_witness, apart from _BLOCK_VALUES: an
+# 81-row block would split a 101-sample check into two level-map calls,
+# and its invariant and order kernels hold more arrays per row (at 20000
+# rows, a 100 000-sample check_point peaked at 187 MB, against 65 MB at
+# 4096).
 _WITNESS_ROWS = 4096
 
 
@@ -429,7 +435,8 @@ def scalarize(f: FuzzyFunction, x: float, cfg: ScalarizationConfig) -> float:
 
 
 def scalarize_many(f: FuzzyFunction, xs, cfg: ScalarizationConfig) -> np.ndarray:
-    """F at each x of a 1-D array, 20000 points (_MANY_ROWS) at a time.
+    """F at each x of a 1-D array, 8192 level values (_BLOCK_VALUES) of
+    points at a time: 81 points at 101 levels, and at least one point.
 
     A block is one x-column call per level map, or one call per point for
     maps that take a scalar x only, with the same values.  One block's
@@ -443,9 +450,10 @@ def scalarize_many(f: FuzzyFunction, xs, cfg: ScalarizationConfig) -> np.ndarray
         _require_in_domain(f, float(xs[np.argmin(inside)]))
     alphas = _grid(cfg.alpha_points)
     w = _quad_weights(cfg.alpha_points, cfg.quadrature)
+    rows = max(1, _BLOCK_VALUES // alphas.size)
     values = np.empty(xs.size)
-    for start in range(0, xs.size, _MANY_ROWS):
-        block = xs[start:start + _MANY_ROWS]
+    for start in range(0, xs.size, rows):
+        block = xs[start:start + rows]
         values[start:start + block.size] = _integrate(
             *_levels_each(f, block, alphas), w, block
         )

@@ -74,8 +74,7 @@ class NewtonConfig:
         _require_positive("eps", self.eps)
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not self.d2_floor > 0:
-            raise ValueError("d2_floor must be positive")
+        _require_positive("d2_floor", self.d2_floor)
 
 
 @dataclass(frozen=True)
@@ -112,6 +111,11 @@ def _stat_tol(eps: float, d2: float) -> float:
     return 10.0 * eps * max(1.0, abs(d2))
 
 
+def _is_stationary(d1: float, stat_tol: float) -> bool:
+    """Whether |F'| = |d1| is under stat_tol; a NaN d1 is not."""
+    return abs(d1) < stat_tol
+
+
 def _stationarity_kind(f, xstar, cfg) -> str:
     """local-min or local-max by the sign of F'' at a stationary xstar,
     not-stationary where |F'| reaches _stat_tol, inconclusive where F''
@@ -123,7 +127,7 @@ def _stationarity_kind(f, xstar, cfg) -> str:
         return "inconclusive"
     if not (math.isfinite(d1) and math.isfinite(d2)) or abs(d2) < cfg.d2_floor:
         return "inconclusive"
-    if not abs(d1) < _stat_tol(cfg.eps, d2):
+    if not _is_stationary(d1, _stat_tol(cfg.eps, d2)):
         return "not-stationary"
     return "local-min" if d2 > 0 else "local-max"
 
@@ -244,7 +248,7 @@ class VerificationReport:
 
     @property
     def stationary(self) -> bool:
-        return abs(self.d1) < self.stat_tol
+        return _is_stationary(self.d1, self.stat_tol)
 
     @property
     def verdict(self) -> str:

@@ -147,7 +147,10 @@ def build_fuzzy_polynomial(
                 xi = x**i
                 xp = xi if order == 0 else x**(i - order)
                 factor = math.perm(i, order)
-                out = out + np.where(xi >= 0.0, cl, cu) * (factor * xp)
+                # in place: one new array per term, not two
+                term = np.where(xi >= 0.0, cl, cu)
+                term *= factor * xp
+                out += term
             return out
 
         return level
@@ -477,8 +480,9 @@ def grid_search_min(
     """Brute-force minimizer of the scalarized F over a bracket.
 
     Evaluates F with one scalarize_many call, which bounds memory by
-    taking 20000 points at a time, on the grid a, a + step, ... that
-    ends at b, and returns the first grid point with the smallest value.
+    taking 64 KiB of levels at a time, on the grid a, a + step, ...
+    that ends at b, and returns the first grid point with the smallest
+    value.
     This is the independent oracle the Newton answers are checked
     against.  A non-finite F raises NumericError; a bracket that is not
     finite or is reversed, a step that is not positive and finite, or a

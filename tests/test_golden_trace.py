@@ -197,6 +197,19 @@ def test_check_is_bit_identical(golden, name):
     assert check_case(name) == golden[name]
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_solve_and_check_agree_on_stationarity(name):
+    # solve's stationarity kind and check_point's stationary flag are one
+    # decision, at converged and two-cycling end points alike
+    f, cfg = CASES[name]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = solve(f, cfg)
+        rep = check_point(f, res.xstar, cfg)
+    assert res.stationarity_kind in ("local-min", "local-max", "not-stationary")
+    assert rep.stationary == (res.stationarity_kind != "not-stationary")
+
+
 if __name__ == "__main__":
     data = {name: trace_case(name) for name in sorted(CASES)}
     data.update((name, check_case(name)) for name in sorted(CHECK_CASES))

@@ -18,6 +18,7 @@ from fuzzynewton import (
     OneSidedStencilWarning,
     ScalarizationConfig,
     build_example_4_1,
+    build_max_return_fuzzy,
     comparability_check,
     crisp_lift,
     eval_fuzzy,
@@ -32,6 +33,33 @@ from fuzzynewton import level_calculus
 
 EX41 = build_example_4_1()
 CFG = ScalarizationConfig()
+
+
+def _rows_counted(f):
+    """A list that records the rows of each level-map call, and f with
+    both level maps recording into it."""
+    rows = []
+
+    def counted(level_map):
+        def level(x, a):
+            rows.append(len(x))
+            return level_map(x, a)
+
+        return level
+
+    return rows, dataclasses.replace(
+        f, level_lo=counted(f.level_lo), level_hi=counted(f.level_hi)
+    )
+
+
+def _scalarize_many_peak(f, xs) -> int:
+    """tracemalloc's peak bytes over one scalarize_many call at CFG."""
+    tracemalloc.start()
+    try:
+        scalarize_many(f, xs, CFG)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def ex41_F(x):
@@ -170,20 +198,11 @@ class TestEvalAndScalarize:
         )
 
     def test_scalarize_many_takes_one_block_at_a_time(self, monkeypatch):
-        monkeypatch.setattr(level_calculus, "_MANY_ROWS", 7)
-        rows = []
-
-        def counted(level_map):
-            def level(x, a):
-                rows.append(len(x))
-                return level_map(x, a)
-
-            return level
-
-        f = dataclasses.replace(
-            EX41, level_lo=counted(EX41.level_lo),
-            level_hi=counted(EX41.level_hi),
+        # a budget a few values past 7 rows' worth still takes 7 rows
+        monkeypatch.setattr(
+            level_calculus, "_BLOCK_VALUES", 7 * CFG.alpha_points + 3
         )
+        rows, f = _rows_counted(EX41)
         xs = np.linspace(-1.0, 1.0, 20)
         many = scalarize_many(f, xs, CFG)
         assert rows == [7, 7, 7, 7, 6, 6]
@@ -194,19 +213,41 @@ class TestEvalAndScalarize:
         )
 
     def test_scalarize_many_memory_stays_one_block(self, monkeypatch):
-        monkeypatch.setattr(level_calculus, "_MANY_ROWS", 5000)
+        monkeypatch.setattr(
+            level_calculus, "_BLOCK_VALUES", 5000 * CFG.alpha_points
+        )
+        one_block = _scalarize_many_peak(EX41, np.linspace(-1.0, 1.0, 5000))
+        assert _scalarize_many_peak(
+            EX41, np.linspace(-1.0, 1.0, 20000)
+        ) < 1.2 * one_block
 
-        def peak(n):
-            xs = np.linspace(-1.0, 1.0, n)
-            tracemalloc.start()
-            try:
-                scalarize_many(EX41, xs, CFG)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+    @pytest.mark.parametrize(
+        "m, n, expected",
+        [
+            (101, 200, [81, 81, 81, 81, 38, 38]),
+            (1001, 20, [8, 8, 8, 8, 4, 4]),
+            # more levels than the budget: still one point per block
+            (8193, 3, [1, 1, 1, 1, 1, 1]),
+        ],
+    )
+    def test_scalarize_many_block_is_the_shipped_budget(self, m, n, expected):
+        rows, f = _rows_counted(EX41)
+        scalarize_many(f, np.linspace(-1.0, 1.0, n),
+                       ScalarizationConfig(alpha_points=m))
+        assert rows == expected
 
-        one_block = peak(5000)
-        assert peak(20000) < 1.2 * one_block
+    @pytest.mark.parametrize(
+        "f, xs",
+        [
+            (EX41, np.linspace(-1.0, 1.0, 40000)),
+            (build_max_return_fuzzy(), np.linspace(0.3, 0.9, 40000)),
+        ],
+        ids=["example_4_1", "max_return_fuzzy"],
+    )
+    def test_scalarize_many_memory_at_the_shipped_budget(self, f, xs):
+        # 64 KiB level arrays: 40 000 points at 101 levels stay far under
+        # the 16 MB that one array of 20000-point blocks took
+        assert _scalarize_many_peak(f, xs) < 2 * 2**20
 
     def test_scalarize_many_enforces_the_domain(self):
         f = dataclasses.replace(EX41, domain=(0.0, 1.0))

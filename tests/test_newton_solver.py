@@ -54,6 +54,10 @@ class TestNewtonConfig:
             NewtonConfig(x0=1.0, max_iter=0)
         with pytest.raises(ValueError):
             NewtonConfig(x0=1.0, d2_floor=-1.0)
+        with pytest.raises(
+            ValueError, match="d2_floor must be positive and finite"
+        ):
+            NewtonConfig(x0=1.0, d2_floor=math.inf)
         with pytest.raises(ValueError):
             NewtonConfig(x0=float("nan"))
 

@@ -455,8 +455,9 @@ class TestGridOracle:
         assert xg == pytest.approx(1.0, abs=2e-4)
 
     def test_two_blocks_match_a_chunked_argmin(self):
-        # 30001 points are two scalarize_many blocks of 20000 and 10001;
-        # the minimizer near 0.6993 lies in the second
+        # the minimizer near 0.6993 lies past the first 20000 of 30001
+        # points, and an argmin taken in 20000-point chunks finds what
+        # grid_search_min finds
         f = build_max_return_fuzzy()
         a, step, n = 0.45, 1e-5, 30001
         best_x, best_v = None, math.inf
