@@ -27,12 +27,12 @@ for the last grid they saw, found by identity (see ``problems``); an
 alpha array of a caller's own gets a fresh table each time.
 
 The neighbourhood checks (comparability and non-dominance) fetch the
-point and all of its samples in the domain as one x-column, validate
-the block with fuzzy_core's row-wise invariant kernel and compare it
-with the row-wise order kernels, so one check costs one call per level
-map for up to 4096 samples.  Their verdicts, witnesses and errors are
-those of taking the samples one at a time in order; a check that finds
-no sample in the domain is inconclusive.
+point and its samples in the domain as x-columns in scalarize_many's
+blocks, validate them with fuzzy_core's row-wise invariant kernel and
+compare them with the row-wise order kernels: one call per level map
+for up to 101 samples at 101 levels.  Their verdicts, witnesses and
+errors are those of taking the samples one at a time in order; a check
+that finds no sample in the domain is inconclusive.
 
 Level callables must accept numpy arrays for the alpha argument and
 broadcast; accepting array x as well is optional but enables the fast
@@ -92,9 +92,9 @@ class FuzzyFunction:
 
     ``level_lo`` and ``level_hi`` evaluate the lower and upper level
     endpoints at (x, alpha).  Analytic level derivatives in x of orders
-    1 and 2 are optional; when absent, scalarized derivatives fall back
-    to finite differences.  ``domain`` is a closed real interval,
-    possibly unbounded.
+    1 and 2 are optional, as lo/hi pairs; when absent, scalarized
+    derivatives fall back to finite differences.  ``domain`` is a closed
+    real interval, possibly unbounded.
     """
 
     level_lo: LevelMap
@@ -108,15 +108,19 @@ class FuzzyFunction:
 
     @property
     def has_analytic_d1(self) -> bool:
-        return self.d1_lo is not None and self.d1_hi is not None
+        return self.d1_lo is not None
 
     @property
     def has_analytic_d2(self) -> bool:
-        return self.d2_lo is not None and self.d2_hi is not None
+        return self.d2_lo is not None
 
     def __post_init__(self):
         if not self.domain[0] <= self.domain[1]:
             raise ValueError(f"domain {self.domain} needs lo <= hi")
+        for order in ("d1", "d2"):
+            lo, hi = (getattr(self, f"{order}_{end}") for end in ("lo", "hi"))
+            if (lo is None) != (hi is None):
+                raise ValueError(f"{order}_lo and {order}_hi go together")
 
     def contains(self, x):
         """Whether x lies in the closed domain, elementwise; NaN does not."""
@@ -237,21 +241,16 @@ def _require_in_domain(f: FuzzyFunction, x: float) -> None:
 # What a level map written for a scalar x only raises on an x column.
 _SCALAR_ONLY = (TypeError, ValueError)
 
-# Level values per block in scalarize_many: 8192 float64s is 64 KiB per
-# array, so a block takes max(1, 8192 // m) points (81 at m = 101).  Each
-# array must stay well below glibc's 128 KiB mmap threshold, or the kernel
-# maps, faults in and zeroes every temporary: with 20000-point blocks a
-# grid_oracle pass made ~430k minor faults against 6.7k at 8192 values,
-# 16384 values (162 rows) still made 659k and 32768 made 2.6M, and row
-# blocks of 1024-4096 read no faster than 20000 (2-core Xeon).
-_BLOCK_VALUES = 8192
-
-# Rows of one level block in _first_witness, apart from _BLOCK_VALUES: an
-# 81-row block would split a 101-sample check into two level-map calls,
-# and its invariant and order kernels hold more arrays per row (at 20000
-# rows, a 100 000-sample check_point peaked at 187 MB, against 65 MB at
-# 4096).
-_WITNESS_ROWS = 4096
+# Level values per block of every many-point fetch (scalarize_many and the
+# neighbourhood checks): a block takes max(1, 10302 // m) points, 102 at
+# m = 101, so a 101-sample check and its point are one block.  Larger
+# blocks cost page faults, not arithmetic.  Per grid_oracle pass,
+# 20000-point blocks made ~430k minor faults, as each 16 MB array is above
+# glibc's 128 KiB mmap threshold and is mapped, faulted in and zeroed;
+# 8192 values made 7.8k-8.9k, 10302 made 9.9k-12.1k, 10752 made 17k and
+# 11264-16384 made 90k-660k, nearly all in max_return_fuzzy's level maps.
+# Row blocks of 1024-4096 read no faster than 20000 (2-core Xeon).
+_BLOCK_VALUES = 10302
 
 
 def _levels(lo_map: LevelMap, hi_map: LevelMap, x, alphas: np.ndarray):
@@ -435,8 +434,8 @@ def scalarize(f: FuzzyFunction, x: float, cfg: ScalarizationConfig) -> float:
 
 
 def scalarize_many(f: FuzzyFunction, xs, cfg: ScalarizationConfig) -> np.ndarray:
-    """F at each x of a 1-D array, 8192 level values (_BLOCK_VALUES) of
-    points at a time: 81 points at 101 levels, and at least one point.
+    """F at each x of a 1-D array, 10302 level values (_BLOCK_VALUES) of
+    points at a time: 102 points at 101 levels, and at least one point.
 
     A block is one x-column call per level map, or one call per point for
     maps that take a scalar x only, with the same values.  One block's
@@ -486,34 +485,33 @@ def _first_witness(
     go: rounding can land one a few ulps off x0, which is x0 for all
     practical purposes, not evidence.
 
-    x0 and the kept samples are evaluated as one block, x0 in row 0, and
-    is_witness is an order kernel of fuzzy_core applied to the (lo, hi)
-    rows of the block and x0's row.  A row whose levels break an
-    invariant raises MalformedFunctionError if no witness comes before
-    it, as when each sample is evaluated, validated and compared in turn.
+    x0 and the kept samples are evaluated in scalarize_many's blocks, x0
+    in row 0, and is_witness is an order kernel of fuzzy_core applied to
+    the (lo, hi) rows of a block and x0's row.  The first row that is a
+    witness or breaks an invariant decides; a broken row raises
+    MalformedFunctionError, as when the samples are taken one at a time.
     """
     _require_in_domain(f, x0)
     coincident = 1e-12 * max(1.0, abs(x0), reach)
     kept = np.flatnonzero(~(np.abs(xs - x0) <= coincident) & f.contains(xs))
     points = np.concatenate(([x0], xs[kept]))
     alphas = _grid(m)
-    for start in range(0, points.size, _WITNESS_ROWS):
-        rows = points[start:start + _WITNESS_ROWS]
-        lo, hi = _levels_each(f, rows, alphas)
+    rows = max(1, _BLOCK_VALUES // m)
+    for start in range(0, points.size, rows):
+        block = points[start:start + rows]
+        lo, hi = _levels_each(f, block, alphas)
         if start == 0:
             base = lo[0], hi[0]
         bad = _invalid_rows(lo, hi)
         # x0's own row is never a witness of either order
-        found = is_witness(lo, hi, *base) & ~bad
-        stop = int(np.argmax(found)) + 1 if found.any() else rows.size
-        if bad[:stop].any():
-            r = int(np.argmax(bad))
-            # raises: row r breaks an invariant
-            _fuzzy_number(f, float(rows[r]), alphas, lo[r], hi[r])
-        if found.any():
+        hits = np.flatnonzero(bad | is_witness(lo, hi, *base))
+        if hits.size:
+            r = int(hits[0])
+            if bad[r]:
+                # raises: row r breaks an invariant
+                _fuzzy_number(f, float(block[r]), alphas, lo[r], hi[r])
             # row i of points is sample kept[i - 1]
-            i = start + stop - 1
-            return int(kept[i - 1]), i
+            return int(kept[start + r - 1]), start + r
     return None, kept.size
 
 

@@ -480,7 +480,7 @@ def grid_search_min(
     """Brute-force minimizer of the scalarized F over a bracket.
 
     Evaluates F with one scalarize_many call, which bounds memory by
-    taking 64 KiB of levels at a time, on the grid a, a + step, ...
+    taking 80.5 KiB of levels at a time, on the grid a, a + step, ...
     that ends at b, and returns the first grid point with the smallest
     value.
     This is the independent oracle the Newton answers are checked

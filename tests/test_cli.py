@@ -663,17 +663,38 @@ class TestParserReuse:
             assert run_case(name, tmp_path) == golden[name], name
 
 
-def test_console_entrypoint_runs():
+def _run_module(*argv):
+    """``python -m fuzzynewton argv...`` in a child process."""
     # the child imports the package from this checkout, as the tests do
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "fuzzynewton", "solve",
-         "--problem", "example_4_1", "--x0", "1", "--format", "json"],
+    return subprocess.run(
+        [sys.executable, "-m", "fuzzynewton", *argv],
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_entrypoint_runs():
+    proc = _run_module("solve", "--problem", "example_4_1", "--x0", "1",
+                       "--format", "json")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "converged"
+
+
+def test_module_check_ends_with_the_verdict():
+    proc = _run_module("check", "--problem", "example_4_1", "--xstar", "0")
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == "verdict: pass"
+
+
+def test_module_bad_flag_is_one_error_line():
+    proc = _run_module("check", "--problem", "example_4_1", "--xstar", "0",
+                       "--no-such-flag")
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "error: unrecognized arguments: --no-such-flag"
+    ]
+    assert proc.stdout == ""

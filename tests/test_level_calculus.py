@@ -14,11 +14,13 @@ from fuzzynewton import (
     FuzzyNumber,
     InvalidLevelError,
     MalformedFunctionError,
+    NewtonConfig,
     NumericError,
     OneSidedStencilWarning,
     ScalarizationConfig,
     build_example_4_1,
     build_max_return_fuzzy,
+    check_point,
     comparability_check,
     crisp_lift,
     eval_fuzzy,
@@ -52,11 +54,11 @@ def _rows_counted(f):
     )
 
 
-def _scalarize_many_peak(f, xs) -> int:
-    """tracemalloc's peak bytes over one scalarize_many call at CFG."""
+def _peak(fn, *args) -> int:
+    """tracemalloc's peak bytes over one call fn(*args)."""
     tracemalloc.start()
     try:
-        scalarize_many(f, xs, CFG)
+        fn(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -216,18 +218,22 @@ class TestEvalAndScalarize:
         monkeypatch.setattr(
             level_calculus, "_BLOCK_VALUES", 5000 * CFG.alpha_points
         )
-        one_block = _scalarize_many_peak(EX41, np.linspace(-1.0, 1.0, 5000))
-        assert _scalarize_many_peak(
-            EX41, np.linspace(-1.0, 1.0, 20000)
+        one_block = _peak(
+            scalarize_many, EX41, np.linspace(-1.0, 1.0, 5000), CFG
+        )
+        assert _peak(
+            scalarize_many, EX41, np.linspace(-1.0, 1.0, 20000), CFG
         ) < 1.2 * one_block
 
     @pytest.mark.parametrize(
         "m, n, expected",
         [
-            (101, 200, [81, 81, 81, 81, 38, 38]),
-            (1001, 20, [8, 8, 8, 8, 4, 4]),
-            # more levels than the budget: still one point per block
+            (101, 200, [102, 102, 98, 98]),
+            (1001, 20, [10, 10, 10, 10]),
+            # more than half the budget, or more levels than all of it:
+            # one point per block
             (8193, 3, [1, 1, 1, 1, 1, 1]),
+            (10303, 3, [1, 1, 1, 1, 1, 1]),
         ],
     )
     def test_scalarize_many_block_is_the_shipped_budget(self, m, n, expected):
@@ -245,9 +251,9 @@ class TestEvalAndScalarize:
         ids=["example_4_1", "max_return_fuzzy"],
     )
     def test_scalarize_many_memory_at_the_shipped_budget(self, f, xs):
-        # 64 KiB level arrays: 40 000 points at 101 levels stay far under
+        # 80.5 KiB level arrays: 40 000 points at 101 levels stay far under
         # the 16 MB that one array of 20000-point blocks took
-        assert _scalarize_many_peak(f, xs) < 2 * 2**20
+        assert _peak(scalarize_many, f, xs, CFG) < 2 * 2**20
 
     def test_scalarize_many_enforces_the_domain(self):
         f = dataclasses.replace(EX41, domain=(0.0, 1.0))
@@ -321,6 +327,16 @@ class TestCrispLiftAndNegate:
 
 
 class TestDerivatives:
+    def test_half_a_derivative_pair_is_rejected(self):
+        for field in ("d1_lo", "d1_hi", "d2_lo", "d2_hi"):
+            order = field[:2]
+            with pytest.raises(ValueError, match=f"{order}_lo and {order}_hi"):
+                dataclasses.replace(EX41, **{field: None})
+        # once read as no analytic d1: scalarize_d1 took finite differences
+        with pytest.raises(ValueError, match="d1_lo and d1_hi go together"):
+            FuzzyFunction(EX41.level_lo, EX41.level_hi,
+                          d1_lo=lambda x, a: 1e9 + 0.0 * a)
+
     def test_analytic_path_matches_closed_form(self):
         for x in (-1.2, -0.3, 0.0, 0.8, 1.9):
             assert scalarize_d1(EX41, x, CFG) == pytest.approx(
@@ -545,13 +561,27 @@ class TestBatchedChecks:
         assert verdict.dominator == pytest.approx(-0.01)
         assert non_dominance_check(f, 0.0, 1e-13, 5).samples == 0
 
+    @pytest.mark.parametrize(
+        "m, samples", [(101, 20000), (1001, 101)], ids=["m101", "m1001"]
+    )
+    def test_check_memory_at_the_shipped_budget(self, m, samples):
+        # the checks take scalarize_many's blocks: 4096-row blocks peaked
+        # at 26-32 MiB and 3.9-4.7 MiB here
+        for f, x in ((EX41, 0.0),
+                     (build_max_return_fuzzy(), 0.6992541391715129)):
+            cfg = NewtonConfig(x0=x, scal=ScalarizationConfig(alpha_points=m))
+            bound = 4 * 2**20 if samples > 101 else 2 * 2**20
+            assert _peak(check_point, f, x, cfg, 0.01, samples) < bound
+
     def test_blocks_split_at_any_row_count(self, monkeypatch):
         # huge sample counts are evaluated a block of rows at a time
         whole = [
             non_dominance_check(EX41, x, 0.01, 25) for x in (-0.3, 0.0)
         ] + [comparability_check(EX41, -4.0 / 3.0, +1.0, 0.05, 25)]
         for rows in (1, 2, 3, 7):
-            monkeypatch.setattr(level_calculus, "_WITNESS_ROWS", rows)
+            monkeypatch.setattr(
+                level_calculus, "_BLOCK_VALUES", rows * CFG.alpha_points
+            )
             split = [
                 non_dominance_check(EX41, x, 0.01, 25) for x in (-0.3, 0.0)
             ] + [comparability_check(EX41, -4.0 / 3.0, +1.0, 0.05, 25)]

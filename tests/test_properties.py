@@ -734,7 +734,7 @@ def input_file():
 
 class TestNoTracebackFromInput:
     """Any problem input ends in an exit code and, for exit 1, one error
-    line; never in an exception (ROADMAP item 6)."""
+    line; never in an exception."""
 
     @settings(max_examples=150)
     @given(configs)
