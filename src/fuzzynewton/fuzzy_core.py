@@ -387,8 +387,14 @@ def div(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
 
 
 def _square_lo(lo, hi):
-    """Lower end of the dependent square (see square) of levels [lo, hi]."""
-    return np.where(lo >= 0.0, lo * lo, np.where(hi <= 0.0, hi * hi, 0.0))
+    """Lower end of the dependent square (see square) of levels [lo, hi]:
+    lo^2 where lo >= 0, else min(hi, 0)^2, which is hi^2 where hi <= 0
+    and 0 where the level straddles 0.  fmin, unlike minimum, gives 0
+    for a NaN hi, so that a NaN hi never reaches the square; one array
+    is squared in place."""
+    t = np.where(lo >= 0.0, lo, np.fmin(hi, 0.0))
+    t *= t
+    return t
 
 
 def square(a: FuzzyNumber) -> FuzzyNumber:

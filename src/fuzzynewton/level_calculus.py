@@ -133,6 +133,16 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def _require_integer(name: str, value, least: int) -> int:
+    """value as a plain int; ValueError unless the setting name is an
+    integer, not a bool, of at least least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ScalarizationConfig:
     """Quadrature and finite-difference settings for the scalarization."""
@@ -142,24 +152,17 @@ class ScalarizationConfig:
     fd_step: float = 1e-5
 
     def __post_init__(self):
-        if isinstance(self.alpha_points, bool) or not isinstance(
-            self.alpha_points, numbers.Integral
-        ):
-            raise ValueError(
-                f"alpha_points must be an integer, got {self.alpha_points!r}"
-            )
+        # a plain int, so that a numpy integer reads the shared grid
+        m = _require_integer("alpha_points", self.alpha_points, 3)
+        object.__setattr__(self, "alpha_points", m)
         if self.quadrature not in ("trapezoid", "simpson"):
             raise ValueError(
                 f"quadrature must be 'trapezoid' or 'simpson', got "
                 f"{self.quadrature!r}"
             )
-        if self.alpha_points < 3:
-            raise ValueError("alpha_points must be at least 3")
         if self.quadrature == "simpson" and self.alpha_points % 2 == 0:
             raise ValueError("simpson quadrature needs an odd alpha_points")
         _require_positive("fd_step", self.fd_step)
-        # a plain int, so that a numpy integer reads the shared grid
-        object.__setattr__(self, "alpha_points", int(self.alpha_points))
 
 
 @functools.lru_cache(maxsize=32)
@@ -244,11 +247,14 @@ _SCALAR_ONLY = (TypeError, ValueError)
 # Level values per block of every many-point fetch (scalarize_many and the
 # neighbourhood checks): a block takes max(1, 10302 // m) points, 102 at
 # m = 101, so a 101-sample check and its point are one block.  Larger
-# blocks cost page faults, not arithmetic.  Per grid_oracle pass,
-# 20000-point blocks made ~430k minor faults, as each 16 MB array is above
-# glibc's 128 KiB mmap threshold and is mapped, faulted in and zeroed;
-# 8192 values made 7.8k-8.9k, 10302 made 9.9k-12.1k, 10752 made 17k and
-# 11264-16384 made 90k-660k, nearly all in max_return_fuzzy's level maps.
+# blocks cost page faults, not arithmetic.  Per grid_oracle pass (seed 1,
+# getrusage of the process), 20000-point blocks made ~375k minor faults,
+# as each 16 MB array is above glibc's 128 KiB mmap threshold and is
+# mapped, faulted in and zeroed; 8192-12288 values made 1.3k-8.3k (10302:
+# 1.7k-8.3k, the count moving with the process's heap) and 16384 made
+# 5.6k.  With two more block-sized temporaries in max_return_fuzzy's
+# level maps, 10752 and 12288 made 24k-26k and 16384 made 457k, nearly
+# all in those maps, so tests/test_problems.py bounds each map's peak.
 # Row blocks of 1024-4096 read no faster than 20000 (2-core Xeon).
 _BLOCK_VALUES = 10302
 
@@ -560,10 +566,11 @@ def comparability_check(
 
     Returns the first violating lambda as a witness on failure.  Sampled
     points falling outside the domain are skipped; with none left, the
-    report is not ok.  A delta that is not positive and finite raises
-    ValueError.
+    report is not ok.  A delta that is not positive and finite, or a
+    sample count that is not a non-negative integer, raises ValueError.
     """
     _require_positive("nbhd", delta)
+    _require_integer("samples", samples, 0)
     lams = np.linspace(0.0, delta, samples + 2)[1:-1]
     i, used = _first_witness(
         f, x0, x0 + lams * d, delta, m,
@@ -606,9 +613,11 @@ def non_dominance_check(
 
     A sampling check, not a proof; the verdict records how many points
     were examined, and with none it describes itself as inconclusive.
-    An eps that is not positive and finite raises ValueError.
+    An eps that is not positive and finite, or a sample count that is not
+    a non-negative integer, raises ValueError.
     """
     _require_positive("nbhd", eps_nbhd)
+    _require_integer("samples", samples, 0)
     grid = np.linspace(xstar - eps_nbhd, xstar + eps_nbhd, samples)
     i, used = _first_witness(f, xstar, grid, eps_nbhd, m, _lt)
     return NonDominanceVerdict(

@@ -29,6 +29,7 @@ from .level_calculus import (
     ScalarizationConfig,
     _Point,
     _require_in_domain,
+    _require_integer,
     _require_positive,
     comparability_check,
     non_dominance_check,
@@ -72,8 +73,8 @@ class NewtonConfig:
         if not math.isfinite(self.x0):
             raise ValueError("x0 must be finite")
         _require_positive("eps", self.eps)
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        object.__setattr__(self, "max_iter",
+                           _require_integer("max_iter", self.max_iter, 1))
         _require_positive("d2_floor", self.d2_floor)
 
 

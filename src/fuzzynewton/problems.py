@@ -19,6 +19,13 @@ What a builder derives from alpha alone, the coefficient cuts or the
 return-risk bounds with their weights rho_L/V_U^2 and rho_U/V_L^2, is
 tabled by ``_per_grid`` once per shared alpha grid; the level maps do
 only the x-side work on each call.
+
+The return-risk maps do that work on a float x as a Python float (see
+``_x``): they only add and multiply x, which round alike in Python and
+in numpy, and a 0-d array costs about 1 us per operation.  The
+polynomial maps take every x as an array: Python's ``x**2`` calls
+``pow``, which can differ from numpy's square in the last bit, and
+raises OverflowError where numpy returns inf.
 """
 
 from __future__ import annotations
@@ -176,6 +183,12 @@ def build_example_4_1() -> FuzzyFunction:
     return build_fuzzy_polynomial(EXAMPLE_4_1_COEFFS, name="example_4_1")
 
 
+def _x(x):
+    """x as the return-risk maps compute with it: a float stays as it is,
+    anything else becomes a float array."""
+    return x if isinstance(x, float) else np.asarray(x, float)
+
+
 def _c_poly(x):
     return (C2 * x + C1) * x + C0
 
@@ -198,17 +211,17 @@ def build_max_return_crisp(
     k = np.divide(_as_triangular(p.rho).peak, va * va)
 
     def g(x):
-        x = np.asarray(x, float)
+        x = _x(x)
         r = _c_poly(x) - va
         return LIN1 * x + LIN0 + k * r * r
 
     def g1(x):
-        x = np.asarray(x, float)
+        x = _x(x)
         r = _c_poly(x) - va
         return LIN1 + 2.0 * k * r * _c_poly_d1(x)
 
     def g2(x):
-        x = np.asarray(x, float)
+        x = _x(x)
         r = _c_poly(x) - va
         cp = _c_poly_d1(x)
         return 2.0 * k * (cp * cp + r * (2.0 * C2))
@@ -237,16 +250,20 @@ def build_max_return_fuzzy(
 
     def level_lo(x, a):
         vl, vu, k_lo, _ = table(a)
-        x = np.asarray(x, float)
+        x = _x(x)
         c = _c_poly(x)
         return LIN1 * x + LIN0 + k_lo * _square_lo(c - vu, c - vl)
 
     def level_hi(x, a):
         vl, vu, _, k_hi = table(a)
-        x = np.asarray(x, float)
+        x = _x(x)
         c = _c_poly(x)
-        rl, ru = c - vu, c - vl
-        return LIN1 * x + LIN0 + k_hi * np.maximum(rl * rl, ru * ru)
+        # max(rl^2, ru^2) of the residual [rl, ru] = [c - vu, c - vl] is
+        # the square of max(-rl, ru), and -rl = vu - c exactly; this needs
+        # rl <= ru bit for bit, which holds as TriangularFuzzy.cut rounds
+        # monotonically, so that vl <= vu
+        r = np.maximum(vu - c, c - vl)
+        return LIN1 * x + LIN0 + k_hi * (r * r)
 
     return FuzzyFunction(
         level_lo=level_lo,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -14,6 +16,22 @@ def finite(lo: float, hi: float):
     return st.floats(
         min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False
     )
+
+
+def traced_peak(fn, *args) -> int:
+    """tracemalloc's peak bytes over one call fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def assert_same_bits(got, want) -> None:
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
 
 
 def assert_valid_fuzzy(a: FuzzyNumber) -> None:

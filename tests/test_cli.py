@@ -377,6 +377,15 @@ class TestCheckCommand:
         assert code == 0
         assert "10 samples" in out
 
+    def test_negative_samples_is_one_error_line(self, capsys):
+        # numpy's "Number of samples, -1, must be non-negative." before
+        code, out, err = run(
+            capsys, "check", "--problem", "example_4_1", "--xstar", "0",
+            "--samples", "-1",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: samples must be at least 0, got -1\n"
+
     def test_no_sample_in_the_neighbourhood_is_inconclusive(self, capsys):
         # every sample lies within rounding distance of xstar, so none is
         # compared: the point was not examined and must not pass

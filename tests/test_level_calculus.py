@@ -2,7 +2,7 @@
 
 import dataclasses
 import math
-import tracemalloc
+import re
 import warnings
 
 import numpy as np
@@ -33,6 +33,8 @@ from fuzzynewton import (
 )
 from fuzzynewton import level_calculus
 
+from helpers import traced_peak
+
 EX41 = build_example_4_1()
 CFG = ScalarizationConfig()
 
@@ -52,16 +54,6 @@ def _rows_counted(f):
     return rows, dataclasses.replace(
         f, level_lo=counted(f.level_lo), level_hi=counted(f.level_hi)
     )
-
-
-def _peak(fn, *args) -> int:
-    """tracemalloc's peak bytes over one call fn(*args)."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def ex41_F(x):
@@ -218,10 +210,10 @@ class TestEvalAndScalarize:
         monkeypatch.setattr(
             level_calculus, "_BLOCK_VALUES", 5000 * CFG.alpha_points
         )
-        one_block = _peak(
+        one_block = traced_peak(
             scalarize_many, EX41, np.linspace(-1.0, 1.0, 5000), CFG
         )
-        assert _peak(
+        assert traced_peak(
             scalarize_many, EX41, np.linspace(-1.0, 1.0, 20000), CFG
         ) < 1.2 * one_block
 
@@ -253,7 +245,7 @@ class TestEvalAndScalarize:
     def test_scalarize_many_memory_at_the_shipped_budget(self, f, xs):
         # 80.5 KiB level arrays: 40 000 points at 101 levels stay far under
         # the 16 MB that one array of 20000-point blocks took
-        assert _peak(scalarize_many, f, xs, CFG) < 2 * 2**20
+        assert traced_peak(scalarize_many, f, xs, CFG) < 2 * 2**20
 
     def test_scalarize_many_enforces_the_domain(self):
         f = dataclasses.replace(EX41, domain=(0.0, 1.0))
@@ -482,6 +474,26 @@ class TestNeighborhoodChecks:
         assert (verdict.dominated, verdict.samples) == (False, 0)
         assert verdict.describe() == "inconclusive (0 samples in the domain)"
 
+    @pytest.mark.parametrize(
+        "samples, message",
+        [(-1, "samples must be at least 0, got -1"),
+         (2.0, "samples must be an integer, got 2.0"),
+         (True, "samples must be an integer, got True")],
+    )
+    def test_samples_must_be_a_non_negative_integer(self, samples, message):
+        # -1 raised numpy's wording from linspace, or, in a comparability
+        # check, compared no sample; 2.0 and True were taken as counts
+        for check in (
+            lambda: non_dominance_check(EX41, 0.0, 0.01, samples),
+            lambda: comparability_check(EX41, 0.0, +1.0, 0.01, samples),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                check()
+
+    def test_zero_samples_is_inconclusive(self):
+        assert non_dominance_check(EX41, 0.0, 0.01, 0).samples == 0
+        assert comparability_check(EX41, 0.0, +1.0, 0.01, 0).samples == 0
+
     def test_samples_on_a_domain_bound_are_kept(self):
         # the samples land exactly on -0.01 and 0.01, the domain's bounds
         f = dataclasses.replace(EX41, domain=(-0.01, 0.01))
@@ -571,7 +583,7 @@ class TestBatchedChecks:
                      (build_max_return_fuzzy(), 0.6992541391715129)):
             cfg = NewtonConfig(x0=x, scal=ScalarizationConfig(alpha_points=m))
             bound = 4 * 2**20 if samples > 101 else 2 * 2**20
-            assert _peak(check_point, f, x, cfg, 0.01, samples) < bound
+            assert traced_peak(check_point, f, x, cfg, 0.01, samples) < bound
 
     def test_blocks_split_at_any_row_count(self, monkeypatch):
         # huge sample counts are evaluated a block of rows at a time

@@ -61,6 +61,22 @@ class TestNewtonConfig:
         with pytest.raises(ValueError):
             NewtonConfig(x0=float("nan"))
 
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, True, "3", None])
+    def test_max_iter_must_be_an_integer(self, max_iter):
+        # 2.5 was accepted and solve then raised TypeError from range();
+        # True ran one iteration
+        with pytest.raises(
+            ValueError, match=f"max_iter must be an integer, got {max_iter!r}"
+        ):
+            NewtonConfig(x0=0.3, max_iter=max_iter)
+
+    def test_max_iter_is_a_plain_int(self):
+        cfg = NewtonConfig(x0=1.0, max_iter=np.int64(2))
+        assert type(cfg.max_iter) is int
+        assert solve(EX41, cfg).iterations == 2
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            NewtonConfig(x0=1.0, max_iter=np.int64(0))
+
 
 class TestSolve:
     def test_converges_from_one(self):

@@ -36,6 +36,7 @@ from fuzzynewton import (
 )
 from fuzzynewton.fuzzy_core import _grid
 
+from helpers import assert_same_bits, traced_peak
 from test_level_map_calls import LEVEL_FIELDS
 
 CFG = ScalarizationConfig()
@@ -98,12 +99,6 @@ def test_levels_follow_an_alpha_array_changed_in_place(build):
         )
 
 
-def assert_same_bits(got, want):
-    got, want = np.asarray(got), np.asarray(want)
-    assert (got.shape, got.dtype) == (want.shape, want.dtype)
-    assert got.tobytes() == want.tobytes()
-
-
 X_COLUMN = np.array([[-1.5], [-0.3], [0.0], [0.7]])
 
 
@@ -122,6 +117,34 @@ def test_levels_on_alternating_shared_grids_match_a_fresh_function(name):
                 assert_same_bits(
                     getattr(f, k)(x, grid), getattr(build(), k)(x, grid)
                 )
+
+
+# Bounds on the tracemalloc peak of one level-map call on a 102-row
+# x-column at 101 levels, one scalarize_many block, in arrays of that
+# block's size: the maps read 4.72-4.73 (example_4_1), 2.62
+# (max_return_crisp) and 4.17/3.83 (max_return_fuzzy's lo/hi).  Each
+# bound is within one array of what the maps read, so a map that keeps
+# one more block-sized temporary alive fails here: the grid oracle's
+# page faults sit in these maps, and its block budget sits near a fault
+# edge (see level_calculus._BLOCK_VALUES).
+MAP_PEAK_BLOCKS = {
+    "example_4_1": 5.5, "max_return_crisp": 3.5, "max_return_fuzzy": 4.5,
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_level_map_peak_in_one_block(name):
+    f = resolve_problem(ProblemSpec(kind=name)).function
+    grid = _grid(101)
+    xs = np.linspace(0.3, 0.9, 102)[:, None]
+    block_bytes = xs.size * grid.size * 8
+    for k in LEVEL_FIELDS:
+        level = getattr(f, k)
+        if level is None:
+            continue
+        level(xs, grid)  # the alpha-side table, built once per grid
+        blocks = traced_peak(level, xs, grid) / block_bytes
+        assert blocks < MAP_PEAK_BLOCKS[name], (k, blocks)
 
 
 def test_polynomial_maps_match_a_term_by_term_reference():

@@ -52,18 +52,27 @@ from fuzzynewton.fuzzy_core import (
     _grid,
     _invalid_rows,
     _level_faults,
+    _square_lo,
 )
 from fuzzynewton.level_calculus import _integrate, _quad_weights
 from fuzzynewton.problems import (
     BUILTIN_NAMES,
+    C0,
+    C1,
+    C2,
+    LIN0,
+    LIN1,
     MaxReturnParams,
     ProblemSpec,
+    build_max_return_crisp,
+    build_max_return_fuzzy,
     grid_search_min,
     parse_problem_config,
     serialize_problem_config,
 )
 from helpers import (
     GRID_SIZES,
+    assert_same_bits,
     assert_valid_fuzzy,
     crisp_polynomial,
     finite,
@@ -563,6 +572,98 @@ class TestGridOracleProperties:
         # subnormal coefficients
         rounding = 1e-12 * size_polynomial(coeffs)(far) + 1e-300
         assert least - rounding <= exact(xg) <= least + reach + rounding
+
+
+def old_square_lo(lo, hi):
+    """The lower end of the dependent square as two nested np.where."""
+    return np.where(lo >= 0.0, lo * lo, np.where(hi <= 0.0, hi * hi, 0.0))
+
+
+def old_fuzzy_levels(va, rho, x, a):
+    """max_return_fuzzy's (lo, hi) as written with every x a float array
+    and the upper end as the larger of both squared residual ends."""
+    x = np.asarray(x, float)
+    (vl, vu), (rho_l, rho_u) = va.cut(a), rho.cut(a)
+    c = (C2 * x + C1) * x + C0
+    rl, ru = c - vu, c - vl
+    return (LIN1 * x + LIN0 + rho_l / (vu * vu) * old_square_lo(rl, ru),
+            LIN1 * x + LIN0 + rho_u / (vl * vl) * np.maximum(rl * rl, ru * ru))
+
+
+def old_crisp_levels(va, rho, x, a):
+    """max_return_crisp's level, d1 and d2 maps, lifted, as written with
+    every x a float array."""
+    x = np.asarray(x, float)
+    v = va.peak
+    k = np.divide(rho.peak, v * v)
+    r = (C2 * x + C1) * x + C0 - v
+    cp = 2.0 * C2 * x + C1
+    return [np.asarray(g) + 0.0 * a for g in (
+        LIN1 * x + LIN0 + k * r * r,
+        LIN1 + 2.0 * k * r * cp,
+        2.0 * k * (cp * cp + r * (2.0 * C2)),
+    )]
+
+
+@st.composite
+def positive_triangulars(draw, least: float, most: float):
+    """A TriangularFuzzy whose left end lies in [least, most], each side
+    at most as wide as that end."""
+    left = draw(finite(least, most))
+    peak = left + draw(finite(0.0, left))
+    return TriangularFuzzy(left, peak, peak + draw(finite(0.0, left)))
+
+
+# Special values for the interval square: signed zeros and infinities,
+# NaN, the least subnormal, the least normal, values whose squares
+# underflow or overflow, and plain ones; every (lo, hi) pair of them is
+# taken, inverted intervals among them.
+SQUARE_EDGES = np.array([
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2e-308,
+    -2.2e-308, 1e-160, -1e-160, 1.5, -2.5, 1e200, -1e200,
+])
+
+
+class TestReturnRiskMapsKeepTheirBits:
+    """A float x stays a Python float in the return-risk maps, the
+    interval square takes np.fmin and the upper end squares one residual;
+    each gives the bits of the form it replaced, for x given in any form.
+    Mutating fmin to minimum in _square_lo fails the special values (a
+    NaN hi over a negative lo gives NaN, not 0)."""
+
+    @given(
+        positive_triangulars(1e-4, 1e-2), positive_triangulars(0.1, 5.0),
+        finite(-3.0, 3.0), st.lists(finite(-3.0, 3.0), min_size=1, max_size=5),
+        st.sampled_from([11, 101, 1001]),
+    )
+    def test_maps_match_the_array_formulas(self, va, rho, x, column, m):
+        a = _grid(m)
+        fuzzy = build_max_return_fuzzy(MaxReturnParams(Va=va, rho=rho))
+        crisp = build_max_return_crisp(MaxReturnParams(Va=va, rho=rho))
+        for form in (x, np.float64(x), round(x), np.array(x),
+                     np.array(column)[:, None]):
+            want_lo, want_hi = old_fuzzy_levels(va, rho, form, a)
+            assert_same_bits(fuzzy.level_lo(form, a), want_lo)
+            assert_same_bits(fuzzy.level_hi(form, a), want_hi)
+            for prefix, want in zip(("level", "d1", "d2"),
+                                    old_crisp_levels(va, rho, form, a)):
+                for side in ("lo", "hi"):
+                    assert_same_bits(
+                        getattr(crisp, f"{prefix}_{side}")(form, a), want
+                    )
+
+    def test_square_lo_on_special_values(self):
+        lo, hi = np.meshgrid(SQUARE_EDGES, SQUARE_EDGES)
+        with np.errstate(over="ignore", under="ignore"):
+            assert_same_bits(_square_lo(lo, hi), old_square_lo(lo, hi))
+            for pair in zip(lo.ravel(), hi.ravel()):
+                assert_same_bits(_square_lo(*pair), old_square_lo(*pair))
+
+    @given(st.lists(st.tuples(st.floats(), st.floats()), min_size=1))
+    def test_square_lo_on_any_floats(self, pairs):
+        lo, hi = np.array(pairs).T
+        with np.errstate(over="ignore", under="ignore"):
+            assert_same_bits(_square_lo(lo, hi), old_square_lo(lo, hi))
 
 
 def first_witness_by_sample(f, x0, xs, reach, m, is_witness):
