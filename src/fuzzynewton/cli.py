@@ -449,7 +449,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_check(args) -> int:
     resolved = _load_resolved(args.problem, None, None)
-    cfg = NewtonConfig(x0=args.xstar, eps=resolved.eps, scal=resolved.scal)
+    cfg = NewtonConfig(x0=resolved.x0, eps=resolved.eps, scal=resolved.scal)
     report = check_point(resolved.function, args.xstar, cfg,
                          **_given(nbhd=args.nbhd, samples=args.samples))
     sys.stdout.writelines(f"{line}\n" for line in report.lines())

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,22 @@ EQUALITY_TOL = 1e-12
 
 # Levels of the default alpha grid, for sampling, quadrature and checks.
 _ALPHA_POINTS = 101
+
+
+def _require_positive(name: str, value: float) -> None:
+    """Raise ValueError unless the setting name is positive and finite."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _require_integer(name: str, value, least: float = -math.inf) -> int:
+    """value as a plain int; ValueError unless the setting name is an
+    integer, not a bool, of at least least (any integer by default)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -130,8 +147,12 @@ def alpha_cut(t: TriangularFuzzy, alpha: float) -> Interval:
 
 
 def uniform_alphas(m: int) -> np.ndarray:
-    """The uniform membership grid 0 = a_1 < ... < a_m = 1."""
-    if m < 2:
+    """The uniform membership grid 0 = a_1 < ... < a_m = 1.
+
+    An m that is not an integer raises ValueError, as every integer
+    setting does; fewer than 2 levels raise InvalidLevelError.
+    """
+    if _require_integer("m", m) < 2:
         raise InvalidLevelError(f"grid needs at least 2 levels, got {m}")
     return np.linspace(0.0, 1.0, m)
 

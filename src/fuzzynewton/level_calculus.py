@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import sys
 import warnings
 from dataclasses import dataclass
@@ -59,6 +58,8 @@ from .fuzzy_core import (
     _grid,
     _invalid_rows,
     _lt,
+    _require_integer,
+    _require_positive,
 )
 
 __all__ = [
@@ -125,22 +126,6 @@ class FuzzyFunction:
     def contains(self, x):
         """Whether x lies in the closed domain, elementwise; NaN does not."""
         return (self.domain[0] <= x) & (x <= self.domain[1])
-
-
-def _require_positive(name: str, value: float) -> None:
-    """Raise ValueError unless the setting name is positive and finite."""
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
-def _require_integer(name: str, value, least: int) -> int:
-    """value as a plain int; ValueError unless the setting name is an
-    integer, not a bool, of at least least."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -259,6 +244,14 @@ _SCALAR_ONLY = (TypeError, ValueError)
 _BLOCK_VALUES = 10302
 
 
+def _blocks(xs: np.ndarray, m: int):
+    """(start, block) over xs in blocks of the _BLOCK_VALUES budget at m
+    levels: max(1, _BLOCK_VALUES // m) points, start being the index in
+    xs of the block's first point."""
+    rows = max(1, _BLOCK_VALUES // m)
+    return ((i, xs[i:i + rows]) for i in range(0, xs.size, rows))
+
+
 def _levels(lo_map: LevelMap, hi_map: LevelMap, x, alphas: np.ndarray):
     """A pair of level maps at x on the alpha grid, as float arrays.
 
@@ -287,10 +280,17 @@ def _levels_each(f: FuzzyFunction, xs: np.ndarray, alphas: np.ndarray):
 def _integrate(lo: np.ndarray, hi: np.ndarray, w: np.ndarray, x):
     """Quadrature of lo + hi over alpha, one value per x.
 
+    Every row is integrated by one dot of its own, at every shape: numpy's
+    matmul takes each (1, m) @ (m, 1) item to the vector dot that a 1-D
+    ``(lo + hi) @ w`` takes, where a 2-D ``@`` would hand the block to
+    BLAS gemv, which rounds each row by its place in the block.  So F has
+    the same bits from scalarize, from scalarize_many at any block size
+    and in the grid oracle.
+
     Raises NumericError naming the first x whose value is not finite;
     with positive weights, a non-finite level value makes it so.
     """
-    values = (lo + hi) @ w
+    values = np.matmul((lo + hi)[..., None, :], w[:, None])[..., 0, 0]
     finite = np.isfinite(values)
     if not finite.all():
         bad = np.ravel(x)[np.argmin(np.ravel(finite))]
@@ -455,10 +455,8 @@ def scalarize_many(f: FuzzyFunction, xs, cfg: ScalarizationConfig) -> np.ndarray
         _require_in_domain(f, float(xs[np.argmin(inside)]))
     alphas = _grid(cfg.alpha_points)
     w = _quad_weights(cfg.alpha_points, cfg.quadrature)
-    rows = max(1, _BLOCK_VALUES // alphas.size)
     values = np.empty(xs.size)
-    for start in range(0, xs.size, rows):
-        block = xs[start:start + rows]
+    for start, block in _blocks(xs, alphas.size):
         values[start:start + block.size] = _integrate(
             *_levels_each(f, block, alphas), w, block
         )
@@ -502,9 +500,7 @@ def _first_witness(
     kept = np.flatnonzero(~(np.abs(xs - x0) <= coincident) & f.contains(xs))
     points = np.concatenate(([x0], xs[kept]))
     alphas = _grid(m)
-    rows = max(1, _BLOCK_VALUES // m)
-    for start in range(0, points.size, rows):
-        block = points[start:start + rows]
+    for start, block in _blocks(points, m):
         lo, hi = _levels_each(f, block, alphas)
         if start == 0:
             base = lo[0], hi[0]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError, NumericError
-from .fuzzy_core import FuzzyNumber
+from .fuzzy_core import FuzzyNumber, _require_integer, _require_positive
 from .level_calculus import (
     ComparabilityReport,
     FuzzyFunction,
@@ -29,8 +29,6 @@ from .level_calculus import (
     ScalarizationConfig,
     _Point,
     _require_in_domain,
-    _require_integer,
-    _require_positive,
     comparability_check,
     non_dominance_check,
 )
@@ -165,14 +163,12 @@ def solve(f: FuzzyFunction, cfg: NewtonConfig) -> SolveResult:
             status = STATUS_NON_FINITE
             break
         fuzzy_value = point.fuzzy_value()
-        if abs(d2) < cfg.d2_floor:
-            trace.append(
-                IterationRecord(k, xk, fval, d1, d2, math.nan, fuzzy_value)
-            )
+        flat = abs(d2) < cfg.d2_floor
+        step = math.nan if flat else -d1 / d2
+        trace.append(IterationRecord(k, xk, fval, d1, d2, step, fuzzy_value))
+        if flat:
             status = STATUS_D2_NEAR_ZERO
             break
-        step = -d1 / d2
-        trace.append(IterationRecord(k, xk, fval, d1, d2, step, fuzzy_value))
         x_next = xk + step
         if not math.isfinite(x_next):
             status = STATUS_NON_FINITE
@@ -302,8 +298,12 @@ def check_point(
     checks at an arbitrary point.
 
     The stationarity tolerance is 10 * eps * max(1, |F''(x)|), the one
-    that solve's stationarity kind uses.
+    that solve's stationarity kind uses.  Of cfg, only eps and scal are
+    read; a non-finite x raises ValueError, naming it as the report's
+    xstar.
     """
+    if not math.isfinite(x):
+        raise ValueError(f"xstar must be finite, got {x}")
     point = _Point(f, x, cfg.scal)
     # the level slopes first: they fetch the stencil levels d1 and d2 reuse
     level_d1_max = point.level_d1_max()

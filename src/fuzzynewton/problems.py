@@ -39,10 +39,11 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigFormatError, InvalidLevelError, SingularLevelError
-from .fuzzy_core import TriangularFuzzy, _is_grid, _square_lo, triangular_to_record
+from .fuzzy_core import (
+    TriangularFuzzy, _is_grid, _require_positive, _square_lo, triangular_to_record,
+)
 from .level_calculus import (
-    FuzzyFunction, ScalarizationConfig, _require_positive, crisp_lift, negate,
-    scalarize_many,
+    FuzzyFunction, ScalarizationConfig, crisp_lift, negate, scalarize_many,
 )
 from .newton_solver import NewtonConfig
 

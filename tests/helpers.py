@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
 from hypothesis import strategies as st
 
 from fuzzynewton import FuzzyNumber, TriangularFuzzy, uniform_alphas
+from fuzzynewton.problems import C0, C1, C2, LIN0, LIN1
 
 GRID_SIZES = (5, 11, 21, 41, 101)
 
@@ -115,3 +117,60 @@ def size_polynomial(coeffs) -> np.polynomial.Polynomial:
     return np.polynomial.Polynomial(
         [abs(c.left) + 2.0 * abs(c.peak) + abs(c.right) for c in coeffs]
     )
+
+
+# 30-point Gauss-Legendre nodes and weights on [-1, 1]
+_GAUSS_LEGENDRE = np.polynomial.legendre.leggauss(30)
+
+
+def return_risk_continuum(va: TriangularFuzzy, rho: TriangularFuzzy,
+                          x: float) -> float:
+    """The continuum scalarization of build_max_return_fuzzy at x, the
+    integral over [0, 1] of lo + hi, written apart from the package's
+    level maps and quadrature.
+
+    With the residual r = [c(x) - V_U, c(x) - V_L], lo + hi is
+    2 (LIN1 x + LIN0) + rho_L / V_U^2 min r^2 + rho_U / V_L^2 max r^2,
+    min r^2 being 0 where r holds 0.  Its kinks in alpha lie where c(x)
+    meets V_L, V_U or their midpoint, each linear in alpha for a
+    triangular Va: [0, 1] is split there, and each smooth piece takes
+    30-point Gauss-Legendre (Davis & Rabinowitz, Methods of Numerical
+    Integration).
+    """
+    c = (C2 * x + C1) * x + C0
+    kinks = {0.0, 1.0}
+    # each of V_L, V_U and the midpoint as start + alpha (peak - start)
+    for start in (va.left, va.right, (va.left + va.right) / 2.0):
+        if va.peak != start and 0.0 < (c - start) / (va.peak - start) < 1.0:
+            kinks.add((c - start) / (va.peak - start))
+    edges = sorted(kinks)
+    nodes, weights = _GAUSS_LEGENDRE
+    total = 0.0
+    for a0, a1 in zip(edges[:-1], edges[1:]):
+        alpha = a0 + (a1 - a0) * (nodes + 1.0) / 2.0
+        (vl, vu), (rho_l, rho_u) = va.cut(alpha), rho.cut(alpha)
+        rl, ru = c - vu, c - vl
+        least = np.where(rl > 0.0, rl * rl,
+                         np.where(ru < 0.0, ru * ru, 0.0))
+        most = np.maximum(rl * rl, ru * ru)
+        level_sum = (2.0 * (LIN1 * x + LIN0) + rho_l / (vu * vu) * least
+                     + rho_u / (vl * vl) * most)
+        total += (a1 - a0) / 2.0 * float(weights @ level_sum)
+    return total
+
+
+def golden_section_min(F, a: float, b: float, tol: float = 1e-12) -> float:
+    """The minimizer of a unimodal F on [a, b], to within tol."""
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - ratio * (b - a), a + ratio * (b - a)
+    fc, fd = F(c), F(d)
+    while b - a > tol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - ratio * (b - a)
+            fc = F(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + ratio * (b - a)
+            fd = F(d)
+    return (a + b) / 2.0

@@ -386,6 +386,14 @@ class TestCheckCommand:
         assert (code, out) == (1, "")
         assert err == "error: samples must be at least 0, got -1\n"
 
+    @pytest.mark.parametrize("xstar", ["nan", "inf", "-inf"])
+    def test_non_finite_xstar_is_named(self, capsys, xstar):
+        # "x0 must be finite" before: check has no --x0 flag
+        code, out, err = run(capsys, "check", "--problem",
+                             "max_return_fuzzy", f"--xstar={xstar}")
+        assert (code, out) == (1, "")
+        assert err == f"error: xstar must be finite, got {xstar}\n"
+
     def test_no_sample_in_the_neighbourhood_is_inconclusive(self, capsys):
         # every sample lies within rounding distance of xstar, so none is
         # compared: the point was not examined and must not pass

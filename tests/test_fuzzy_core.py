@@ -1,6 +1,7 @@
 """Unit tests for interval/level containers and fuzzy arithmetic."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -100,8 +101,20 @@ class TestFuzzyNumber:
     def test_uniform_alphas(self):
         a = uniform_alphas(5)
         np.testing.assert_allclose(a, [0.0, 0.25, 0.5, 0.75, 1.0])
-        with pytest.raises(InvalidLevelError):
-            uniform_alphas(1)
+        np.testing.assert_array_equal(uniform_alphas(np.int64(5)), a)
+        for m in (1, 0, -3):
+            with pytest.raises(InvalidLevelError):
+                uniform_alphas(m)
+
+    @pytest.mark.parametrize("m", [5.0, 2.5, True, "5", None])
+    def test_grid_size_must_be_an_integer(self, m):
+        # numpy's TypeError (or, for True, InvalidLevelError) before
+        t = TriangularFuzzy(-2.0, 1.0, 5.0)
+        message = f"m must be an integer, got {m!r}"
+        for call in (lambda: uniform_alphas(m), lambda: discretize(t, m),
+                     lambda: crisp(1.0, m)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
 
     def test_discretize_matches_cuts(self):
         t = TriangularFuzzy(-2.0, 1.0, 5.0)

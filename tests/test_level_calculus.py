@@ -19,6 +19,7 @@ from fuzzynewton import (
     OneSidedStencilWarning,
     ScalarizationConfig,
     build_example_4_1,
+    build_max_return_crisp,
     build_max_return_fuzzy,
     check_point,
     comparability_check,
@@ -167,7 +168,7 @@ class TestEvalAndScalarize:
         xs = np.linspace(-2.0, 2.0, 37)
         many = scalarize_many(EX41, xs, CFG)
         one_by_one = np.array([scalarize(EX41, float(x), CFG) for x in xs])
-        np.testing.assert_allclose(many, one_by_one, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(many, one_by_one)
 
     def test_scalarize_many_raises_on_non_finite_values(self):
         def level(x, a):
@@ -187,8 +188,8 @@ class TestEvalAndScalarize:
         xs = np.linspace(-1.0, 1.0, 101)
         many = scalarize_many(f, xs, CFG)
         np.testing.assert_array_equal(many, scalarize_many(twin, xs, CFG))
-        np.testing.assert_allclose(
-            many, [scalarize(f, float(x), CFG) for x in xs], rtol=0, atol=1e-12
+        np.testing.assert_array_equal(
+            many, [scalarize(f, float(x), CFG) for x in xs]
         )
 
     def test_scalarize_many_takes_one_block_at_a_time(self, monkeypatch):
@@ -201,9 +202,27 @@ class TestEvalAndScalarize:
         many = scalarize_many(f, xs, CFG)
         assert rows == [7, 7, 7, 7, 6, 6]
         np.testing.assert_array_equal(
-            many,
-            np.concatenate([scalarize_many(EX41, xs[i:i + 7], CFG)
-                            for i in (0, 7, 14)]),
+            many, [scalarize(EX41, float(x), CFG) for x in xs]
+        )
+
+    @pytest.mark.parametrize("m", [11, 101, 1001])
+    @pytest.mark.parametrize("budget_rows", [None, 7])
+    @pytest.mark.parametrize(
+        "f", [EX41, build_max_return_crisp(), build_max_return_fuzzy()],
+        ids=["example_4_1", "max_return_crisp", "max_return_fuzzy"],
+    )
+    def test_scalarize_many_has_the_bits_of_scalarize(self, monkeypatch, f,
+                                                      budget_rows, m):
+        # one dot per row: F of a point does not depend on its block, so
+        # the shipped budget and a 7-row one give scalarize's bits
+        if budget_rows is not None:
+            monkeypatch.setattr(level_calculus, "_BLOCK_VALUES",
+                                budget_rows * m + 3)
+        cfg = ScalarizationConfig(alpha_points=m)
+        xs = np.linspace(0.3, 0.9, 120)
+        np.testing.assert_array_equal(
+            scalarize_many(f, xs, cfg),
+            [scalarize(f, float(x), cfg) for x in xs],
         )
 
     def test_scalarize_many_memory_stays_one_block(self, monkeypatch):
@@ -253,10 +272,9 @@ class TestEvalAndScalarize:
             scalarize_many(f, [0.5, 2.0, 3.0], CFG)
         with pytest.raises(DomainError, match=r"x=-0\.5 outside"):
             scalarize_many(f, [-0.5, 0.5], CFG)
-        np.testing.assert_allclose(
+        np.testing.assert_array_equal(
             scalarize_many(f, [0.0, 1.0], CFG),
             [scalarize(f, 0.0, CFG), scalarize(f, 1.0, CFG)],
-            rtol=0, atol=1e-12,
         )
 
     def test_scalarize_many_propagates_other_errors(self):
@@ -489,6 +507,19 @@ class TestNeighborhoodChecks:
         ):
             with pytest.raises(ValueError, match=re.escape(message)):
                 check()
+
+    @pytest.mark.parametrize("m", [51.0, True, "51"])
+    def test_grid_size_must_be_an_integer(self, m):
+        # numpy's "'float' object cannot be interpreted as an integer"
+        # (a TypeError) before
+        message = f"m must be an integer, got {m!r}"
+        for call in (
+            lambda: eval_fuzzy(EX41, 0.5, m),
+            lambda: non_dominance_check(EX41, 0.0, 0.01, 5, m),
+            lambda: comparability_check(EX41, 0.0, +1.0, 0.01, 5, m),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
 
     def test_zero_samples_is_inconclusive(self):
         assert non_dominance_check(EX41, 0.0, 0.01, 0).samples == 0

@@ -346,6 +346,14 @@ class TestVerification:
         with pytest.raises(DomainError):
             check_point(f, 5e-10, NewtonConfig(x0=5e-10))
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_check_point_rejects_a_non_finite_point(self, x):
+        # the config's x0 is not read; an infinite x on an unbounded
+        # domain used to take a one-sided stencil with a warning and end
+        # in NumericError, a NaN x in DomainError
+        with pytest.raises(ValueError, match=f"xstar must be finite, got {x}"):
+            check_point(EX41, x, NewtonConfig(x0=0.0))
+
     def test_stat_tol_scales_with_curvature(self):
         rep = check_point(EX41, 0.0, NewtonConfig(x0=0.0))
         # 10 * eps * max(1, |F''|) with F'' = 8

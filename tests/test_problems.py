@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from fuzzynewton import (
     BUILTIN_NAMES,
@@ -35,8 +36,15 @@ from fuzzynewton import (
     solve,
 )
 from fuzzynewton.fuzzy_core import _grid
+from fuzzynewton.problems import C0, C1, C2, DEFAULT_FUZZY_PARAMS
 
-from helpers import assert_same_bits, traced_peak
+from helpers import (
+    assert_same_bits,
+    finite,
+    golden_section_min,
+    return_risk_continuum,
+    traced_peak,
+)
 from test_level_map_calls import LEVEL_FIELDS
 
 CFG = ScalarizationConfig()
@@ -254,6 +262,102 @@ class TestMaxReturnProblems:
             assert scalarize(fuzzy_f, x, CFG) == pytest.approx(
                 scalarize(crisp_f, x, CFG), rel=1e-10
             )
+
+
+def _band(va: TriangularFuzzy) -> tuple[float, float]:
+    """The x near 0.7 where c(x) meets the midpoint of Va's cut at
+    alpha = 0 and at alpha = 1, in order: the band where the upper
+    level's branch switches inside the grid."""
+    mids = ((va.left + va.right) / 2.0, va.peak)
+    ends = [(-C1 + math.sqrt(C1 * C1 - 4.0 * C2 * (C0 - v))) / (2.0 * C2)
+            for v in mids]
+    return min(ends), max(ends)
+
+
+def _simpson_bound(va: TriangularFuzzy, rho: TriangularFuzzy, m: int,
+                   exact: float) -> float:
+    """How far Simpson's F at m levels may lie from the continuum F.
+
+    A Simpson panel that holds a kink where the slope jumps by J is off
+    by at most J h^2 / 6.  The level sum's slope in alpha jumps once,
+    where c(x) meets the midpoint of [V_L, V_U], by k_hi w (2 V_P - V_L
+    - V_R) <= rho_U s^2 with s = (V_R - V_L) / V_L; elsewhere it is
+    smooth or has a curvature jump only.  The bound takes J h^2 / 4, to
+    leave room for those smaller terms, plus rounding; at s = 0 F has no
+    kink.  Measured errors reach 0.10 rho_U s^2 h^2 at m = 101 and 1001
+    (300 drawn params), and 2.5e-8 and 1.5e-10 at the defaults, against
+    bounds of 7.8e-8 and 7.8e-10.
+    """
+    h = 1.0 / (m - 1)
+    spread = (va.right - va.left) / va.left
+    return h * h * rho.right * spread * spread / 4.0 + 1e-13 * abs(exact)
+
+
+class TestContinuumReference:
+    """max_return_fuzzy against its continuum F, the exact alpha-integral
+    that the paper's problem defines (tests/helpers.py's
+    return_risk_continuum), rather than the quadrature that made it."""
+
+    def test_reference_is_exact_where_no_level_moves_with_alpha(self):
+        # crisp Va and rho: lo + hi is constant in alpha
+        va = TriangularFuzzy(0.00168, 0.00168, 0.00168)
+        rho = TriangularFuzzy(1.5, 1.5, 1.5)
+        f = build_max_return_fuzzy(MaxReturnParams(va, rho))
+        for x in (0.5, 0.6993, 1.2):
+            assert return_risk_continuum(va, rho, x) == pytest.approx(
+                scalarize(f, x, CFG), rel=1e-14)
+
+    @pytest.mark.parametrize("m", [101, 1001])
+    def test_simpson_at_the_defaults_across_the_band(self, m):
+        va, rho = DEFAULT_FUZZY_PARAMS.Va, DEFAULT_FUZZY_PARAMS.rho
+        f = build_max_return_fuzzy()
+        cfg = ScalarizationConfig(alpha_points=m)
+        lo, hi = _band(va)
+        for x in np.linspace(lo - (hi - lo) / 2.0, hi + (hi - lo) / 2.0, 21):
+            exact = return_risk_continuum(va, rho, x)
+            assert abs(scalarize(f, x, cfg) - exact) <= _simpson_bound(
+                va, rho, m, exact), x
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        finite(0.0012, 0.0024), finite(0.0, 0.1), finite(0.0, 0.1),
+        finite(0.1, 2.0), finite(0.0, 2.0), finite(0.0, 3.0),
+        finite(-0.5, 1.5),
+    )
+    def test_simpson_for_drawn_params_across_the_band(
+        self, left, up, out, rho_left, rho_up, rho_out, where
+    ):
+        peak = left * (1.0 + up)
+        va = TriangularFuzzy(left, peak, peak * (1.0 + out))
+        rho = TriangularFuzzy(rho_left, rho_left + rho_up,
+                              rho_left + rho_up + rho_out)
+        f = build_max_return_fuzzy(MaxReturnParams(va, rho))
+        lo, hi = _band(va)
+        x = lo + where * max(hi - lo, 1e-4)
+        exact = return_risk_continuum(va, rho, x)
+        for m in (101, 1001):
+            F = scalarize(f, x, ScalarizationConfig(alpha_points=m))
+            assert abs(F - exact) <= _simpson_bound(va, rho, m, exact), m
+
+    def test_continuum_minimizer_against_solve_and_the_oracle(self):
+        va, rho = DEFAULT_FUZZY_PARAMS.Va, DEFAULT_FUZZY_PARAMS.rho
+        resolved = resolve_problem(ProblemSpec(kind="max_return_fuzzy"))
+        f, scal = resolved.function, resolved.scal
+        x_cont = golden_section_min(
+            lambda x: return_risk_continuum(va, rho, x), 0.69, 0.71)
+        assert x_cont == pytest.approx(0.6992570, abs=5e-8)
+        result = solve(f, NewtonConfig(x0=resolved.x0, eps=resolved.eps,
+                                       scal=scal))
+        # 2.9e-6 apart
+        assert abs(result.xstar - x_cont) < resolved.eps
+        # Simpson's own minimizer is 4.0e-6 off the continuum one, and the
+        # oracle's grid point lies within a step of Simpson's minimizer
+        x_simpson = golden_section_min(lambda x: scalarize(f, x, scal),
+                                       0.69, 0.71)
+        assert abs(x_simpson - x_cont) < 5e-6
+        step = 1e-5
+        assert abs(grid_search_min(f, resolved.bracket, scal, step=step)
+                   - x_simpson) <= step
 
 
 class TestResolveProblem:

@@ -19,6 +19,7 @@ from fuzzynewton import (
     FuzzyNumber,
     HukuharaNonexistence,
     InvalidLevelError,
+    NewtonConfig,
     ScalarizationConfig,
     TriangularFuzzy,
     add,
@@ -44,6 +45,7 @@ from fuzzynewton import (
     scalarize_d1,
     scalarize_d2,
     scalarize_many,
+    solve,
     square,
 )
 from fuzzynewton import cli
@@ -64,10 +66,12 @@ from fuzzynewton.problems import (
     LIN1,
     MaxReturnParams,
     ProblemSpec,
+    _params_to_json,
     build_max_return_crisp,
     build_max_return_fuzzy,
     grid_search_min,
     parse_problem_config,
+    resolve_problem,
     serialize_problem_config,
 )
 from helpers import (
@@ -448,7 +452,7 @@ class TestScalarizationProperties:
     def test_scalarize_many_matches_loop(self, f, xs):
         many = scalarize_many(f, np.array(xs), CFG)
         single = [scalarize(f, x, CFG) for x in xs]
-        np.testing.assert_allclose(many, single, rtol=0, atol=1e-10)
+        np.testing.assert_array_equal(many, single)
 
     @given(polynomial_functions(), finite(-3.0, 3.0),
            st.sampled_from([11, 51, 101]))
@@ -860,3 +864,73 @@ class TestNoTracebackFromInput:
         assert_exit_contract(
             *run_cli("solve", "--problem", "max_return_crisp", flag, text)
         )
+
+
+def near(value: float, spread: float):
+    """A positive crisp parameter near value, or a triangular one whose
+    sides are each at most spread of its left end."""
+    crisp_value = finite(value * 0.8, value * 1.2)
+    return crisp_value | st.tuples(
+        crisp_value, finite(0.0, spread), finite(0.0, spread)
+    ).map(lambda t: TriangularFuzzy(t[0], t[0] * (1.0 + t[1]),
+                                    t[0] * (1.0 + t[1]) * (1.0 + t[2])))
+
+
+def param_flag(v) -> str:
+    """A parameter's JSON value as the text of a --Va or --rho flag,
+    every float exact."""
+    return ",".join(map(repr, v if isinstance(v, list) else [v]))
+
+
+def cli_json(*argv):
+    """cli.main's exit code and its json report."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([*argv, "--format", "json"])
+    return code, json.loads(out.getvalue())
+
+
+class TestOneProblemOneAnswer:
+    """A max-return problem gives the same xstar bits through the Python
+    API, a config file, solve's flags and a table row."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        near(0.00168, 0.05), near(1.5, 1.0),
+        st.sampled_from(["simpson", "trapezoid"]), st.integers(1, 60),
+        st.sampled_from([1e-5, 3e-5, 1e-4, 3e-4]),
+    )
+    def test_four_entry_points_agree(self, va, rho, quadrature, k, fd_step):
+        m = 2 * k + 1 if quadrature == "simpson" else k + 2
+        params = MaxReturnParams(Va=va, rho=rho)
+        kind = "max_return_fuzzy" if params.is_fuzzy else "max_return_crisp"
+        resolved = resolve_problem(ProblemSpec(kind=kind, params=params))
+        scal = ScalarizationConfig(alpha_points=m, quadrature=quadrature,
+                                   fd_step=fd_step)
+        api = solve(resolved.function, NewtonConfig(
+            x0=resolved.x0, eps=resolved.eps, scal=scal)).xstar
+        rule = ["--quadrature", quadrature, "--fd-step", repr(fd_step)]
+        grid = ["--alpha-grid", str(m)]
+        # a config's alpha_points is checked against the problem's own
+        # rule, Simpson, before any flag applies: an even grid goes as a
+        # flag
+        in_config = {"alpha_points": m} if m % 2 else {}
+        row = _params_to_json(params)
+        with tempfile.TemporaryDirectory() as tmp:
+            config, sweep = (os.path.join(tmp, name)
+                             for name in ("config.json", "sweep.json"))
+            with open(config, "w", encoding="utf-8") as fh:
+                fh.write(serialize_problem_config(ProblemSpec(
+                    kind=kind, params=params, **in_config)))
+            with open(sweep, "w", encoding="utf-8") as fh:
+                json.dump([row], fh)
+            _, from_config = cli_json("solve", "--problem", config, *rule,
+                                      *([] if in_config else grid))
+            _, from_flags = cli_json(
+                "solve", "--problem", kind, "--Va", param_flag(row["Va"]),
+                "--rho", param_flag(row["rho"]), *grid, *rule)
+            code, table = cli_json("table", "--sweep", sweep, *grid, *rule)
+        assert code == 0
+        answers = [api, from_config["xstar"], from_flags["xstar"],
+                   table["rows"][0]["xstar"]]
+        assert_same_bits(answers, [api] * 4)
