@@ -27,6 +27,7 @@ import dataclasses
 import functools
 import io
 import json
+import re
 import sys
 import time
 from typing import Optional
@@ -86,7 +87,20 @@ SUMMARY_KEYS = (
 TABLE_COLUMNS = ("Va", "rho", "xstar", "value", "status", "iterations")
 
 
+# A negative float in any form that float() reads; argparse's own test
+# takes only -5, -.5 and -0.5, so "--x0 -1e-3" or "--xstar -inf" would
+# read the value as an unknown option.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # every subparser is a _Parser too
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     # argparse exits with code 2 on bad flags; route that into exit 1.
     def error(self, message):
         raise ValueError(message)
@@ -157,7 +171,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_resolved(problem_arg: str, va, rho) -> ResolvedProblem:
+def _read_spec(problem_arg: str, va, rho) -> ProblemSpec:
+    """The spec that --problem names, a built-in or a config file, with
+    the params that --Va and --rho give over its own."""
     if problem_arg in BUILTIN_NAMES:
         spec = ProblemSpec(kind=problem_arg)
     else:
@@ -171,17 +187,33 @@ def _load_resolved(problem_arg: str, va, rho) -> ResolvedProblem:
                 f"{err})"
             ) from err
         spec = parse_problem_config(text)
-    resolved = resolve_problem(spec)
     if va is None and rho is None:
-        return resolved
-    if resolved.params is None:
+        return spec
+    # the problem's own defaults where spec has none; its grid is
+    # checked in _resolve, with the flags
+    params = resolve_problem(dataclasses.replace(spec, alpha_points=None)).params
+    if params is None:
         raise ValueError("--Va/--rho only apply to the max-return problems")
-    # resolved.params holds the problem's own defaults where spec has none
-    params = dataclasses.replace(resolved.params, **{
+    return dataclasses.replace(spec, params=dataclasses.replace(params, **{
         name: _param_from_json(value, f"--{name}")
         for name, value in _given(Va=va, rho=rho).items()
-    })
-    return resolve_problem(dataclasses.replace(spec, params=params))
+    }))
+
+
+def _resolve(spec: ProblemSpec, args) -> ResolvedProblem:
+    """resolve_problem(spec) under the scalarization flags of args (check
+    has none), --alpha-grid winning over the spec's alpha_points.  The
+    grid is set with the flags in one step, so it is checked only against
+    the quadrature rule it is used with."""
+    grid = getattr(args, "alpha_grid", None)
+    resolved = resolve_problem(dataclasses.replace(spec, alpha_points=None))
+    return dataclasses.replace(resolved, scal=dataclasses.replace(
+        resolved.scal, **_given(
+            alpha_points=spec.alpha_points if grid is None else grid,
+            quadrature=getattr(args, "quadrature", None),
+            fd_step=getattr(args, "fd_step", None),
+        ),
+    ))
 
 
 def _given(**values) -> dict:
@@ -190,18 +222,10 @@ def _given(**values) -> dict:
 
 
 def _configs_from_args(args, resolved: ResolvedProblem) -> NewtonConfig:
-    scal = dataclasses.replace(
-        resolved.scal,
-        **_given(
-            alpha_points=args.alpha_grid,
-            quadrature=args.quadrature,
-            fd_step=args.fd_step,
-        ),
-    )
     return NewtonConfig(
         x0=resolved.x0 if args.x0 is None else args.x0,
         eps=resolved.eps if args.eps is None else args.eps,
-        scal=scal,
+        scal=resolved.scal,
         **_given(max_iter=args.max_iter),
     )
 
@@ -376,7 +400,7 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 
 def _cmd_solve(args) -> int:
-    resolved = _load_resolved(args.problem, args.Va, args.rho)
+    resolved = _resolve(_read_spec(args.problem, args.Va, args.rho), args)
     cfg = _configs_from_args(args, resolved)
     rep = _solve_report(resolved, cfg)
     if args.format == "json":
@@ -415,7 +439,7 @@ def _cmd_table(args) -> int:
         kind = (
             "max_return_fuzzy" if params.is_fuzzy else "max_return_crisp"
         )
-        resolved = resolve_problem(ProblemSpec(kind=kind, params=params))
+        resolved = _resolve(ProblemSpec(kind=kind, params=params), args)
         _, summary = _solve_summary(
             resolved, _configs_from_args(args, resolved)
         )
@@ -448,7 +472,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    resolved = _load_resolved(args.problem, None, None)
+    resolved = _resolve(_read_spec(args.problem, None, None), args)
     cfg = NewtonConfig(x0=resolved.x0, eps=resolved.eps, scal=resolved.scal)
     report = check_point(resolved.function, args.xstar, cfg,
                          **_given(nbhd=args.nbhd, samples=args.samples))

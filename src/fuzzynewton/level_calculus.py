@@ -240,7 +240,12 @@ _SCALAR_ONLY = (TypeError, ValueError)
 # 5.6k.  With two more block-sized temporaries in max_return_fuzzy's
 # level maps, 10752 and 12288 made 24k-26k and 16384 made 457k, nearly
 # all in those maps, so tests/test_problems.py bounds each map's peak.
-# Row blocks of 1024-4096 read no faster than 20000 (2-core Xeon).
+# As the maps are (no np.where block for a polynomial term whose rows
+# share a sign, the return-risk sums in place), one script's passes read
+# 7.0k, 10.0k, 7.9k and 141k faults at 8192, 10302, 12288 and 16384
+# values, against 9.5k, 10.9k, 8.6k and 338k with one block more per
+# map, so 16384 stays past the edge.  Row blocks of 1024-4096 read no
+# faster than 20000 (2-core Xeon).
 _BLOCK_VALUES = 10302
 
 

@@ -26,6 +26,15 @@ in numpy, and a 0-d array costs about 1 us per operation.  The
 polynomial maps take every x as an array: Python's ``x**2`` calls
 ``pow``, which can differ from numpy's square in the last bit, and
 raises OverflowError where numpy returns inf.
+
+On an x-column (a block of scalarize_many), each row of a polynomial
+term takes one coefficient cut throughout (for the lower end cL where
+x^i >= 0, else cU), so a block whose rows share that sign multiplies
+the cut by the column in one broadcast pass; only a mixed-sign block
+selects per row with np.where.  The
+return-risk maps scale and shift their residual square in place.  A
+term's product and each sum have the operands of the plain formulas,
+in another order, so every level keeps its bits.
 """
 
 from __future__ import annotations
@@ -154,11 +163,19 @@ def build_fuzzy_polynomial(
                     cl, cu = cu, cl
                 xi = x**i
                 xp = xi if order == 0 else x**(i - order)
-                factor = math.perm(i, order)
-                # in place: one new array per term, not two
-                term = np.where(xi >= 0.0, cl, cu)
-                term *= factor * xp
-                out += term
+                # a row takes one cut for the whole term (a NaN row cu),
+                # so a block whose rows share a sign broadcasts that
+                # cut; count_nonzero is one pass, and on a scalar a
+                # third of the cost of .all()
+                pos = xi >= 0.0
+                n = np.count_nonzero(pos)
+                if n == pos.size:
+                    c = cl
+                elif n == 0:
+                    c = cu
+                else:
+                    c = np.where(pos, cl, cu)
+                out += c * (math.perm(i, order) * xp)
             return out
 
         return level
@@ -253,7 +270,10 @@ def build_max_return_fuzzy(
         vl, vu, k_lo, _ = table(a)
         x = _x(x)
         c = _c_poly(x)
-        return LIN1 * x + LIN0 + k_lo * _square_lo(c - vu, c - vl)
+        t = _square_lo(c - vu, c - vl)
+        t *= k_lo
+        t += LIN1 * x + LIN0
+        return t
 
     def level_hi(x, a):
         vl, vu, _, k_hi = table(a)
@@ -264,7 +284,10 @@ def build_max_return_fuzzy(
         # rl <= ru bit for bit, which holds as TriangularFuzzy.cut rounds
         # monotonically, so that vl <= vu
         r = np.maximum(vu - c, c - vl)
-        return LIN1 * x + LIN0 + k_hi * (r * r)
+        r *= r
+        r *= k_hi
+        r += LIN1 * x + LIN0
+        return r
 
     return FuzzyFunction(
         level_lo=level_lo,

@@ -101,6 +101,34 @@ class TestSolveCommand:
         assert rep["config"]["eps"] == 1e-6  # file survives
         assert rep["config"]["alpha_points"] == 51
 
+    @pytest.mark.parametrize("extra", [(), ("--rho", "2")])
+    def test_config_grid_is_checked_against_the_rule_in_use(
+        self, tmp_path, capsys, extra
+    ):
+        # the config's grid was checked against the kind's own rule,
+        # Simpson, before --quadrature applied, and exited 1
+        cfg = tmp_path / "even.json"
+        cfg.write_text(json.dumps({"kind": "max_return_fuzzy",
+                                   "alpha_points": 50}))
+        xstars = []
+        for problem in ([str(cfg)], ["max_return_fuzzy", "--alpha-grid", "50"]):
+            code, out, _ = run(capsys, "solve", "--problem", *problem, *extra,
+                               "--quadrature", "trapezoid", "--format", "json")
+            assert code == 0
+            rep = json.loads(out)
+            assert rep["config"]["alpha_points"] == 50
+            xstars.append(rep["xstar"].hex())
+        assert xstars[0] == xstars[1]
+        # under the kind's own rule the even grid is still an error, and a
+        # flag's grid wins over the config's
+        code, out, err = run(capsys, "solve", "--problem", str(cfg), *extra)
+        assert (code, out) == (1, "")
+        assert err == "error: simpson quadrature needs an odd alpha_points\n"
+        code, out, _ = run(capsys, "solve", "--problem", str(cfg), *extra,
+                           "--alpha-grid", "51", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["config"]["alpha_points"] == 51
+
     def test_builtin_config_domain_bounds_the_solve(self, tmp_path, capsys):
         # Newton from 1 steps to 0.3 on example_4_1, outside [0.5, 2]
         cfg = tmp_path / "bounded.json"
@@ -386,13 +414,18 @@ class TestCheckCommand:
         assert (code, out) == (1, "")
         assert err == "error: samples must be at least 0, got -1\n"
 
-    @pytest.mark.parametrize("xstar", ["nan", "inf", "-inf"])
-    def test_non_finite_xstar_is_named(self, capsys, xstar):
-        # "x0 must be finite" before: check has no --x0 flag
+    @pytest.mark.parametrize(
+        "xstar", ["nan", "inf", "-inf", "-Infinity", "-1e400", "-nan"]
+    )
+    @pytest.mark.parametrize("joined", [True, False])
+    def test_non_finite_xstar_is_named(self, capsys, xstar, joined):
+        # "x0 must be finite" before: check has no --x0 flag; and a
+        # negative value given apart from its flag read as an option
+        argv = [f"--xstar={xstar}"] if joined else ["--xstar", xstar]
         code, out, err = run(capsys, "check", "--problem",
-                             "max_return_fuzzy", f"--xstar={xstar}")
+                             "max_return_fuzzy", *argv)
         assert (code, out) == (1, "")
-        assert err == f"error: xstar must be finite, got {xstar}\n"
+        assert err == f"error: xstar must be finite, got {float(xstar)}\n"
 
     def test_no_sample_in_the_neighbourhood_is_inconclusive(self, capsys):
         # every sample lies within rounding distance of xstar, so none is
@@ -451,10 +484,40 @@ class TestErrorPaths:
         assert (code, out) == (1, "")
         assert "domain (1.0, -1.0) needs lo <= hi" in err
 
-    def test_unknown_flag(self, capsys):
-        code, _, err = run(capsys, "solve", "--problem", "example_4_1",
-                           "--bogus", "1")
-        assert code == 1
+    @pytest.mark.parametrize("argv, message", [
+        (("--bogus", "1"), "unrecognized arguments: --bogus 1"),
+        # what is not a number still reads as an option after a flag
+        (("--bogus", "-1e-3"), "unrecognized arguments: --bogus -1e-3"),
+        (("--x0", "-foo"), "argument --x0: expected one argument"),
+        (("--x0", "-1e"), "argument --x0: expected one argument"),
+    ])
+    def test_unknown_flag(self, capsys, argv, message):
+        code, out, err = run(capsys, "solve", "--problem", "example_4_1",
+                             *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["solve", "table", "check"])
+    @pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-.5e-2", "-2.e-1"])
+    def test_negative_number_in_exponent_form_follows_a_flag(
+        self, tmp_path, capsys, command, value
+    ):
+        # argparse read these as options: "expected one argument"
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps([{"Va": 0.00168, "rho": 1.0}]))
+        flag = "--xstar" if command == "check" else "--x0"
+        argv = {"solve": ["--problem", "example_4_1", "--format", "json"],
+                "table": ["--sweep", str(sweep), "--format", "json"],
+                "check": ["--problem", "example_4_1", "--nbhd", "1e-3"]}
+        outputs = []
+        for given in ([flag, value], [f"{flag}={value}"]):
+            code, out, err = run(capsys, command, *argv[command], *given)
+            assert err == ""
+            if command == "solve":
+                assert json.loads(out)["config"]["x0"] == float(value)
+            outputs.append((code, _mask(out)))
+        assert outputs[0] == outputs[1]
+        # a check away from the minimizer fails, with exit 3
+        assert outputs[0][0] == (3 if command == "check" else 0)
 
     def test_bad_flag_value(self, capsys):
         code, _, err = run(capsys, "solve", "--problem", "example_4_1",

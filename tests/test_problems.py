@@ -26,6 +26,7 @@ from fuzzynewton import (
     build_max_return_fuzzy,
     eval_fuzzy,
     grid_search_min,
+    negate,
     parse_problem_config,
     resolve_problem,
     scalarize,
@@ -129,14 +130,16 @@ def test_levels_on_alternating_shared_grids_match_a_fresh_function(name):
 
 # Bounds on the tracemalloc peak of one level-map call on a 102-row
 # x-column at 101 levels, one scalarize_many block, in arrays of that
-# block's size: the maps read 4.72-4.73 (example_4_1), 2.62
-# (max_return_crisp) and 4.17/3.83 (max_return_fuzzy's lo/hi).  Each
-# bound is within one array of what the maps read, so a map that keeps
-# one more block-sized temporary alive fails here: the grid oracle's
-# page faults sit in these maps, and its block budget sits near a fault
-# edge (see level_calculus._BLOCK_VALUES).
+# block's size: the maps read 3.63-3.64 (example_4_1; 3.84-3.85 on a
+# mixed-sign column), 2.62 (max_return_crisp) and 4.16/3.62
+# (max_return_fuzzy's lo/hi).  Each bound is within one array of what
+# the maps read, so a map that keeps one more block-sized temporary
+# alive fails here: the grid oracle's page faults sit in these maps, and
+# its block budget sits near a fault edge (see
+# level_calculus._BLOCK_VALUES).  A polynomial map that builds an
+# np.where block for every term reads 4.72.
 MAP_PEAK_BLOCKS = {
-    "example_4_1": 5.5, "max_return_crisp": 3.5, "max_return_fuzzy": 4.5,
+    "example_4_1": 4.2, "max_return_crisp": 3.5, "max_return_fuzzy": 4.5,
 }
 
 
@@ -155,16 +158,49 @@ def test_level_map_peak_in_one_block(name):
         assert blocks < MAP_PEAK_BLOCKS[name], (k, blocks)
 
 
-def test_polynomial_maps_match_a_term_by_term_reference():
-    coeffs = (
+# x forms for the polynomial maps: scalars of each sign and the special
+# values, and x-columns whose rows share a sign (a term broadcasts one
+# cut), mix signs (np.where per row) or hold NaN.
+POLY_XS = (
+    -1.5, -0.3, 0.0, -0.0, 0.7, math.nan, math.inf, -math.inf, X_COLUMN,
+    np.array([[0.25], [0.7], [1.5], [3.0]]),
+    np.array([[-0.25], [-0.7], [-1.5], [-3.0]]),
+    np.array([[0.0], [-0.0], [0.0]]),
+    np.array([[-0.0], [-0.0]]),
+    np.array([[math.nan], [0.7]]),
+    np.array([[math.nan], [-0.7]]),
+    np.array([[math.nan], [math.nan]]),
+    np.array([[-math.inf], [math.inf], [-0.0]]),
+)
+
+
+POLY_COEFFS = {
+    "mixed": (
         TriangularFuzzy(-2.0, -1.5, 0.5),
         TriangularFuzzy(0.25, 1.0, 3.0),
         TriangularFuzzy(-4.0, -3.0, -2.5),
         TriangularFuzzy(0.5, 0.75, 2.0),
         TriangularFuzzy(-1.0, 0.125, 0.5),
-    )
+    ),
+    # at x = -0.0 every term of the level maps is -0.0, and the sum,
+    # started from +0.0, is +0.0: a map that took the first term as its
+    # start would give -0.0 there
+    "signed_zero": (
+        TriangularFuzzy(-0.0, -0.0, -0.0),
+        TriangularFuzzy(1.0, 2.0, 3.0),
+        TriangularFuzzy(-3.0, -2.0, -1.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("m", [101, 1001])
+@pytest.mark.parametrize("negated", [False, True])
+@pytest.mark.parametrize("coeffs", POLY_COEFFS.values(), ids=POLY_COEFFS)
+def test_polynomial_maps_match_a_term_by_term_reference(m, negated, coeffs):
     f = build_fuzzy_polynomial(coeffs)
-    a = _grid(101)
+    if negated:
+        f = negate(f)
+    a = _grid(m)
 
     def reference(order, lower, x):
         # d^n/dx^n of sum_i c_i x^i, one nonzero term at a time; a term
@@ -181,12 +217,14 @@ def test_polynomial_maps_match_a_term_by_term_reference():
             out = out + np.where(x**i >= 0.0, lo, hi) * d
         return out
 
-    for order, prefix in enumerate(("level", "d1", "d2")):
-        for side in ("lo", "hi"):
-            level = getattr(f, f"{prefix}_{side}")
-            for x in (-1.5, -0.3, 0.0, 0.7, X_COLUMN):
-                want = reference(order, side == "lo", x)
-                assert_same_bits(level(x, a), want)
+    with np.errstate(invalid="ignore", over="ignore"):  # 0 * inf, inf**i
+        for order, prefix in enumerate(("level", "d1", "d2")):
+            for side in ("lo", "hi"):
+                level = getattr(f, f"{prefix}_{side}")
+                for x in POLY_XS:
+                    # negate(f)'s lower end is minus f's upper one
+                    want = reference(order, (side == "lo") != negated, x)
+                    assert_same_bits(level(x, a), -want if negated else want)
 
 
 class TestMaxReturnParams:

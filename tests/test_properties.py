@@ -911,21 +911,18 @@ class TestOneProblemOneAnswer:
             x0=resolved.x0, eps=resolved.eps, scal=scal)).xstar
         rule = ["--quadrature", quadrature, "--fd-step", repr(fd_step)]
         grid = ["--alpha-grid", str(m)]
-        # a config's alpha_points is checked against the problem's own
-        # rule, Simpson, before any flag applies: an even grid goes as a
-        # flag
-        in_config = {"alpha_points": m} if m % 2 else {}
         row = _params_to_json(params)
         with tempfile.TemporaryDirectory() as tmp:
             config, sweep = (os.path.join(tmp, name)
                              for name in ("config.json", "sweep.json"))
             with open(config, "w", encoding="utf-8") as fh:
+                # an even trapezoid grid too: the config's alpha_points
+                # is checked against the rule that --quadrature gives
                 fh.write(serialize_problem_config(ProblemSpec(
-                    kind=kind, params=params, **in_config)))
+                    kind=kind, params=params, alpha_points=m)))
             with open(sweep, "w", encoding="utf-8") as fh:
                 json.dump([row], fh)
-            _, from_config = cli_json("solve", "--problem", config, *rule,
-                                      *([] if in_config else grid))
+            _, from_config = cli_json("solve", "--problem", config, *rule)
             _, from_flags = cli_json(
                 "solve", "--problem", kind, "--Va", param_flag(row["Va"]),
                 "--rho", param_flag(row["rho"]), *grid, *rule)
