@@ -87,11 +87,13 @@ SUMMARY_KEYS = (
 TABLE_COLUMNS = ("Va", "rho", "xstar", "value", "status", "iterations")
 
 
-# A negative float in any form that float() reads; argparse's own test
-# takes only -5, -.5 and -0.5, so "--x0 -1e-3" or "--xstar -inf" would
-# read the value as an unknown option.
+# A negative float in any form that float() reads, or a comma list of
+# numbers that starts with one; argparse's own test takes only -5, -.5
+# and -0.5, so "--x0 -1e-3", "--xstar -inf" or "--rho -1,2,3" would read
+# the value as an unknown option.
+_NUMBER = r"((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)"
 _NEGATIVE_NUMBER = re.compile(
-    r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+    rf"^-{_NUMBER}(,[-+]?{_NUMBER})*$", re.IGNORECASE
 )
 
 

@@ -16,7 +16,8 @@ validated and compared at once; FuzzyNumber and leq/lt/comparable call
 the same kernels.  One kernel, _invalid_rows, decides in a few numpy
 calls whether each row is a fuzzy number; only a row it rejects is
 worded, by _level_faults, which finds the first fault at the lowest
-alpha.
+alpha.  Rows of a block that it accepted become FuzzyNumbers without a
+second check (_accepted_numbers).
 """
 
 from __future__ import annotations
@@ -342,6 +343,23 @@ def _validate_levels(alphas, lo, hi) -> None:
         _FAULTS[rank][0].format(a=alphas[i], lo=lo[i], hi=hi[i]),
         alpha=float(alphas[i]),
     )
+
+
+def _accepted_numbers(alphas, lo: np.ndarray, hi: np.ndarray) -> list:
+    """One FuzzyNumber per row of levels shaped (n, m) on the shared grid
+    alphas, rows that _invalid_rows has accepted: nothing is checked
+    again.  lo and hi are frozen in place, so they must be arrays that no
+    caller holds; each number holds read-only row views of them, which no
+    holder can make writeable again."""
+    lo.flags.writeable = hi.flags.writeable = False
+    numbers = []
+    for row_lo, row_hi in zip(lo, hi):
+        number = object.__new__(FuzzyNumber)
+        object.__setattr__(number, "alphas", alphas)
+        object.__setattr__(number, "lo", row_lo)
+        object.__setattr__(number, "hi", row_hi)
+        numbers.append(number)
+    return numbers
 
 
 def _require_same_grid(a: FuzzyNumber, b: FuzzyNumber) -> None:

@@ -17,7 +17,9 @@ rule, and raises NumericError on a non-finite value, and ``_Point``
 shares the levels fetched near one point among F, its finite-difference
 derivatives, the fuzzy value and the level slopes.  The Newton solver,
 the verifier, the grid oracle and the centroid all read values through
-it.
+it.  A fuzzy value of f is built only by ``_fuzzy_numbers``, which
+checks a block of level rows with one call of fuzzy_core's validity
+kernel: one row for eval_fuzzy, a block of iterates for a solve.
 
 The alpha grid of each size is one object, fuzzy_core's ``_grid``: built
 and validated once, read-only, and passed to every level map and every
@@ -54,12 +56,14 @@ from .errors import DomainError, InvalidLevelError, MalformedFunctionError, Nume
 from .fuzzy_core import (
     _ALPHA_POINTS,
     FuzzyNumber,
+    _accepted_numbers,
     _comparable,
     _grid,
     _invalid_rows,
     _lt,
     _require_integer,
     _require_positive,
+    _validate_levels,
 )
 
 __all__ = [
@@ -230,8 +234,10 @@ def _require_in_domain(f: FuzzyFunction, x: float) -> None:
 _SCALAR_ONLY = (TypeError, ValueError)
 
 # Level values per block of every many-point fetch (scalarize_many and the
-# neighbourhood checks): a block takes max(1, 10302 // m) points, 102 at
-# m = 101, so a 101-sample check and its point are one block.  Larger
+# neighbourhood checks) and of the iterates whose fuzzy values a solve
+# checks at once: a block takes max(1, 10302 // m) points, 102 at m = 101,
+# so a 101-sample check and its point are one block, and so is a solve of
+# up to 102 iterations.  Larger
 # blocks cost page faults, not arithmetic.  Per grid_oracle pass (seed 1,
 # getrusage of the process), 20000-point blocks made ~375k minor faults,
 # as each 16 MB array is above glibc's 128 KiB mmap threshold and is
@@ -249,11 +255,15 @@ _SCALAR_ONLY = (TypeError, ValueError)
 _BLOCK_VALUES = 10302
 
 
+def _block_rows(m: int) -> int:
+    """Points per block of the _BLOCK_VALUES budget at m levels."""
+    return max(1, _BLOCK_VALUES // m)
+
+
 def _blocks(xs: np.ndarray, m: int):
-    """(start, block) over xs in blocks of the _BLOCK_VALUES budget at m
-    levels: max(1, _BLOCK_VALUES // m) points, start being the index in
-    xs of the block's first point."""
-    rows = max(1, _BLOCK_VALUES // m)
+    """(start, block) over xs in blocks of _block_rows(m) points, start
+    being the index in xs of the block's first point."""
+    rows = _block_rows(m)
     return ((i, xs[i:i + rows]) for i in range(0, xs.size, rows))
 
 
@@ -303,16 +313,31 @@ def _integrate(lo: np.ndarray, hi: np.ndarray, w: np.ndarray, x):
     return values
 
 
-def _fuzzy_number(f: FuzzyFunction, x: float, alphas, lo, hi) -> FuzzyNumber:
-    try:
-        return FuzzyNumber(alphas, lo, hi)
-    except InvalidLevelError as err:
-        raise MalformedFunctionError(
-            f"levels of {f.name or 'fuzzy function'} are invalid at "
-            f"x={x:.9g}: {err}",
-            x=x,
-            alpha=err.alpha,
-        ) from err
+def _fuzzy_numbers(f: FuzzyFunction, xs, lo, hi) -> list[FuzzyNumber]:
+    """The fuzzy values of f at the points xs from their level rows lo
+    and hi, on the shared grid of their length: the one way a value of f
+    becomes a FuzzyNumber.
+
+    One _invalid_rows call decides the whole block.  The first row it
+    rejects raises MalformedFunctionError naming that x, worded by
+    _validate_levels; otherwise each value holds read-only rows of one
+    copy of the block, and no row is checked again.
+    """
+    lo, hi = np.array(lo, float), np.array(hi, float)
+    alphas = _grid(lo.shape[-1])
+    bad = _invalid_rows(lo, hi)
+    if bad.any():
+        r = int(np.argmax(bad))
+        try:
+            _validate_levels(alphas, lo[r], hi[r])
+        except InvalidLevelError as err:
+            raise MalformedFunctionError(
+                f"levels of {f.name or 'fuzzy function'} are invalid at "
+                f"x={xs[r]:.9g}: {err}",
+                x=xs[r],
+                alpha=err.alpha,
+            ) from err
+    return _accepted_numbers(alphas, lo, hi)
 
 
 def _stencil(f: FuzzyFunction, x: float, h: float):
@@ -392,7 +417,8 @@ class _Point:
         return self.F(self.x)
 
     def fuzzy_value(self) -> FuzzyNumber:
-        return _fuzzy_number(self.f, self.x, self.alphas, *self.levels(self.x))
+        lo, hi = self.levels(self.x)
+        return _fuzzy_numbers(self.f, [self.x], [lo], [hi])[0]
 
     def stencil(self):
         if self._fd is None:
@@ -434,9 +460,8 @@ def eval_fuzzy(f: FuzzyFunction, x: float, m: int = _ALPHA_POINTS) -> FuzzyNumbe
     """
     _require_in_domain(f, x)
     alphas = _grid(m)
-    return _fuzzy_number(
-        f, x, alphas, *_levels(f.level_lo, f.level_hi, x, alphas)
-    )
+    lo, hi = _levels(f.level_lo, f.level_hi, x, alphas)
+    return _fuzzy_numbers(f, [x], [lo], [hi])[0]
 
 
 def scalarize(f: FuzzyFunction, x: float, cfg: ScalarizationConfig) -> float:
@@ -516,7 +541,7 @@ def _first_witness(
             r = int(hits[0])
             if bad[r]:
                 # raises: row r breaks an invariant
-                _fuzzy_number(f, float(block[r]), alphas, lo[r], hi[r])
+                _fuzzy_numbers(f, [float(block[r])], lo[r:r + 1], hi[r:r + 1])
             # row i of points is sample kept[i - 1]
             return int(kept[start + r - 1]), start + r
     return None, kept.size

@@ -9,6 +9,11 @@ iteration trace.  Two cases raise instead: a start point outside the
 domain (DomainError), and levels that do not form a fuzzy number at an
 iterate (MalformedFunctionError).
 
+The trace's fuzzy values are checked a block of iterates at a time, in
+the level blocks of level_calculus's budget: one validity check per
+block, when it fills and when the loop stops.  So a malformed iterate
+raises only after the later iterations of its block have run.
+
 No damping or line search is applied; divergence and cycling surface as
 the max-iter status, with an end point labelled not-stationary.
 """
@@ -27,6 +32,8 @@ from .level_calculus import (
     FuzzyFunction,
     NonDominanceVerdict,
     ScalarizationConfig,
+    _block_rows,
+    _fuzzy_numbers,
     _Point,
     _require_in_domain,
     comparability_check,
@@ -131,6 +138,17 @@ def _stationarity_kind(f, xstar, cfg) -> str:
     return "local-min" if d2 > 0 else "local-max"
 
 
+def _records(f: FuzzyFunction, steps) -> list[IterationRecord]:
+    """The IterationRecords of steps (k, x_k, F, dF, d2F, step, lo, hi),
+    whose level rows become fuzzy values as one block of _fuzzy_numbers."""
+    if not steps:
+        return []
+    _, xs, *_, los, his = zip(*steps)
+    values = _fuzzy_numbers(f, xs, los, his)
+    return [IterationRecord(*step[:6], value)
+            for step, value in zip(steps, values)]
+
+
 def solve(f: FuzzyFunction, cfg: NewtonConfig) -> SolveResult:
     """Run the Newton iteration on the scalarization of f.
 
@@ -142,10 +160,22 @@ def solve(f: FuzzyFunction, cfg: NewtonConfig) -> SolveResult:
     domain of f.  xstar is the last finite iterate in the domain.  A
     start x0 outside the domain raises DomainError, and levels that do
     not form a fuzzy number at an iterate raise MalformedFunctionError.
+
+    The levels of each iterate are kept and checked in blocks of
+    level_calculus._block_rows(m) iterates (102 at m = 101, 10 at
+    m = 1001), when a block fills and when the loop stops.  The first
+    malformed iterate of a block raises the error that eval_fuzzy gives
+    there, with the same message, x and alpha, but the later iterations
+    of its block run first: an exception one of them raises other than
+    NumericError or DomainError (a level map's own error, or
+    OneSidedStencilWarning under an error filter) comes out instead.
     """
     _require_in_domain(f, cfg.x0)
     xk = float(cfg.x0)
+    rows = _block_rows(cfg.scal.alpha_points)
     trace: list[IterationRecord] = []
+    # accepted steps with the level rows of x_k, up to one block
+    pending: list[tuple] = []
     status = STATUS_MAX_ITER
     for k in range(cfg.max_iter):
         point = _Point(f, xk, cfg.scal)
@@ -162,10 +192,12 @@ def solve(f: FuzzyFunction, cfg: NewtonConfig) -> SolveResult:
         if not all(math.isfinite(v) for v in (fval, d1, d2)):
             status = STATUS_NON_FINITE
             break
-        fuzzy_value = point.fuzzy_value()
         flat = abs(d2) < cfg.d2_floor
         step = math.nan if flat else -d1 / d2
-        trace.append(IterationRecord(k, xk, fval, d1, d2, step, fuzzy_value))
+        pending.append((k, xk, fval, d1, d2, step, *point.levels(xk)))
+        if len(pending) == rows:
+            trace += _records(f, pending)
+            pending = []
         if flat:
             status = STATUS_D2_NEAR_ZERO
             break
@@ -180,6 +212,7 @@ def solve(f: FuzzyFunction, cfg: NewtonConfig) -> SolveResult:
         if abs(step) < cfg.eps:
             status = STATUS_CONVERGED
             break
+    trace += _records(f, pending)
     # every exit leaves xk at the last iterate accepted
     return SolveResult(
         status=status,

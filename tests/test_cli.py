@@ -490,11 +490,24 @@ class TestErrorPaths:
         (("--bogus", "-1e-3"), "unrecognized arguments: --bogus -1e-3"),
         (("--x0", "-foo"), "argument --x0: expected one argument"),
         (("--x0", "-1e"), "argument --x0: expected one argument"),
+        (("--bogus", "-1,2,3"), "unrecognized arguments: --bogus -1,2,3"),
+        (("--rho", "-1,2,"), "argument --rho: expected one argument"),
     ])
     def test_unknown_flag(self, capsys, argv, message):
         code, out, err = run(capsys, "solve", "--problem", "example_4_1",
                              *argv)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("flag", ["--rho", "--Va"])
+    @pytest.mark.parametrize("value", ["-1,2,3", "-1e-3,2,3", "-.5,2,3e0"])
+    def test_negative_comma_list_follows_a_flag(self, capsys, flag, value):
+        # argparse read "-1,2,3" as an option: "expected one argument"
+        message = (f"error: every level of {flag[2:]} must be strictly "
+                   f"positive\n")
+        for given in ([flag, value], [f"{flag}={value}"]):
+            code, out, err = run(capsys, "solve", "--problem",
+                                 "max_return_crisp", *given)
+            assert (code, out, err) == (1, "", message)
 
     @pytest.mark.parametrize("command", ["solve", "table", "check"])
     @pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-.5e-2", "-2.e-1"])

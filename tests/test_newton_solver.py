@@ -10,8 +10,10 @@ import pytest
 from fuzzynewton import (
     DomainError,
     FuzzyNumber,
+    FuzzyFunction,
     InsufficientDataError,
     IterationRecord,
+    MalformedFunctionError,
     NewtonConfig,
     OneSidedStencilWarning,
     ProblemSpec,
@@ -20,15 +22,19 @@ from fuzzynewton import (
     STATUS_LEFT_DOMAIN,
     STATUS_MAX_ITER,
     STATUS_NON_FINITE,
+    ScalarizationConfig,
     build_example_4_1,
     check_point,
     crisp,
     crisp_lift,
     estimate_convergence_order,
+    eval_fuzzy,
     resolve_problem,
     solve,
     verify_solution,
 )
+from fuzzynewton import fuzzy_core, level_calculus
+from fuzzynewton.fuzzy_core import _grid
 
 EX41 = build_example_4_1()
 
@@ -249,6 +255,109 @@ class TestSolve:
         ))
         assert res.status == STATUS_MAX_ITER
         assert res.stationarity_kind == "not-stationary"
+
+
+def swapped_quartic(t):
+    """F = x^4 with analytic derivatives, so that Newton takes
+    x_{k+1} = 2 x_k / 3; below x = t the level maps swap lo and hi, which
+    breaks lo <= hi and leaves lo + hi, and so every iterate, bit for bit."""
+
+    def level(end):
+        def level_map(x, a):
+            mid, spread = 0.5 * x**4, 0.25 * (1.0 - a)
+            ends = (mid - spread, mid + spread)
+            return ends[1 - end] if x < t else ends[end]
+
+        return level_map
+
+    def d1(x, a):
+        return 2.0 * x**3 + 0.0 * a
+
+    def d2(x, a):
+        return 6.0 * x**2 + 0.0 * a
+
+    return FuzzyFunction(level(0), level(1), d1, d1, d2, d2,
+                         name="swapped quartic")
+
+
+class TestMalformedIterate:
+    # between (2/3)^11 and (2/3)^12: from x0 = 1 the first iterate below
+    # it is x_12, in the second 10-row block at m = 1001
+    T = 0.5 * ((2.0 / 3.0) ** 11 + (2.0 / 3.0) ** 12)
+
+    @pytest.mark.parametrize("m", [101, 1001])
+    def test_raises_at_the_first_malformed_iterate(self, m):
+        cfg = NewtonConfig(x0=1.0, scal=ScalarizationConfig(alpha_points=m))
+        valid = solve(swapped_quartic(-math.inf), cfg)
+        assert valid.status == STATUS_CONVERGED
+        xs = valid.iterates()
+        first = next(k for k, x in enumerate(xs) if x < self.T)
+        assert first == 12
+        f = swapped_quartic(self.T)
+        with pytest.raises(MalformedFunctionError) as err:
+            solve(f, cfg)
+        with pytest.raises(MalformedFunctionError) as ref:
+            eval_fuzzy(f, xs[first], m)
+        assert err.value.x == xs[first]
+        assert str(err.value) == str(ref.value)
+        assert err.value.alpha == ref.value.alpha == 0.0
+        assert "level ordering lo <= hi fails" in str(err.value)
+
+
+def _builtin(name, **scal):
+    resolved = resolve_problem(ProblemSpec(kind=name))
+    return resolved.function, NewtonConfig(
+        x0=resolved.x0, eps=resolved.eps,
+        scal=dataclasses.replace(resolved.scal, **scal),
+    )
+
+
+# (function, config, records): a one-iteration solve, a converged one at
+# m = 101 and the 100-record two-cycle at m = 1001, ten 10-row blocks
+TRACE_CASES = {
+    "one_iteration": lambda: (EX41, NewtonConfig(x0=0.0), 1),
+    "crisp_m101": lambda: (*_builtin("max_return_crisp"), 9),
+    "two_cycle_m1001": lambda: (
+        *_builtin("max_return_fuzzy", fd_step=1e-5, alpha_points=1001), 100
+    ),
+}
+
+
+class TestTraceFuzzyValues:
+    @pytest.mark.parametrize("case", sorted(TRACE_CASES))
+    def test_each_is_eval_fuzzy_at_its_iterate(self, case):
+        f, cfg, records = TRACE_CASES[case]()
+        m = cfg.scal.alpha_points
+        res = solve(f, cfg)
+        assert res.iterations == records
+        for rec in res.trace:
+            value, ref = rec.fuzzy_value, eval_fuzzy(f, rec.x_k, m)
+            assert value.alphas is _grid(m)
+            assert np.array_equal(value.lo, ref.lo)
+            assert np.array_equal(value.hi, ref.hi)
+            for ends in (value.lo, value.hi):
+                assert not ends.flags.writeable
+                with pytest.raises(ValueError):
+                    ends.flags.writeable = True
+
+    @pytest.mark.parametrize("case, blocks", [
+        ("crisp_m101", [(9, 101)]),
+        ("two_cycle_m1001", [(10, 1001)] * 10),
+    ])
+    def test_one_validity_check_per_block(self, monkeypatch, case, blocks):
+        shapes = []
+        kernel = fuzzy_core._invalid_rows
+
+        def spy(lo, hi):
+            shapes.append(np.shape(lo))
+            return kernel(lo, hi)
+
+        # every module that calls the kernel, FuzzyNumber's check included
+        for module in (fuzzy_core, level_calculus):
+            monkeypatch.setattr(module, "_invalid_rows", spy)
+        f, cfg, _ = TRACE_CASES[case]()
+        solve(f, cfg)
+        assert shapes == blocks
 
 
 class TestConvergenceOrder:
