@@ -191,7 +191,9 @@ class FuzzyNumber:
     (upper endpoints, nonincreasing in alpha).  Construction validates
     per-level ordering, nestedness, and grid uniformity; the shared
     grid of ``_grid`` is taken as it is, since it was validated when it
-    was built and cannot be written.
+    was built and cannot be written.  A value pickles by its three
+    arrays and is rebuilt by this constructor, checked again; a copy,
+    shallow or deep, is the value itself.
     """
 
     __slots__ = ("alphas", "lo", "hi")
@@ -217,6 +219,16 @@ class FuzzyNumber:
 
     def __setattr__(self, name, value):
         raise AttributeError("FuzzyNumber is immutable")
+
+    def __reduce__(self):
+        return _unpickled, (self.alphas, self.lo, self.hi)
+
+    # immutable, so a copy may be the value itself
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     @property
     def m(self) -> int:
@@ -249,6 +261,16 @@ class FuzzyNumber:
     def __hash__(self):
         # equality is tolerant, so only the grid size can be hashed
         return hash(self.m)
+
+
+def _unpickled(alphas, lo, hi) -> FuzzyNumber:
+    """A pickled FuzzyNumber, rebuilt and validated by the constructor;
+    a grid equal to the shared grid of its size is read back as it."""
+    alphas = np.asarray(alphas, dtype=float)
+    if (alphas.ndim == 1 and alphas.size >= 2
+            and np.array_equal(alphas, _grid(alphas.size))):
+        alphas = _grid(alphas.size)
+    return FuzzyNumber(alphas, lo, hi)
 
 
 def _validate_grid(alphas: np.ndarray) -> None:

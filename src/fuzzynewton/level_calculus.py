@@ -28,13 +28,18 @@ built-in level maps keep what they derive from alpha alone in one table
 for the last grid they saw, found by identity (see ``problems``); an
 alpha array of a caller's own gets a fresh table each time.
 
-The neighbourhood checks (comparability and non-dominance) fetch the
-point and its samples in the domain as x-columns in scalarize_many's
-blocks, validate them with fuzzy_core's row-wise invariant kernel and
-compare them with the row-wise order kernels: one call per level map
-for up to 101 samples at 101 levels.  Their verdicts, witnesses and
-errors are those of taking the samples one at a time in order; a check
-that finds no sample in the domain is inconclusive.
+The neighbourhood checks (comparability and non-dominance) are read
+by one scanner, ``_first_witness``, from one x-column: the point, any
+other points whose levels the caller wants (a verification's stencil),
+then each check's samples in the domain.  The column is fetched in
+scalarize_many's blocks, one at a time, with one call pair of the
+level maps and one call of fuzzy_core's row-wise invariant kernel per
+block, and each check compares its own rows with a row-wise order
+kernel.  So a verification is one fetch: its point, its stencil and
+all three checks take one call pair per block of 102 rows at 101
+levels.  Verdicts, witnesses and errors are those of taking the
+samples one at a time in order and the checks one after another; a
+check that finds no sample in the domain is inconclusive.
 
 Level callables must accept numpy arrays for the alpha argument and
 broadcast; accepting array x as well is optional but enables the fast
@@ -396,6 +401,12 @@ class _Point:
         self._values: dict = {}
         self._fd = None
 
+    def keep(self, points, lo, hi) -> None:
+        """Keep rows lo[i] and hi[i], fetched elsewhere, as the levels at
+        points[i]; they must not be written."""
+        for p, row_lo, row_hi in zip(points, lo, hi):
+            self._levels.setdefault(p, (row_lo, row_hi))
+
     def levels(self, p: float):
         if p not in self._levels:
             self._levels[p] = _levels(
@@ -508,43 +519,125 @@ def scalarize_d2(f: FuzzyFunction, x: float, cfg: ScalarizationConfig) -> float:
 
 
 def _first_witness(
-    f: FuzzyFunction, x0: float, xs: np.ndarray, reach: float, m: int,
-    is_witness: Callable[..., np.ndarray],
-) -> tuple[Optional[int], int]:
-    """The index in xs of the first sample x with is_witness(f(x), f(x0)),
-    or None, and the number of samples compared.
+    f: FuzzyFunction, x0: float, checks, reach: float, m: int,
+    lead=(), on_lead: Optional[Callable] = None,
+) -> tuple[list, object]:
+    """For each check (xs, is_witness, report), report(i, used): i the
+    index in xs of its first sample x with is_witness(f(x), f(x0)), or
+    None, and used the number of samples it compared; and what on_lead
+    returned.
 
     Samples outside the domain are skipped, and so are samples within
     1e-12 * max(1, |x0|, reach) of x0, reach being how far the samples
     go: rounding can land one a few ulps off x0, which is x0 for all
     practical purposes, not evidence.
 
-    x0 and the kept samples are evaluated in scalarize_many's blocks, x0
-    in row 0, and is_witness is an order kernel of fuzzy_core applied to
-    the (lo, hi) rows of a block and x0's row.  The first row that is a
-    witness or breaks an invariant decides; a broken row raises
-    MalformedFunctionError, as when the samples are taken one at a time.
+    x0, the points of lead and each check's kept samples, in that order,
+    make one x-column, fetched in scalarize_many's blocks with one
+    _invalid_rows call per block.  Once the rows of x0 and lead are in,
+    on_lead gets copies of them, before a sample row is read.  Each
+    check then scans its own rows, which may span blocks, with an
+    order kernel of fuzzy_core against x0's row: the first row that is
+    a witness or breaks an invariant decides, and a broken row raises
+    MalformedFunctionError, as when the samples are taken one at a time
+    and the checks one after another.  So does a broken x0, whatever the
+    samples; lead rows are not checked.  Fetching stops once every check
+    is decided.
     """
     _require_in_domain(f, x0)
-    coincident = 1e-12 * max(1.0, abs(x0), reach)
-    kept = np.flatnonzero(~(np.abs(xs - x0) <= coincident) & f.contains(xs))
-    points = np.concatenate(([x0], xs[kept]))
     alphas = _grid(m)
+    coincident = 1e-12 * max(1.0, abs(x0), reach)
+    # masks, not indices: 1 byte per sample, not 8
+    kept = [
+        ~(np.abs(xs - x0) <= coincident) & f.contains(xs)
+        for xs, *_ in checks
+    ]
+    sizes = [int(np.count_nonzero(k)) for k in kept]
+    head = 1 + len(lead)
+    # check c reads rows ends[c] - sizes[c] to ends[c] of points
+    ends = head + np.cumsum(sizes, dtype=int)
+    points = np.empty(head + sum(sizes))
+    points[:head] = x0, *lead
+    for (xs, *_), k, size, end in zip(checks, kept, sizes, ends):
+        points[end - size:end] = xs[k]
+    found = [None if size else (None, 0) for size in sizes]
+    # copies of the rows of x0 (the base of every order) and lead
+    base = np.empty((2, head, m))
+    measured = None
     for start, block in _blocks(points, m):
         lo, hi = _levels_each(f, block, alphas)
-        if start == 0:
-            base = lo[0], hi[0]
         bad = _invalid_rows(lo, hi)
-        # x0's own row is never a witness of either order
-        hits = np.flatnonzero(bad | is_witness(lo, hi, *base))
-        if hits.size:
-            r = int(hits[0])
-            if bad[r]:
-                # raises: row r breaks an invariant
-                _fuzzy_numbers(f, [float(block[r])], lo[r:r + 1], hi[r:r + 1])
-            # row i of points is sample kept[i - 1]
-            return int(kept[start + r - 1]), start + r
-    return None, kept.size
+        stop = start + block.size
+        if start < head:
+            n = min(head, stop) - start
+            base[:, start:start + n] = lo[:n], hi[:n]
+            if start == 0:
+                x0_bad = bad[0]
+            if stop >= head:
+                if on_lead is not None:
+                    measured = on_lead(*base)
+                if x0_bad:
+                    # raises: x0's row breaks an invariant
+                    _fuzzy_numbers(f, [x0], base[0, :1], base[1, :1])
+        for c, (_, is_witness, _) in enumerate(checks):
+            first, end = int(ends[c]) - sizes[c], int(ends[c])
+            if found[c] is not None or end <= start or stop <= first:
+                continue
+            rows = slice(max(first, start) - start, min(end, stop) - start)
+            hits = np.flatnonzero(
+                bad[rows] | is_witness(lo[rows], hi[rows], *base[:, 0])
+            )
+            if hits.size:
+                r = rows.start + int(hits[0])
+                if bad[r]:
+                    # raises: row r breaks an invariant
+                    _fuzzy_numbers(
+                        f, [float(block[r])], lo[r:r + 1], hi[r:r + 1]
+                    )
+                # row start + r of points is check c's i-th kept sample
+                i = start + r - first
+                found[c] = int(np.flatnonzero(kept[c])[i]), i + 1
+            elif end <= stop:
+                found[c] = None, sizes[c]
+        # no view of this block may outlive it into the next fetch
+        del lo, hi, bad
+        if stop >= head and None not in found:
+            break
+    return [report(*hit) for (*_, report), hit in zip(checks, found)], measured
+
+
+def _incomparable(*levels) -> np.ndarray:
+    """Not comparable in the fuzzy-max order, row by row."""
+    return ~_comparable(*levels)
+
+
+def _comparability(x0: float, d: float, delta: float, samples: int):
+    """The samples, order kernel and report of comparability_check."""
+    _require_positive("nbhd", delta)
+    _require_integer("samples", samples, 0)
+    lams = np.linspace(0.0, delta, samples + 2)[1:-1]
+
+    def report(i, used):
+        return ComparabilityReport(
+            direction=d, delta=delta, samples=used,
+            witness=None if i is None else float(lams[i]),
+        )
+
+    return x0 + lams * d, _incomparable, report
+
+
+def _non_dominance(xstar: float, eps_nbhd: float, samples: int):
+    """The samples, order kernel and verdict of non_dominance_check."""
+    _require_positive("nbhd", eps_nbhd)
+    _require_integer("samples", samples, 0)
+    grid = np.linspace(xstar - eps_nbhd, xstar + eps_nbhd, samples)
+
+    def verdict(i, used):
+        return NonDominanceVerdict(
+            samples=used, dominator=None if i is None else float(grid[i]),
+        )
+
+    return grid, _lt, verdict
 
 
 # How a check that compared no sample describes itself.
@@ -595,17 +688,10 @@ def comparability_check(
     report is not ok.  A delta that is not positive and finite, or a
     sample count that is not a non-negative integer, raises ValueError.
     """
-    _require_positive("nbhd", delta)
-    _require_integer("samples", samples, 0)
-    lams = np.linspace(0.0, delta, samples + 2)[1:-1]
-    i, used = _first_witness(
-        f, x0, x0 + lams * d, delta, m,
-        lambda *levels: ~_comparable(*levels),
+    (report,), _ = _first_witness(
+        f, x0, [_comparability(x0, d, delta, samples)], delta, m
     )
-    return ComparabilityReport(
-        direction=d, delta=delta, samples=used,
-        witness=None if i is None else float(lams[i]),
-    )
+    return report
 
 
 @dataclass(frozen=True)
@@ -642,10 +728,7 @@ def non_dominance_check(
     An eps that is not positive and finite, or a sample count that is not
     a non-negative integer, raises ValueError.
     """
-    _require_positive("nbhd", eps_nbhd)
-    _require_integer("samples", samples, 0)
-    grid = np.linspace(xstar - eps_nbhd, xstar + eps_nbhd, samples)
-    i, used = _first_witness(f, xstar, grid, eps_nbhd, m, _lt)
-    return NonDominanceVerdict(
-        samples=used, dominator=None if i is None else float(grid[i]),
+    (verdict,), _ = _first_witness(
+        f, xstar, [_non_dominance(xstar, eps_nbhd, samples)], eps_nbhd, m
     )
+    return verdict

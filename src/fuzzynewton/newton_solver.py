@@ -33,11 +33,12 @@ from .level_calculus import (
     NonDominanceVerdict,
     ScalarizationConfig,
     _block_rows,
+    _comparability,
+    _first_witness,
     _fuzzy_numbers,
+    _non_dominance,
     _Point,
     _require_in_domain,
-    comparability_check,
-    non_dominance_check,
 )
 
 __all__ = [
@@ -334,23 +335,45 @@ def check_point(
     that solve's stationarity kind uses.  Of cfg, only eps and scal are
     read; a non-finite x raises ValueError, naming it as the report's
     xstar.
+
+    One fetch serves the whole verification: x, its other stencil
+    points and the kept samples of the three checks are one x-column,
+    read in level_calculus's blocks with one call pair of the level
+    maps and one validity check per block (one block at 25 samples and
+    101 levels).  The level slopes, and F' and F'' by the stencil, read
+    its stencil rows; analytic F' and F'' take a call pair each.  F''
+    is taken before a sample row is checked, so non-finite levels at x
+    raise NumericError there; an nbhd or samples that is not valid
+    raises ValueError before any level is fetched.
     """
     if not math.isfinite(x):
         raise ValueError(f"xstar must be finite, got {x}")
     point = _Point(f, x, cfg.scal)
-    # the level slopes first: they fetch the stencil levels d1 and d2 reuse
-    level_d1_max = point.level_d1_max()
-    d1, d2 = point.d1(), point.d2()
-    m = cfg.scal.alpha_points
+    stencil = [p for p in point.stencil()[0] if p != x]
+    checks = [
+        _non_dominance(x, nbhd, samples),
+        _comparability(x, +1.0, nbhd, samples),
+        _comparability(x, -1.0, nbhd, samples),
+    ]
+
+    def derivatives(lo, hi):
+        # F' and F'' raise NumericError before a sample row is read
+        point.keep([x, *stencil], lo, hi)
+        return point.level_d1_max(), point.d1(), point.d2()
+
+    (non_dominance, comp_plus, comp_minus), (level_d1_max, d1, d2) = (
+        _first_witness(f, x, checks, nbhd, cfg.scal.alpha_points,
+                       stencil, derivatives)
+    )
     return VerificationReport(
         xstar=x,
         d1=d1,
         d2=d2,
         stat_tol=_stat_tol(cfg.eps, d2),
         level_d1_max=level_d1_max,
-        non_dominance=non_dominance_check(f, x, nbhd, samples, m),
-        comp_plus=comparability_check(f, x, +1.0, nbhd, samples, m),
-        comp_minus=comparability_check(f, x, -1.0, nbhd, samples, m),
+        non_dominance=non_dominance,
+        comp_plus=comp_plus,
+        comp_minus=comp_minus,
     )
 
 

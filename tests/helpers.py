@@ -8,7 +8,15 @@ import tracemalloc
 import numpy as np
 from hypothesis import strategies as st
 
-from fuzzynewton import FuzzyNumber, TriangularFuzzy, uniform_alphas
+from fuzzynewton import (
+    FuzzyNumber,
+    TriangularFuzzy,
+    comparability_check,
+    non_dominance_check,
+    uniform_alphas,
+)
+from fuzzynewton.level_calculus import _Point
+from fuzzynewton.newton_solver import VerificationReport, _stat_tol
 from fuzzynewton.problems import C0, C1, C2, LIN0, LIN1
 
 GRID_SIZES = (5, 11, 21, 41, 101)
@@ -34,6 +42,36 @@ def assert_same_bits(got, want) -> None:
     got, want = np.asarray(got), np.asarray(want)
     assert (got.shape, got.dtype) == (want.shape, want.dtype)
     assert got.tobytes() == want.tobytes()
+
+
+def assembled_report(f, x, cfg, nbhd, samples) -> VerificationReport:
+    """check_point's report at x taken apart: the level slopes, F' and
+    F'' of a _Point, which fetches each stencil point for itself, and
+    the three public sampling checks, each fetching its own column."""
+    point = _Point(f, x, cfg.scal)
+    level_d1_max = point.level_d1_max()
+    d1, d2 = point.d1(), point.d2()
+    m = cfg.scal.alpha_points
+    return VerificationReport(
+        xstar=x,
+        d1=d1,
+        d2=d2,
+        stat_tol=_stat_tol(cfg.eps, d2),
+        level_d1_max=level_d1_max,
+        non_dominance=non_dominance_check(f, x, nbhd, samples, m),
+        comp_plus=comparability_check(f, x, +1.0, nbhd, samples, m),
+        comp_minus=comparability_check(f, x, -1.0, nbhd, samples, m),
+    )
+
+
+def report_bits(rep: VerificationReport) -> tuple:
+    """A VerificationReport with its floats as their bits, so that equal
+    means bit for bit, NaN included."""
+    return (
+        *(float(v).hex() for v in
+          (rep.xstar, rep.d1, rep.d2, rep.stat_tol, rep.level_d1_max)),
+        rep.non_dominance, rep.comp_plus, rep.comp_minus,
+    )
 
 
 def assert_valid_fuzzy(a: FuzzyNumber) -> None:

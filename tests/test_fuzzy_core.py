@@ -1,6 +1,7 @@
 """Unit tests for interval/level containers and fuzzy arithmetic."""
 
 import math
+import pickle
 import re
 
 import numpy as np
@@ -33,6 +34,7 @@ from fuzzynewton import (
     uniform_alphas,
 )
 from fuzzynewton.errors import DomainError
+from fuzzynewton.fuzzy_core import _grid
 from fuzzynewton.problems import _triangular
 
 
@@ -197,6 +199,25 @@ class TestFuzzyNumber:
         assert float(a.lo[0]) != float(b.lo[0])
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
+
+
+class TestPickle:
+    def test_grid_of_its_own_stays_its_own(self):
+        # uniform within the grid check's 1e-12, but not the shared bits
+        alphas = uniform_alphas(5)
+        alphas[2] += 1e-15
+        a = FuzzyNumber(alphas, np.zeros(5), np.ones(5))
+        b = pickle.loads(pickle.dumps(a))
+        assert b.alphas is not _grid(5)
+        assert b.alphas.tobytes() == alphas.tobytes()
+        assert not b.alphas.flags.writeable
+
+    def test_rebuilt_through_the_validated_constructor(self):
+        # a pickle whose levels were swapped is checked, not trusted
+        a = tri(0.0, 1.0, 2.0)
+        rebuild, (alphas, lo, hi) = a.__reduce__()
+        with pytest.raises(InvalidLevelError, match="level ordering"):
+            rebuild(alphas, hi, lo)
 
 
 class TestArithmetic:

@@ -34,7 +34,7 @@ from fuzzynewton import (
 )
 from fuzzynewton import level_calculus
 
-from helpers import traced_peak
+from helpers import assembled_report, report_bits, traced_peak
 
 EX41 = build_example_4_1()
 CFG = ScalarizationConfig()
@@ -629,3 +629,126 @@ class TestBatchedChecks:
                 non_dominance_check(EX41, x, 0.01, 25) for x in (-0.3, 0.0)
             ] + [comparability_check(EX41, -4.0 / 3.0, +1.0, 0.05, 25)]
             assert split == whole
+
+
+def _broken_at(points, f=EX41, jump=10.0):
+    """f whose lower levels jump by jump at alpha > 0.5, above the upper
+    ones by default, at the given points only."""
+
+    def level_lo(x, a):
+        broken = np.isin(np.asarray(x, float), points)
+        if np.ndim(broken):
+            broken = broken[..., None]
+        return f.level_lo(x, a) + np.where(broken & (a > 0.5), jump, 0.0)
+
+    return dataclasses.replace(f, level_lo=level_lo)
+
+
+def _fd_only(f):
+    """f with its analytic derivatives dropped: F' and F'' by the
+    stencil."""
+    return dataclasses.replace(
+        f, d1_lo=None, d1_hi=None, d2_lo=None, d2_hi=None
+    )
+
+
+# the k-th comparability sample of 25 in (0, 0.01) along +1 from x
+def _plus_sample(x, k):
+    return x + np.linspace(0.0, 0.01, 27)[1:-1][k]
+
+
+class TestCheckPointColumn:
+    """check_point reads x, its stencil and its three checks from one
+    x-column: the report and the errors are those of the stencil and
+    each check fetched apart."""
+
+    @pytest.mark.parametrize("samples", [25, 101])
+    def test_one_block_alive_at_a_time(self, samples):
+        # The column is one block of 102 rows at 25 samples and three at
+        # 101. One block at a time reads 330 and 420 KiB; a scan that
+        # keeps the previous block, or a row view into it, alive through
+        # the next fetch read 551 KiB at 101 samples. This bound is what
+        # catches that.
+        for f, x in ((EX41, 0.0),
+                     (build_max_return_fuzzy(), 0.6992541391715129)):
+            cfg = NewtonConfig(x0=x)
+            check_point(f, x, cfg, 0.01, samples)
+            peak = traced_peak(check_point, f, x, cfg, 0.01, samples)
+            assert peak < 480 * 2**10
+
+    def test_non_finite_levels_at_x_raise_numeric_error(self):
+        # F'' by the stencil reads F(x) before a sample row is checked
+        f = _fd_only(_broken_at([0.0], jump=math.nan))
+        with pytest.raises(NumericError, match="non-finite level values"):
+            check_point(f, 0.0, NewtonConfig(x0=0.0))
+
+    def test_settings_are_checked_before_any_fetch(self):
+        # the column is built from nbhd and samples, so they are checked
+        # before F'' reads the NaN at x
+        f = _fd_only(_broken_at([0.0], jump=math.nan))
+        with pytest.raises(ValueError, match="nbhd must be positive"):
+            check_point(f, 0.0, NewtonConfig(x0=0.0), nbhd=-1.0)
+
+    def test_malformed_x_with_analytic_derivatives_raises_at_x(self):
+        # no F(x) is read, so the first check finds x's own row broken
+        f = _broken_at([0.0])
+        with pytest.raises(MalformedFunctionError) as err:
+            check_point(f, 0.0, NewtonConfig(x0=0.0))
+        assert (err.value.x, err.value.alpha) == (0.0, pytest.approx(0.51))
+
+    @pytest.mark.parametrize("k", [0, 3, 24])
+    def test_malformed_comparability_sample_raises_there(self, k):
+        # non-dominance finds no dominator of the minimizer 0 and reads
+        # no broken row; comparability (+) meets its k-th sample
+        x = _plus_sample(0.0, k)
+        f = _broken_at([x])
+        assert not non_dominance_check(f, 0.0, 0.01, 25).dominated
+        with pytest.raises(MalformedFunctionError) as err:
+            check_point(f, 0.0, NewtonConfig(x0=0.0))
+        with pytest.raises(MalformedFunctionError) as one:
+            eval_fuzzy(f, x, 101)
+        assert (err.value.x, err.value.alpha) == (x, one.value.alpha)
+        assert str(err.value) == str(one.value)
+
+    def test_witness_before_a_malformed_row_decides(self):
+        # at the maximizer -4/3 the first comparability (+) sample is a
+        # witness; the broken fourth sample is fetched but not checked
+        x = -4.0 / 3.0
+        f = _broken_at([_plus_sample(x, 3)])
+        cfg = NewtonConfig(x0=x)
+        rep = check_point(f, x, cfg)
+        assert rep.comp_plus.witness == np.linspace(0.0, 0.01, 27)[1]
+        assert report_bits(rep) == report_bits(check_point(EX41, x, cfg))
+
+    @pytest.mark.parametrize("fd", [False, True], ids=["analytic", "fd"])
+    def test_domain_edge_warns_once(self, fd):
+        f = dataclasses.replace(EX41, domain=(0.0, 2.0))
+        f = _fd_only(f) if fd else f
+        cfg = NewtonConfig(x0=0.0)
+        with pytest.warns(OneSidedStencilWarning) as record:
+            rep = check_point(f, 0.0, cfg)
+        assert len(record) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OneSidedStencilWarning)
+            want = assembled_report(f, 0.0, cfg, 0.01, 25)
+        assert report_bits(rep) == report_bits(want)
+        assert rep.non_dominance.samples == 12
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7, 101])
+    def test_blocks_split_at_any_row_count(self, monkeypatch, rows):
+        # x and its stencil span up to three blocks, and a check's rows
+        # any number of them
+        cfg = NewtonConfig(x0=0.0)
+        cases = [(f, x) for f in (EX41, _fd_only(EX41))
+                 for x in (-4.0 / 3.0, -0.3, 0.0)]
+        cases.append((build_max_return_fuzzy(), 0.6992541391715129))
+        whole = [report_bits(check_point(f, x, cfg, 0.05, 25))
+                 for f, x in cases]
+        monkeypatch.setattr(
+            level_calculus, "_BLOCK_VALUES", rows * CFG.alpha_points
+        )
+        split = [report_bits(check_point(f, x, cfg, 0.05, 25))
+                 for f, x in cases]
+        apart = [report_bits(assembled_report(f, x, cfg, 0.05, 25))
+                 for f, x in cases]
+        assert split == whole == apart

@@ -14,9 +14,11 @@ import io
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from fuzzynewton import TriangularFuzzy, cli
+from fuzzynewton.level_calculus import _block_rows
 from fuzzynewton.newton_solver import (
     NewtonConfig,
     check_point,
@@ -59,13 +61,16 @@ def _builtin(name):
 # (solve, verify_solution) at each built-in's recommended settings.
 # solve ends with F' and F'' at xstar for its stationarity kind: with
 # analytic derivatives, 2 calls each.
-# verify_solution: the level slopes' stencil (4 calls), F'' and, with
-# analytic derivatives, F' (2 each, else F at x: 2), and one x-column
-# call per level map for each of the three sampling checks (6).
+# verify_solution: one x-column call per level map for each block of
+# the column of xstar, its two other stencil points and the kept
+# samples of the three sampling checks (3 + 74 or 75 rows, one block),
+# plus F' and F'' with analytic derivatives (2 each). The level slopes
+# and a finite-difference F' and F'' read the column's stencil rows.
+# Fetching the stencil and each check apart made 14/14/12.
 BUILTIN_CALLS = {
-    "example_4_1": (34, 14),
-    "max_return_crisp": (58, 14),
-    "max_return_fuzzy": (72, 12),
+    "example_4_1": (34, 6),
+    "max_return_crisp": (58, 6),
+    "max_return_fuzzy": (72, 2),
 }
 
 
@@ -80,18 +85,61 @@ def test_solve_and_verify_calls(name):
     assert (solve_calls, counter.calls) == BUILTIN_CALLS[name]
 
 
-@pytest.mark.parametrize("name", sorted(BUILTIN_CALLS))
-def test_verify_calls_do_not_grow_with_samples(name):
+def _column_rows(f, x, nbhd, samples):
+    """Rows of check_point's column at x: x, two more stencil points and
+    the samples of the three checks that lie in the domain and not
+    within 1e-12 * max(1, |x|, nbhd) of x."""
+    sampled = np.concatenate([
+        np.linspace(x - nbhd, x + nbhd, samples),
+        x + np.linspace(0.0, nbhd, samples + 2)[1:-1],
+        x - np.linspace(0.0, nbhd, samples + 2)[1:-1],
+    ])
+    coincident = 1e-12 * max(1.0, abs(x), nbhd)
+    return 3 + int(np.sum(f.contains(sampled)
+                          & ~(np.abs(sampled - x) <= coincident)))
+
+
+# verify_solution's calls at 25 and 101 samples per check: 1 and 3
+# blocks of 102 rows. Each check fetching its own block made 14/14/12
+# at both.
+SAMPLE_CALLS = {
+    "example_4_1": [6, 10],
+    "max_return_crisp": [6, 10],
+    "max_return_fuzzy": [2, 6],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_CALLS))
+def test_verify_calls_grow_by_blocks_of_the_column(name):
+    # calls = analytic pairs + 2 x blocks of the column: the samples add
+    # a level-map call pair per block of rows, not per sample or check
     f, cfg = _builtin(name)
     counter = Counter()
-    f = counter.wrap(f)
-    result = solve(f, cfg)
+    counted = counter.wrap(f)
+    result = solve(counted, cfg)
+    analytic = 2 * (f.has_analytic_d1 + f.has_analytic_d2)
     calls = []
     for samples in (25, 101):
         counter.calls = 0
-        verify_solution(f, result, cfg, samples=samples)
+        verify_solution(counted, result, cfg, samples=samples)
+        blocks = -(-_column_rows(f, result.xstar, 0.01, samples)
+                   // _block_rows(cfg.scal.alpha_points))
+        assert counter.calls == analytic + 2 * blocks
         calls.append(counter.calls)
-    assert calls == [BUILTIN_CALLS[name][1]] * 2
+    assert calls == SAMPLE_CALLS[name]
+
+
+def test_verify_stops_fetching_once_every_check_is_decided():
+    # At example_4_1's maximizer -4/3 with 300 samples per check, the
+    # column is 903 rows, 9 blocks. Non-dominance reads its 300 rows,
+    # and each comparability check is decided by its first sample, row
+    # 303 and row 603, in the sixth block: analytic pairs + 2 x 6.
+    f, _ = _builtin("example_4_1")
+    counter = Counter()
+    report = check_point(counter.wrap(f), -4.0 / 3.0, NewtonConfig(x0=0.0),
+                         samples=300)
+    assert (report.comp_plus.samples, report.comp_minus.samples) == (1, 1)
+    assert counter.calls == 4 + 2 * 6
 
 
 # TriangularFuzzy.cut calls of a freshly built function over a solve
@@ -139,11 +187,12 @@ def _cli_calls(monkeypatch, argv, code):
 
 # A `solve` report: the solve and the verification of BUILTIN_CALLS,
 # plus the answer's fuzzy value and F(xstar) from one evaluation of
-# xstar (2 calls). Evaluating them apart made 52/76/88.
+# xstar (2 calls). Evaluating them apart made 52/76/88, and fetching
+# the verification's stencil and each check apart 50/74/86.
 REPORT_CALLS = {
-    "example_4_1": 50,
-    "max_return_crisp": 74,
-    "max_return_fuzzy": 86,
+    "example_4_1": 42,
+    "max_return_crisp": 66,
+    "max_return_fuzzy": 76,
 }
 
 

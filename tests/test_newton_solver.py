@@ -1,7 +1,9 @@
 """Tests for the scalarized Newton iteration and its diagnostics."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -35,6 +37,7 @@ from fuzzynewton import (
 )
 from fuzzynewton import fuzzy_core, level_calculus
 from fuzzynewton.fuzzy_core import _grid
+from fuzzynewton.problems import BUILTIN_NAMES
 
 EX41 = build_example_4_1()
 
@@ -358,6 +361,46 @@ class TestTraceFuzzyValues:
         f, cfg, _ = TRACE_CASES[case]()
         solve(f, cfg)
         assert shapes == blocks
+
+
+    @pytest.mark.parametrize("samples, blocks", [
+        (25, [(77, 101)]),
+        (101, [(102, 101), (102, 101), (101, 101)]),
+    ])
+    def test_check_point_checks_each_block_once(self, monkeypatch, samples,
+                                                blocks):
+        # x, its two other stencil points and 25 or 101 samples per check,
+        # less the non-dominance sample that is x itself
+        shapes = []
+        kernel = fuzzy_core._invalid_rows
+
+        def spy(lo, hi):
+            shapes.append(np.shape(lo))
+            return kernel(lo, hi)
+
+        for module in (fuzzy_core, level_calculus):
+            monkeypatch.setattr(module, "_invalid_rows", spy)
+        check_point(EX41, 0.0, NewtonConfig(x0=0.0), samples=samples)
+        assert shapes == blocks
+
+
+class TestCopies:
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_solve_result_pickles_and_deep_copies(self, name):
+        # a FuzzyNumber's own attribute guard stopped both before
+        f, cfg = _builtin(name)
+        res = solve(f, cfg)
+        pickled = pickle.loads(pickle.dumps(res))
+        copied = copy.deepcopy(res)
+        assert pickled == res and copied == res
+        for old, new, same in zip(res.trace, pickled.trace, copied.trace):
+            assert same.fuzzy_value is old.fuzzy_value
+            value = new.fuzzy_value
+            assert value.alphas is _grid(cfg.scal.alpha_points)
+            for got, want in ((value.lo, old.fuzzy_value.lo),
+                              (value.hi, old.fuzzy_value.hi)):
+                assert got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
 
 
 class TestConvergenceOrder:

@@ -2,11 +2,14 @@
 and the command line's handling of problem input."""
 
 import contextlib
+import copy
 import dataclasses
 import io
 import json
 import math
 import os
+import pickle
+import re
 import tempfile
 import warnings
 
@@ -16,14 +19,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzynewton import (
+    DomainError,
     FuzzyNumber,
     HukuharaNonexistence,
     InvalidLevelError,
     NewtonConfig,
+    OneSidedStencilWarning,
     ScalarizationConfig,
     TriangularFuzzy,
     add,
     build_fuzzy_polynomial,
+    check_point,
     comparability_check,
     comparable,
     crisp,
@@ -76,6 +82,7 @@ from fuzzynewton.problems import (
 )
 from helpers import (
     GRID_SIZES,
+    assembled_report,
     assert_same_bits,
     assert_valid_fuzzy,
     crisp_polynomial,
@@ -84,6 +91,7 @@ from helpers import (
     fuzzy_pairs,
     fuzzy_triples,
     positive_fuzzy_numbers,
+    report_bits,
     size_polynomial,
     triangulars,
 )
@@ -300,6 +308,19 @@ class TestHukuhara:
         h = hukuhara_diff(a, a)
         assert isinstance(h, FuzzyNumber)
         assert levels_equal(h, crisp(0.0, a.m), tol=tol_for(a))
+
+
+class TestPickleRoundTrip:
+    @given(fuzzy_numbers(), st.integers(0, pickle.HIGHEST_PROTOCOL))
+    def test_same_value_hash_and_bits(self, a, protocol):
+        b = pickle.loads(pickle.dumps(a, protocol))
+        assert b == a and hash(b) == hash(a)
+        for got, want in ((b.alphas, a.alphas), (b.lo, a.lo), (b.hi, a.hi)):
+            assert_same_bits(got, want)
+            assert not got.flags.writeable
+        # the strategy's grid equals the shared one, and is read back as it
+        assert b.alphas is _grid(a.m)
+        assert copy.deepcopy(a) is a and copy.copy(a) is a
 
 
 class TestSquareVsSelfProduct:
@@ -722,6 +743,46 @@ class TestBatchedChecksMatchPerSampleLoop:
         assert rep.samples == used
         assert rep.ok == (i is None and used > 0)
         assert rep.witness == (None if i is None else lams[i])
+
+
+@st.composite
+def verified_points(draw):
+    """A built-in at its settings on a grid of 101 or 1001 levels, maybe
+    with a domain edge near or at x, a point x near its answer, a
+    neighbourhood and 0-101 samples."""
+    resolved = resolve_problem(ProblemSpec(kind=draw(st.sampled_from(
+        BUILTIN_NAMES))))
+    m = draw(st.sampled_from([101, 1001]))
+    cfg = NewtonConfig(
+        x0=resolved.x0, eps=resolved.eps,
+        scal=dataclasses.replace(resolved.scal, alpha_points=m),
+    )
+    answer = 0.0 if resolved.function.name == "example_4_1" else 0.7
+    x = answer + draw(finite(-0.5, 0.5) | st.just(0.0))
+    f = resolved.function
+    if draw(st.booleans()):
+        left, right = (draw(st.sampled_from([0.0, 3e-3, math.inf]))
+                       for _ in range(2))
+        f = dataclasses.replace(f, domain=(x - left, x + right))
+    nbhd = draw(st.sampled_from([1e-13, 1e-3, 0.01, 0.3]))
+    return f, x, cfg, nbhd, draw(st.integers(0, 101))
+
+
+class TestCheckPointIsItsPartsApart:
+    @settings(max_examples=60, deadline=None)
+    @given(verified_points())
+    def test_same_report_bit_for_bit(self, case):
+        # one x-column for x, its stencil and the three checks, against
+        # a _Point and the three public checks each fetching their own
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OneSidedStencilWarning)
+            try:
+                want = report_bits(assembled_report(*case))
+            except DomainError as err:
+                with pytest.raises(DomainError, match=re.escape(str(err))):
+                    check_point(*case)
+                return
+            assert report_bits(check_point(*case)) == want
 
 
 KINDS = BUILTIN_NAMES + ("fuzzy_polynomial",)
