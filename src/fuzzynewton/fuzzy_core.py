@@ -183,6 +183,26 @@ def _is_grid(alphas) -> bool:
     )
 
 
+def _per_grid(table):
+    """a -> table(a), the data a level map derives from an alpha array
+    alone, kept for the last shared alpha grid seen (matched by
+    identity); an alpha array of the caller's own gets a fresh table on
+    every call."""
+    last = (None, None)
+
+    def at(a):
+        nonlocal last
+        grid, kept = last
+        if a is grid:
+            return kept
+        kept = table(np.asarray(a, float))
+        if _is_grid(a):
+            last = a, kept
+        return kept
+
+    return at
+
+
 class FuzzyNumber:
     """A fuzzy number sampled on a uniform alpha-grid.
 

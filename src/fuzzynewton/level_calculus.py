@@ -17,16 +17,22 @@ rule, and raises NumericError on a non-finite value, and ``_Point``
 shares the levels fetched near one point among F, its finite-difference
 derivatives, the fuzzy value and the level slopes.  The Newton solver,
 the verifier, the grid oracle and the centroid all read values through
-it.  A fuzzy value of f is built only by ``_fuzzy_numbers``, which
-checks a block of level rows with one call of fuzzy_core's validity
-kernel: one row for eval_fuzzy, a block of iterates for a solve.
+it.  A float x takes a path of its own through it, with the same level
+map calls and the same bits as row 0 of an x-column: ``_levels`` takes
+the grid's shape without np.broadcast, ``_integrate`` takes the one
+row's 1-D dot and tests it with math.isfinite, and ``crisp_lift`` adds
+a 0.0 * alpha row kept per shared grid.  A fuzzy value of f is built
+only by ``_fuzzy_numbers``, which checks a block of level rows with one
+call of fuzzy_core's validity kernel: one row for eval_fuzzy, a block
+of iterates for a solve.
 
 The alpha grid of each size is one object, fuzzy_core's ``_grid``: built
 and validated once, read-only, and passed to every level map and every
 fuzzy value.  So a FuzzyNumber on it skips the grid check, and the
 built-in level maps keep what they derive from alpha alone in one table
-for the last grid they saw, found by identity (see ``problems``); an
-alpha array of a caller's own gets a fresh table each time.
+for the last grid they saw, found by identity (fuzzy_core's
+``_per_grid``), as crisp_lift keeps its row; an alpha array of a
+caller's own gets a fresh table each time.
 
 The neighbourhood checks (comparability and non-dominance) are read
 by one scanner, ``_first_witness``, from one x-column: the point, any
@@ -66,6 +72,7 @@ from .fuzzy_core import (
     _grid,
     _invalid_rows,
     _lt,
+    _per_grid,
     _require_integer,
     _require_positive,
     _validate_levels,
@@ -178,6 +185,11 @@ def _quad_weights(m: int, quadrature: str) -> np.ndarray:
     return w
 
 
+# 0.0 * alpha for the last shared grid seen, one row for every crisp
+# lift: a value of the grid alone, so sharing it changes no result
+_zeros = _per_grid(lambda a: 0.0 * a)
+
+
 def crisp_lift(
     g: Callable,
     d1: Optional[Callable] = None,
@@ -187,13 +199,14 @@ def crisp_lift(
 ) -> FuzzyFunction:
     """Embed a real function as a fuzzy one with degenerate levels lo = hi.
 
-    Level maps ignore alpha apart from broadcasting against it.
+    Level maps ignore alpha apart from broadcasting against it: they add
+    0.0 * alpha, a row kept for the last shared grid seen.
     """
 
     def lift(fn):
         if fn is None:
             return None
-        return lambda x, a: np.asarray(fn(x)) + 0.0 * np.asarray(a)
+        return lambda x, a: np.asarray(fn(x)) + _zeros(a)
 
     lev, dmap1, dmap2 = lift(g), lift(d1), lift(d2)
     return FuzzyFunction(
@@ -276,9 +289,13 @@ def _levels(lo_map: LevelMap, hi_map: LevelMap, x, alphas: np.ndarray):
     """A pair of level maps at x on the alpha grid, as float arrays.
 
     A scalar x gives arrays shaped like ``alphas``; an x column of shape
-    (n, 1) gives (n, m) arrays.
+    (n, 1) gives (n, m) arrays.  A float x (np.float64 included) takes
+    that shape without np.broadcast.
     """
-    shape = np.broadcast(x, alphas).shape
+    if isinstance(x, float):
+        shape = alphas.shape
+    else:
+        shape = np.broadcast(x, alphas).shape
 
     def shaped(values):
         values = np.asarray(values, float)
@@ -300,16 +317,23 @@ def _levels_each(f: FuzzyFunction, xs: np.ndarray, alphas: np.ndarray):
 def _integrate(lo: np.ndarray, hi: np.ndarray, w: np.ndarray, x):
     """Quadrature of lo + hi over alpha, one value per x.
 
-    Every row is integrated by one dot of its own, at every shape: numpy's
-    matmul takes each (1, m) @ (m, 1) item to the vector dot that a 1-D
-    ``(lo + hi) @ w`` takes, where a 2-D ``@`` would hand the block to
-    BLAS gemv, which rounds each row by its place in the block.  So F has
-    the same bits from scalarize, from scalarize_many at any block size
-    and in the grid oracle.
+    Every row is integrated by one dot of its own, at every shape: a
+    single row is the 1-D ``(lo + hi) @ w``, and numpy's matmul takes
+    each (1, m) @ (m, 1) item of a block to that same vector dot, where
+    a 2-D ``@`` would hand the block to BLAS gemv, which rounds each row
+    by its place in the block.  So F has the same bits from scalarize,
+    from scalarize_many at any block size and in the grid oracle.  A
+    single row's value is tested by math.isfinite, at a fraction of the
+    cost of numpy's test of one value.
 
     Raises NumericError naming the first x whose value is not finite;
     with positive weights, a non-finite level value makes it so.
     """
+    if lo.ndim == 1:
+        value = (lo + hi) @ w
+        if not math.isfinite(value):
+            raise NumericError(f"non-finite level values at x={np.ravel(x)[0]}")
+        return value
     values = np.matmul((lo + hi)[..., None, :], w[:, None])[..., 0, 0]
     finite = np.isfinite(values)
     if not finite.all():

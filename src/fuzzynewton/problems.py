@@ -23,9 +23,12 @@ only the x-side work on each call.
 The return-risk maps do that work on a float x as a Python float (see
 ``_x``): they only add and multiply x, which round alike in Python and
 in numpy, and a 0-d array costs about 1 us per operation.  The
-polynomial maps take every x as an array: Python's ``x**2`` calls
-``pow``, which can differ from numpy's square in the last bit, and
-raises OverflowError where numpy returns inf.
+polynomial maps take each power of a float x as numpy's 0-d ``x**i``,
+as their array path does: Python's ``x**2`` calls ``pow``, which can
+differ from numpy's square in the last bit, and raises OverflowError
+where numpy returns inf.  Each power then becomes a Python float, so
+the sign test and the derivative factor run in Python and only the cut
+times that float and the running sum are numpy.
 
 On an x-column (a block of scalarize_many), each row of a polynomial
 term takes one coefficient cut throughout (for the lower end cL where
@@ -49,7 +52,7 @@ import numpy as np
 
 from .errors import ConfigFormatError, InvalidLevelError, SingularLevelError
 from .fuzzy_core import (
-    TriangularFuzzy, _is_grid, _require_positive, _square_lo, triangular_to_record,
+    TriangularFuzzy, _per_grid, _require_positive, _square_lo, triangular_to_record,
 )
 from .level_calculus import (
     FuzzyFunction, ScalarizationConfig, crisp_lift, negate, scalarize_many,
@@ -116,25 +119,6 @@ DEFAULT_FUZZY_PARAMS = MaxReturnParams(
 DEFAULT_CRISP_PARAMS = MaxReturnParams(Va=0.00168, rho=1.0)
 
 
-def _per_grid(table):
-    """a -> table(a), the data a builder derives from an alpha array alone,
-    kept for the last shared alpha grid seen (matched by identity); an
-    alpha array of the caller's own gets a fresh table on every call."""
-    last = (None, None)
-
-    def at(a):
-        nonlocal last
-        grid, kept = last
-        if a is grid:
-            return kept
-        kept = table(np.asarray(a, float))
-        if _is_grid(a):
-            last = a, kept
-        return kept
-
-    return at
-
-
 def build_fuzzy_polynomial(
     coeffs: Sequence[TriangularFuzzy], name: str = ""
 ) -> FuzzyFunction:
@@ -156,6 +140,18 @@ def build_fuzzy_polynomial(
         d^n/dx^n x^i = i!/(i-n)! * x^(i-n), so only terms i >= n count."""
 
         def level(x, a):
+            if isinstance(x, float):
+                # numpy's 0-d powers, as an array x takes them below,
+                # then Python floats for the sign and the factor
+                x = np.asarray(x, float)
+                powers = [float(x**i) for i in range(len(coeffs))]
+                out = np.zeros(np.shape(a))
+                for i, (cl, cu) in enumerate(cuts(a)[order:], order):
+                    if not lower:
+                        cl, cu = cu, cl
+                    c = cl if powers[i] >= 0.0 else cu
+                    out += c * (math.perm(i, order) * powers[i - order])
+                return out
             x = np.asarray(x, float)
             out = np.zeros(np.broadcast(x, a).shape)
             for i, (cl, cu) in enumerate(cuts(a)[order:], order):

@@ -44,6 +44,12 @@ def assert_same_bits(got, want) -> None:
     assert got.tobytes() == want.tobytes()
 
 
+def old_crisp_level(g, x, a):
+    """crisp_lift's level map as first written: g(x) plus a fresh
+    0.0 * alpha row on every call."""
+    return np.asarray(g(x)) + 0.0 * np.asarray(a)
+
+
 def assembled_report(f, x, cfg, nbhd, samples) -> VerificationReport:
     """check_point's report at x taken apart: the level slopes, F' and
     F'' of a _Point, which fetches each stencil point for itself, and

@@ -31,8 +31,10 @@ from fuzzynewton import (
     scalarize_d1,
     scalarize_d2,
     scalarize_many,
+    solve,
 )
 from fuzzynewton import level_calculus
+from fuzzynewton.newton_solver import STATUS_NON_FINITE
 
 from helpers import assembled_report, report_bits, traced_peak
 
@@ -293,6 +295,41 @@ class TestEvalAndScalarize:
             scalarize(f, 2.0, CFG)
         with pytest.raises(DomainError):
             eval_fuzzy(f, -1.5, 11)
+
+
+def _constant(value):
+    """A level map whose every level is value, at a float x or a column."""
+    return lambda x, a: np.asarray(x, float) * 0.0 + 0.0 * a + value
+
+
+class TestNonFiniteRow:
+    """F at one point is the 1-D dot of its level row, tested by
+    math.isfinite: a non-finite value raises the NumericError that
+    names x, worded as for a block, and a solve there ends non-finite."""
+
+    # inf and NaN levels, and finite 1e308 levels whose sum overflows
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 1e308])
+    @pytest.mark.parametrize("x, shown", [
+        (0.5, "0.5"), (np.float64(-1.25e-07), "-1.25e-07"), (3, "3"),
+    ])
+    def test_scalarize_raises_and_solve_ends_non_finite(self, value, x,
+                                                        shown):
+        f = FuzzyFunction(level_lo=_constant(value),
+                          level_hi=_constant(value))
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError) as err:
+                scalarize(f, x, CFG)
+            res = solve(f, NewtonConfig(x0=x))
+        assert str(err.value) == f"non-finite level values at x={shown}"
+        assert (res.status, res.xstar, res.iterations) == (
+            STATUS_NON_FINITE, x, 0)
+
+    def test_a_block_words_its_first_bad_point_alike(self):
+        f = FuzzyFunction(level_lo=_constant(math.inf),
+                          level_hi=_constant(math.inf))
+        with pytest.raises(NumericError) as err:
+            scalarize_many(f, [-1.25e-07, 0.5], CFG)
+        assert str(err.value) == "non-finite level values at x=-1.25e-07"
 
 
 class TestCrispLiftAndNegate:

@@ -24,6 +24,7 @@ from fuzzynewton import (
     HukuharaNonexistence,
     InvalidLevelError,
     NewtonConfig,
+    NumericError,
     OneSidedStencilWarning,
     ScalarizationConfig,
     TriangularFuzzy,
@@ -62,12 +63,15 @@ from fuzzynewton.fuzzy_core import (
     _level_faults,
     _square_lo,
 )
-from fuzzynewton.level_calculus import _integrate, _quad_weights
+from fuzzynewton.level_calculus import (
+    FuzzyFunction, _integrate, _levels, _levels_each, _quad_weights,
+)
 from fuzzynewton.problems import (
     BUILTIN_NAMES,
     C0,
     C1,
     C2,
+    EXAMPLE_4_1_COEFFS,
     LIN0,
     LIN1,
     MaxReturnParams,
@@ -90,6 +94,7 @@ from helpers import (
     fuzzy_numbers,
     fuzzy_pairs,
     fuzzy_triples,
+    old_crisp_level,
     positive_fuzzy_numbers,
     report_bits,
     size_polynomial,
@@ -689,6 +694,105 @@ class TestReturnRiskMapsKeepTheirBits:
         lo, hi = np.array(pairs).T
         with np.errstate(over="ignore", under="ignore"):
             assert_same_bits(_square_lo(lo, hi), old_square_lo(lo, hi))
+
+
+def quadratic(c0, c1, c2):
+    """g(t) = (c2 t + c1) t + c0 with its first two derivatives, each
+    taking a float or an array."""
+    return (lambda t: (c2 * t + c1) * t + c0,
+            lambda t: 2.0 * c2 * t + c1,
+            lambda t: 2.0 * c2 + 0.0 * t)
+
+
+@st.composite
+def scalar_path_maps(draw):
+    """A pair of level maps with a path of its own for a float x: the
+    level, d1 or d2 maps of a drawn polynomial of degree 0-5, of a crisp
+    lift of a drawn quadratic or of max_return_crisp, or the levels of
+    max_return_fuzzy; as the level maps of a FuzzyFunction."""
+    kind = draw(st.sampled_from(["polynomial", "lift", "crisp", "fuzzy"]))
+    prefix = draw(st.sampled_from(["level", "d1", "d2"]))
+    if kind == "polynomial":
+        f = build_fuzzy_polynomial(tuple(
+            draw(triangulars(lo=-5.0, span=3.0))
+            for _ in range(draw(st.integers(1, 6)))
+        ))
+    elif kind == "lift":
+        f = crisp_lift(*quadratic(*(draw(finite(-5.0, 5.0))
+                                    for _ in range(3))))
+    else:
+        params = MaxReturnParams(Va=draw(positive_triangulars(1e-4, 1e-2)),
+                                 rho=draw(positive_triangulars(0.1, 5.0)))
+        if kind == "crisp":
+            f = build_max_return_crisp(params)
+        else:
+            f, prefix = build_max_return_fuzzy(params), "level"
+    return FuzzyFunction(level_lo=getattr(f, f"{prefix}_lo"),
+                         level_hi=getattr(f, f"{prefix}_hi"))
+
+
+# signed zeros, and powers that overflow: numpy gives inf where Python's
+# float ** raises OverflowError
+SCALAR_XS = st.one_of(st.sampled_from([0.0, -0.0, 1e160, -1e160]),
+                      finite(-3.0, 3.0), finite(-50.0, 50.0))
+
+
+def integrated(lo, hi, w, x):
+    """_integrate's value, or the message of its NumericError."""
+    try:
+        return _integrate(lo, hi, w, x)
+    except NumericError as err:
+        return str(err)
+
+
+class TestScalarPathsKeepTheirBits:
+    """A float x takes a path of its own through _levels (no broadcast),
+    the polynomial maps (Python floats for the sign and the factor), the
+    crisp lift (a 0.0 * alpha row kept per grid) and _integrate (one 1-D
+    dot, math.isfinite); each gives the bits of the column path, for x
+    as a float, an np.float64 and a 0-d array."""
+
+    @given(scalar_path_maps(), SCALAR_XS, st.sampled_from([3, 101, 1001]),
+           st.sampled_from(["simpson", "trapezoid"]))
+    @example(f=build_fuzzy_polynomial(EXAMPLE_4_1_COEFFS), x=-1e160, m=3,
+             rule="simpson")
+    def test_scalar_x_is_row_0_of_its_column(self, f, x, m, rule):
+        a, w = _grid(m), _quad_weights(m, rule)
+        column = np.array([x])
+        with np.errstate(over="ignore", invalid="ignore"):
+            col_lo, col_hi = _levels_each(f, column, a)
+            block = integrated(col_lo, col_hi, w, column)
+            for form in (x, np.float64(x), np.array(x)):
+                lo, hi = _levels(f.level_lo, f.level_hi, form, a)
+                assert_same_bits(lo, col_lo[0])
+                assert_same_bits(hi, col_hi[0])
+                value = integrated(lo, hi, w, form)
+                if isinstance(block, str):
+                    assert value == block
+                else:
+                    assert_same_bits(value, block[0])
+
+    @given(finite(-5.0, 5.0), finite(-5.0, 5.0), finite(-5.0, 5.0),
+           SCALAR_XS, st.sampled_from([3, 101, 1001]))
+    # g(-0.0) = -0.0, so a row of +0.0 where the caller's alphas are
+    # negative would read +0.0 where the old formula reads -0.0
+    @example(c0=-0.0, c1=0.0, c2=0.0, x=-0.0, m=3)
+    def test_crisp_lift_is_the_old_formula(self, c0, c1, c2, x, m):
+        maps = quadratic(c0, c1, c2)
+        f = crisp_lift(*maps)
+        grid = _grid(m)
+        own = grid.copy()
+        # the shared grid before and after arrays of the caller's own,
+        # one of them written between two calls
+        forms = (x, np.float64(x), np.array(x), np.array([[x], [x + 1.0]]))
+        for a in (grid, own, own, -grid, grid):
+            for g, level in zip(maps, (f.level_lo, f.d1_lo, f.d2_lo)):
+                for form in forms:
+                    with np.errstate(over="ignore"):
+                        assert_same_bits(level(form, a),
+                                         old_crisp_level(g, form, a))
+            if a is own:
+                own *= -1.0
 
 
 def first_witness_by_sample(f, x0, xs, reach, m, is_witness):
