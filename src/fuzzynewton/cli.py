@@ -27,7 +27,6 @@ import dataclasses
 import functools
 import io
 import json
-import re
 import sys
 import time
 from typing import Optional
@@ -87,21 +86,28 @@ SUMMARY_KEYS = (
 TABLE_COLUMNS = ("Va", "rho", "xstar", "value", "status", "iterations")
 
 
-# A negative float in any form that float() reads, or a comma list of
-# numbers that starts with one; argparse's own test takes only -5, -.5
-# and -0.5, so "--x0 -1e-3", "--xstar -inf" or "--rho -1,2,3" would read
-# the value as an unknown option.
-_NUMBER = r"((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)"
-_NEGATIVE_NUMBER = re.compile(
-    rf"^-{_NUMBER}(,[-+]?{_NUMBER})*$", re.IGNORECASE
-)
+class _NegativeNumber:
+    """argparse's test of whether an argument is a negative number, and so
+    a flag's value, not an option: one that _param_flag reads, a float in
+    any form that float() takes or a comma list of them.  argparse's own
+    test takes only -5, -.5 and -0.5, so "--x0 -1e-3", "--xstar -inf",
+    "--x0 -1_000" or "--rho -1,2,3" would read the value as an unknown
+    option."""
+
+    @staticmethod
+    def match(text: str) -> bool:
+        try:
+            _param_flag(text)
+        except argparse.ArgumentTypeError:
+            return False
+        return text.startswith("-")
 
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # every subparser is a _Parser too
-        self._negative_number_matcher = _NEGATIVE_NUMBER
+        self._negative_number_matcher = _NegativeNumber
 
     # argparse exits with code 2 on bad flags; route that into exit 1.
     def error(self, message):

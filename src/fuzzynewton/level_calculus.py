@@ -635,11 +635,27 @@ def _incomparable(*levels) -> np.ndarray:
     return ~_comparable(*levels)
 
 
+def _require_finite_samples(x0: float, nbhd: float, samples: int,
+                            farthest: Callable[[], float]) -> None:
+    """ValueError naming nbhd, before any level is fetched, where samples
+    around a finite x0 overflow.  farthest() is a Python float, which
+    overflows to inf without numpy's warning, infinite exactly where a
+    sample overflows."""
+    if samples and math.isfinite(x0) and math.isinf(farthest()):
+        raise ValueError(
+            f"nbhd={nbhd} takes the samples around x={x0} past the "
+            f"largest float"
+        )
+
+
 def _comparability(x0: float, d: float, delta: float, samples: int):
     """The samples, order kernel and report of comparability_check."""
     _require_positive("nbhd", delta)
     _require_integer("samples", samples, 0)
     lams = np.linspace(0.0, delta, samples + 2)[1:-1]
+    # the last sample is the farthest from x0
+    _require_finite_samples(x0, delta, samples,
+                            lambda: x0 + float(lams[-1]) * d)
 
     def report(i, used):
         return ComparabilityReport(
@@ -654,7 +670,10 @@ def _non_dominance(xstar: float, eps_nbhd: float, samples: int):
     """The samples, order kernel and verdict of non_dominance_check."""
     _require_positive("nbhd", eps_nbhd)
     _require_integer("samples", samples, 0)
-    grid = np.linspace(xstar - eps_nbhd, xstar + eps_nbhd, samples)
+    lo, hi = xstar - eps_nbhd, xstar + eps_nbhd
+    # linspace steps by hi - lo
+    _require_finite_samples(xstar, eps_nbhd, samples, lambda: hi - lo)
+    grid = np.linspace(lo, hi, samples)
 
     def verdict(i, used):
         return NonDominanceVerdict(
@@ -710,7 +729,8 @@ def comparability_check(
     Returns the first violating lambda as a witness on failure.  Sampled
     points falling outside the domain are skipped; with none left, the
     report is not ok.  A delta that is not positive and finite, or a
-    sample count that is not a non-negative integer, raises ValueError.
+    sample count that is not a non-negative integer, raises ValueError,
+    and so does a delta whose samples around a finite x0 overflow.
     """
     (report,), _ = _first_witness(
         f, x0, [_comparability(x0, d, delta, samples)], delta, m
@@ -750,7 +770,8 @@ def non_dominance_check(
     A sampling check, not a proof; the verdict records how many points
     were examined, and with none it describes itself as inconclusive.
     An eps that is not positive and finite, or a sample count that is not
-    a non-negative integer, raises ValueError.
+    a non-negative integer, raises ValueError, and so does an eps whose
+    samples around a finite xstar overflow.
     """
     (verdict,), _ = _first_witness(
         f, xstar, [_non_dominance(xstar, eps_nbhd, samples)], eps_nbhd, m

@@ -343,8 +343,9 @@ def check_point(
     101 levels).  The level slopes, and F' and F'' by the stencil, read
     its stencil rows; analytic F' and F'' take a call pair each.  F''
     is taken before a sample row is checked, so non-finite levels at x
-    raise NumericError there; an nbhd or samples that is not valid
-    raises ValueError before any level is fetched.
+    raise NumericError there; an nbhd or samples that is not valid, or
+    an nbhd whose samples overflow, raises ValueError before any level
+    is fetched.
     """
     if not math.isfinite(x):
         raise ValueError(f"xstar must be finite, got {x}")

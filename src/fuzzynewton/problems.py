@@ -22,21 +22,22 @@ only the x-side work on each call.
 
 The return-risk maps do that work on a float x as a Python float (see
 ``_x``): they only add and multiply x, which round alike in Python and
-in numpy, and a 0-d array costs about 1 us per operation.  The
-polynomial maps take each power of a float x as numpy's 0-d ``x**i``,
-as their array path does: Python's ``x**2`` calls ``pow``, which can
-differ from numpy's square in the last bit, and raises OverflowError
-where numpy returns inf.  Each power then becomes a Python float, so
-the sign test and the derivative factor run in Python and only the cut
-times that float and the running sum are numpy.
+in numpy, and a 0-d array costs about 1 us per operation.
 
-On an x-column (a block of scalarize_many), each row of a polynomial
-term takes one coefficient cut throughout (for the lower end cL where
-x^i >= 0, else cU), so a block whose rows share that sign multiplies
-the cut by the column in one broadcast pass; only a mixed-sign block
-selects per row with np.where.  The
-return-risk maps scale and shift their residual square in place.  A
-term's product and each sum have the operands of the plain formulas,
+A polynomial map runs one loop for a float x and for an x-column (a
+block of scalarize_many).  It takes the powers once per call as numpy's
+``x**i``: for a float x these are 0-d and then become Python floats, so
+the sign test and the derivative factor run in Python; Python's
+``x**2`` calls ``pow``, which can differ from numpy's square in the
+last bit, and raises OverflowError where numpy returns inf.  One
+helper, ``_term_cut``, picks each term's coefficient cut (for the lower
+end cL where x^i >= 0, else cU): a Python test for a float, one cut for
+a column whose rows share that sign, broadcast over the column in one
+pass, and np.where only for a mixed-sign column.  Each term is written
+once, and the derivative maps read x^(i-n) from the same powers.
+
+The return-risk maps scale and shift their residual square in place.
+A term's product and each sum have the operands of the plain formulas,
 in another order, so every level keeps its bits.
 """
 
@@ -119,6 +120,22 @@ DEFAULT_FUZZY_PARAMS = MaxReturnParams(
 DEFAULT_CRISP_PARAMS = MaxReturnParams(Va=0.00168, rho=1.0)
 
 
+def _term_cut(power, cl, cu):
+    """The cut a polynomial term multiplies: cl where x^i = power is
+    >= 0, else cu (a NaN power included).  A float power gives one cut;
+    a column's rows each take one cut for the whole term, so a column
+    whose rows share a sign broadcasts that cut, and only a mixed-sign
+    column selects per row with np.where."""
+    if isinstance(power, float):
+        return cl if power >= 0.0 else cu
+    # count_nonzero is one pass
+    pos = power >= 0.0
+    n = np.count_nonzero(pos)
+    if n == pos.size:
+        return cl
+    return cu if n == 0 else np.where(pos, cl, cu)
+
+
 def build_fuzzy_polynomial(
     coeffs: Sequence[TriangularFuzzy], name: str = ""
 ) -> FuzzyFunction:
@@ -140,38 +157,18 @@ def build_fuzzy_polynomial(
         d^n/dx^n x^i = i!/(i-n)! * x^(i-n), so only terms i >= n count."""
 
         def level(x, a):
-            if isinstance(x, float):
-                # numpy's 0-d powers, as an array x takes them below,
-                # then Python floats for the sign and the factor
-                x = np.asarray(x, float)
-                powers = [float(x**i) for i in range(len(coeffs))]
-                out = np.zeros(np.shape(a))
-                for i, (cl, cu) in enumerate(cuts(a)[order:], order):
-                    if not lower:
-                        cl, cu = cu, cl
-                    c = cl if powers[i] >= 0.0 else cu
-                    out += c * (math.perm(i, order) * powers[i - order])
-                return out
+            scalar = isinstance(x, float)
             x = np.asarray(x, float)
-            out = np.zeros(np.broadcast(x, a).shape)
+            # numpy's powers; a float x's are 0-d, then Python floats
+            powers = [float(x**i) if scalar else x**i
+                      for i in range(len(coeffs))]
+            out = np.zeros(np.shape(a) if scalar
+                           else np.broadcast(x, a).shape)
             for i, (cl, cu) in enumerate(cuts(a)[order:], order):
                 if not lower:
                     cl, cu = cu, cl
-                xi = x**i
-                xp = xi if order == 0 else x**(i - order)
-                # a row takes one cut for the whole term (a NaN row cu),
-                # so a block whose rows share a sign broadcasts that
-                # cut; count_nonzero is one pass, and on a scalar a
-                # third of the cost of .all()
-                pos = xi >= 0.0
-                n = np.count_nonzero(pos)
-                if n == pos.size:
-                    c = cl
-                elif n == 0:
-                    c = cu
-                else:
-                    c = np.where(pos, cl, cu)
-                out += c * (math.perm(i, order) * xp)
+                out += (_term_cut(powers[i], cl, cu)
+                        * (math.perm(i, order) * powers[i - order]))
             return out
 
         return level

@@ -454,6 +454,17 @@ class TestCheckCommand:
             f"{float(nbhd)}\n"
         )
 
+    def test_nbhd_whose_samples_overflow_is_named(self, capsys):
+        # "levels of max_return_fuzzy are invalid at x=inf" before: the
+        # samples 0.7 +- 1e308 overflow, and the function took the blame
+        code, out, err = run(
+            capsys, "check", "--problem", "max_return_fuzzy", "--xstar",
+            "0.7", "--nbhd", "1e308",
+        )
+        assert (code, out) == (1, "")
+        assert err == ("error: nbhd=1e+308 takes the samples around x=0.7 "
+                       "past the largest float\n")
+
 
 class TestErrorPaths:
     def test_unknown_problem(self, capsys):
@@ -499,7 +510,9 @@ class TestErrorPaths:
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("flag", ["--rho", "--Va"])
-    @pytest.mark.parametrize("value", ["-1,2,3", "-1e-3,2,3", "-.5,2,3e0"])
+    @pytest.mark.parametrize(
+        "value", ["-1,2,3", "-1e-3,2,3", "-.5,2,3e0", "-1_0,2,3"]
+    )
     def test_negative_comma_list_follows_a_flag(self, capsys, flag, value):
         # argparse read "-1,2,3" as an option: "expected one argument"
         message = (f"error: every level of {flag[2:]} must be strictly "
@@ -510,11 +523,14 @@ class TestErrorPaths:
             assert (code, out, err) == (1, "", message)
 
     @pytest.mark.parametrize("command", ["solve", "table", "check"])
-    @pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-.5e-2", "-2.e-1"])
+    @pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-.5e-2", "-2.e-1",
+                                       "-1_000", "-1_0.5e1_0"])
     def test_negative_number_in_exponent_form_follows_a_flag(
         self, tmp_path, capsys, command, value
     ):
-        # argparse read these as options: "expected one argument"
+        # argparse read these as options: "expected one argument"; the
+        # ones with digit underscores too, after a regex copy of float's
+        # grammar had left them out
         sweep = tmp_path / "sweep.json"
         sweep.write_text(json.dumps([{"Va": 0.00168, "rho": 1.0}]))
         flag = "--xstar" if command == "check" else "--x0"

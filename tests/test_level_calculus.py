@@ -558,6 +558,24 @@ class TestNeighborhoodChecks:
             with pytest.raises(ValueError, match=re.escape(message)):
                 call()
 
+    def test_samples_that_overflow_name_nbhd(self):
+        # "levels of example_4_1 are invalid at x=inf" before, from the
+        # samples' inf and NaN, after numpy's overflow warning; now no
+        # level is fetched
+        def unread(x, a):
+            raise AssertionError("a level was fetched")
+
+        f = dataclasses.replace(EX41, level_lo=unread, level_hi=unread)
+        for x0, check in (
+            (0.0, lambda: non_dominance_check(f, 0.0, 1e308, 5)),
+            (0.0, lambda: non_dominance_check(f, 0.0, 1e308, 1)),
+            (1e308, lambda: comparability_check(f, 1e308, +1.0, 1e308, 5)),
+        ):
+            message = (f"nbhd=1e+308 takes the samples around x={x0} past "
+                       f"the largest float")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                check()
+
     def test_zero_samples_is_inconclusive(self):
         assert non_dominance_check(EX41, 0.0, 0.01, 0).samples == 0
         assert comparability_check(EX41, 0.0, +1.0, 0.01, 0).samples == 0

@@ -745,12 +745,43 @@ def integrated(lo, hi, w, x):
         return str(err)
 
 
+@st.composite
+def mixed_sign_columns(draw):
+    """2-12 points of both signs in [-50, 50], in any order, maybe with
+    signed zeros and a NaN row."""
+    xs = [draw(finite(1e-3, 50.0)), draw(finite(-50.0, -1e-3))]
+    xs += draw(st.lists(
+        finite(-50.0, 50.0) | st.sampled_from([0.0, -0.0, math.nan]),
+        max_size=10,
+    ))
+    return draw(st.permutations(xs))
+
+
 class TestScalarPathsKeepTheirBits:
     """A float x takes a path of its own through _levels (no broadcast),
-    the polynomial maps (Python floats for the sign and the factor), the
-    crisp lift (a 0.0 * alpha row kept per grid) and _integrate (one 1-D
-    dot, math.isfinite); each gives the bits of the column path, for x
-    as a float, an np.float64 and a 0-d array."""
+    the crisp lift (a 0.0 * alpha row kept per grid) and _integrate (one
+    1-D dot, math.isfinite); each gives the bits of the column path, for
+    x as a float, an np.float64 and a 0-d array.  The polynomial maps
+    run one loop for both: each power is numpy's x**i (0-d for a float
+    x, then a Python float), one helper picks each term's cut (a Python
+    bool for a float, one cut for a column whose rows share a sign,
+    np.where for a mixed-sign one), and each term is written once."""
+
+    @given(st.lists(triangulars(lo=-5.0, span=3.0), min_size=1, max_size=6),
+           mixed_sign_columns(), st.sampled_from([3, 101, 1001]))
+    @example(coeffs=list(EXAMPLE_4_1_COEFFS),
+             xs=[1.5, -0.0, math.nan, -2.0, 0.0], m=3)
+    def test_mixed_sign_column_row_is_its_float(self, coeffs, xs, m):
+        # the odd powers of a mixed-sign column, and every power but x^0
+        # of one with a NaN row, pick their cuts per row by np.where
+        f = build_fuzzy_polynomial(tuple(coeffs))
+        a = _grid(m)
+        for order in ("level", "d1", "d2"):
+            for side in ("lo", "hi"):
+                level = getattr(f, f"{order}_{side}")
+                block = level(np.array(xs)[:, None], a)
+                for row, x in zip(block, xs):
+                    assert_same_bits(row, level(float(x), a))
 
     @given(scalar_path_maps(), SCALAR_XS, st.sampled_from([3, 101, 1001]),
            st.sampled_from(["simpson", "trapezoid"]))
