@@ -5,6 +5,10 @@ iteration trace plus a summary; ``table`` sweeps a list of (Va, rho)
 instances and prints one row per instance; ``check`` audits an arbitrary
 point for stationarity and non-dominance.
 
+One function applies every flag a command has to its problem: the
+parameter flags over the problem's params, then one resolve, then the
+scalarization and iteration flags over the problem's own settings.
+
 A point's verification has one wording, ``VerificationReport.lines()``,
 which ends with the verdict: ``check`` prints it, and a converged
 ``solve`` prints it under ``verification:`` in text and writes its
@@ -48,6 +52,7 @@ from .newton_solver import (
     verify_solution,
 )
 from .problems import (
+    _KINDS,
     BUILTIN_NAMES,
     MaxReturnParams,
     ProblemSpec,
@@ -179,49 +184,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_spec(problem_arg: str, va, rho) -> ProblemSpec:
-    """The spec that --problem names, a built-in or a config file, with
-    the params that --Va and --rho give over its own."""
+def _read_spec(problem_arg: str) -> ProblemSpec:
+    """The spec that --problem names, a built-in or a config file."""
     if problem_arg in BUILTIN_NAMES:
-        spec = ProblemSpec(kind=problem_arg)
-    else:
-        try:
-            with open(problem_arg, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as err:
-            raise ValueError(
-                f"unknown problem {problem_arg!r} (not a builtin "
-                f"{'/'.join(BUILTIN_NAMES)} and not a readable config file: "
-                f"{err})"
-            ) from err
-        spec = parse_problem_config(text)
-    if va is None and rho is None:
-        return spec
-    # the problem's own defaults where spec has none; its grid is
-    # checked in _resolve, with the flags
-    params = resolve_problem(dataclasses.replace(spec, alpha_points=None)).params
-    if params is None:
-        raise ValueError("--Va/--rho only apply to the max-return problems")
-    return dataclasses.replace(spec, params=dataclasses.replace(params, **{
-        name: _param_from_json(value, f"--{name}")
-        for name, value in _given(Va=va, rho=rho).items()
-    }))
-
-
-def _resolve(spec: ProblemSpec, args) -> ResolvedProblem:
-    """resolve_problem(spec) under the scalarization flags of args (check
-    has none), --alpha-grid winning over the spec's alpha_points.  The
-    grid is set with the flags in one step, so it is checked only against
-    the quadrature rule it is used with."""
-    grid = getattr(args, "alpha_grid", None)
-    resolved = resolve_problem(dataclasses.replace(spec, alpha_points=None))
-    return dataclasses.replace(resolved, scal=dataclasses.replace(
-        resolved.scal, **_given(
-            alpha_points=spec.alpha_points if grid is None else grid,
-            quadrature=getattr(args, "quadrature", None),
-            fd_step=getattr(args, "fd_step", None),
-        ),
-    ))
+        return ProblemSpec(kind=problem_arg)
+    try:
+        with open(problem_arg, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as err:
+        raise ValueError(
+            f"unknown problem {problem_arg!r} (not a builtin "
+            f"{'/'.join(BUILTIN_NAMES)} and not a readable config file: "
+            f"{err})"
+        ) from err
+    return parse_problem_config(text)
 
 
 def _given(**values) -> dict:
@@ -229,13 +205,37 @@ def _given(**values) -> dict:
     return {key: value for key, value in values.items() if value is not None}
 
 
-def _configs_from_args(args, resolved: ResolvedProblem) -> NewtonConfig:
-    return NewtonConfig(
-        x0=resolved.x0 if args.x0 is None else args.x0,
-        eps=resolved.eps if args.eps is None else args.eps,
-        scal=resolved.scal,
-        **_given(max_iter=args.max_iter),
-    )
+def _problem(spec: ProblemSpec, args) -> tuple[ResolvedProblem, NewtonConfig]:
+    """spec resolved under the flags of args, and its NewtonConfig.  A
+    flag the command lacks reads as not given.
+
+    --Va and --rho go over the spec's params, or its kind's defaults.
+    --alpha-grid wins over the spec's alpha_points and is set with
+    --quadrature and --fd-step in one step, so the grid is checked only
+    against the rule it is used with.  --x0, --eps and --max-iter go over
+    the problem's own values."""
+    flag = vars(args).get
+    given = _given(Va=flag("Va"), rho=flag("rho"))
+    if given:
+        params = spec.params or _KINDS[spec.kind][1]
+        if params is None:
+            raise ValueError(
+                "--Va/--rho only apply to the max-return problems"
+            )
+        spec = dataclasses.replace(spec, params=dataclasses.replace(params, **{
+            name: _param_from_json(value, f"--{name}")
+            for name, value in given.items()
+        }))
+    resolved = resolve_problem(dataclasses.replace(spec, alpha_points=None))
+    grid = flag("alpha_grid")
+    scal = dataclasses.replace(resolved.scal, **_given(
+        alpha_points=spec.alpha_points if grid is None else grid,
+        quadrature=flag("quadrature"), fd_step=flag("fd_step"),
+    ))
+    return dataclasses.replace(resolved, scal=scal), NewtonConfig(**{
+        "x0": resolved.x0, "eps": resolved.eps, "scal": scal,
+        **_given(x0=flag("x0"), eps=flag("eps"), max_iter=flag("max_iter")),
+    })
 
 
 def _trace_rows(result: SolveResult) -> list[dict]:
@@ -408,9 +408,7 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 
 def _cmd_solve(args) -> int:
-    resolved = _resolve(_read_spec(args.problem, args.Va, args.rho), args)
-    cfg = _configs_from_args(args, resolved)
-    rep = _solve_report(resolved, cfg)
+    rep = _solve_report(*_problem(_read_spec(args.problem), args))
     if args.format == "json":
         text = _render_json(rep)
     elif args.format == "csv":
@@ -447,9 +445,8 @@ def _cmd_table(args) -> int:
         kind = (
             "max_return_fuzzy" if params.is_fuzzy else "max_return_crisp"
         )
-        resolved = _resolve(ProblemSpec(kind=kind, params=params), args)
         _, summary = _solve_summary(
-            resolved, _configs_from_args(args, resolved)
+            *_problem(ProblemSpec(kind=kind, params=params), args)
         )
         results.append(
             {
@@ -480,8 +477,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    resolved = _resolve(_read_spec(args.problem, None, None), args)
-    cfg = NewtonConfig(x0=resolved.x0, eps=resolved.eps, scal=resolved.scal)
+    resolved, cfg = _problem(_read_spec(args.problem), args)
     report = check_point(resolved.function, args.xstar, cfg,
                          **_given(nbhd=args.nbhd, samples=args.samples))
     sys.stdout.writelines(f"{line}\n" for line in report.lines())

@@ -652,6 +652,8 @@ def _comparability(x0: float, d: float, delta: float, samples: int):
     """The samples, order kernel and report of comparability_check."""
     _require_positive("nbhd", delta)
     _require_integer("samples", samples, 0)
+    if not (math.isfinite(d) and d):
+        raise ValueError(f"direction d must be finite and nonzero, got {d}")
     lams = np.linspace(0.0, delta, samples + 2)[1:-1]
     # the last sample is the farthest from x0
     _require_finite_samples(x0, delta, samples,
@@ -673,7 +675,8 @@ def _non_dominance(xstar: float, eps_nbhd: float, samples: int):
     lo, hi = xstar - eps_nbhd, xstar + eps_nbhd
     # linspace steps by hi - lo
     _require_finite_samples(xstar, eps_nbhd, samples, lambda: hi - lo)
-    grid = np.linspace(lo, hi, samples)
+    # with no sample, no span to step by: one that overflows would warn
+    grid = np.linspace(lo, hi, samples) if samples else np.empty(0)
 
     def verdict(i, used):
         return NonDominanceVerdict(
@@ -728,9 +731,10 @@ def comparability_check(
 
     Returns the first violating lambda as a witness on failure.  Sampled
     points falling outside the domain are skipped; with none left, the
-    report is not ok.  A delta that is not positive and finite, or a
-    sample count that is not a non-negative integer, raises ValueError,
-    and so does a delta whose samples around a finite x0 overflow.
+    report is not ok.  A delta that is not positive and finite, a
+    direction d that is not finite and nonzero, or a sample count that is
+    not a non-negative integer, raises ValueError, and so does a delta
+    whose samples around a finite x0 overflow.
     """
     (report,), _ = _first_witness(
         f, x0, [_comparability(x0, d, delta, samples)], delta, m

@@ -15,9 +15,10 @@ from fuzzynewton import cli, fuzzy_core, level_calculus
 from fuzzynewton.cli import main
 from fuzzynewton.newton_solver import STATUS_CONVERGED, SolveResult
 from fuzzynewton.problems import DEFAULT_CRISP_PARAMS
-from test_cli_golden import CASES, GOLDEN, _mask, run_case
+from test_cli_golden import CASES, FILES, GOLDEN, _mask, run_case
 
 TWO_THIRDS = 2.0 / 3.0
+PARAMS_ERROR = "error: --Va/--rho only apply to the max-return problems\n"
 # the report keys read from the answer's fuzzy value
 ANSWER_KEYS = ("F_xstar", "value", "fvalue_support_lo", "fvalue_core_mid",
                "fvalue_support_hi")
@@ -554,10 +555,9 @@ class TestErrorPaths:
         assert code == 1
 
     def test_params_rejected_for_polynomial_problem(self, capsys):
-        code, _, err = run(capsys, "solve", "--problem", "example_4_1",
-                           "--Va", "0.00168")
-        assert code == 1
-        assert "max-return" in err
+        code, out, err = run(capsys, "solve", "--problem", "example_4_1",
+                             "--Va", "0.00168")
+        assert (code, out, err) == (1, "", PARAMS_ERROR)
 
     def test_missing_subcommand(self, capsys):
         code, _, err = run(capsys)
@@ -722,6 +722,77 @@ class TestNonFiniteAnswer:
         assert (code, out) == (1, "")
         assert err.startswith("error: levels of example_4_1 are invalid")
         assert err.count("\n") == 1
+
+
+class TestOneResolvePerProblem:
+    """cli._problem applies every flag to a problem with one
+    resolve_problem call, and finds a misplaced --Va/--rho before it."""
+
+    @staticmethod
+    def _run_counted(monkeypatch, capsys, *argv):
+        """run(capsys, *argv) and its number of resolve_problem calls."""
+        specs = []
+        resolve = cli.resolve_problem
+
+        def counted(spec):
+            specs.append(spec)
+            return resolve(spec)
+
+        monkeypatch.setattr(cli, "resolve_problem", counted)
+        return (*run(capsys, *argv), len(specs))
+
+    def test_params_flags_resolve_once(self, monkeypatch, capsys):
+        # 2 before: a first problem was built for its default params
+        code, out, err, calls = self._run_counted(
+            monkeypatch, capsys, "solve", "--problem", "max_return_fuzzy",
+            "--Va", "0.00167,0.00168,0.00172", "--rho", "2",
+        )
+        assert (code, err, calls) == (0, "", 1)
+        assert "params: Va=[0.00167, 0.00168, 0.00172] rho=2.0" in out
+
+    def test_check_resolves_once(self, monkeypatch, capsys):
+        code, _, err, calls = self._run_counted(
+            monkeypatch, capsys, "check", "--problem", "example_4_1",
+            "--xstar", "0",
+        )
+        assert (code, err, calls) == (0, "", 1)
+
+    def test_table_resolves_once_per_row(self, monkeypatch, capsys,
+                                         tmp_path):
+        # the five-row reference sweep of the CLI golden test
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps(FILES["sweep.json"]))
+        code, out, err, calls = self._run_counted(
+            monkeypatch, capsys, "table", "--sweep", str(sweep),
+        )
+        assert (code, err, calls) == (0, "", 5)
+        assert len(out.splitlines()) == 1 + 5
+
+    def test_params_flags_are_read_before_the_domain(self, monkeypatch,
+                                                     capsys, tmp_path):
+        # "error: domain (1.0, 0.0) needs lo <= hi" before, from the
+        # problem built for its default params
+        cfg = tmp_path / "reversed.json"
+        cfg.write_text(json.dumps({
+            "kind": "fuzzy_polynomial", "coefficients": [[0, 1, 2]],
+            "domain": [1, 0],
+        }))
+        assert self._run_counted(
+            monkeypatch, capsys, "solve", "--problem", str(cfg),
+            "--Va", "0.002",
+        ) == (1, "", PARAMS_ERROR, 0)
+        code, out, err = run(capsys, "solve", "--problem", str(cfg))
+        assert (code, out, err) == (
+            1, "", "error: domain (1.0, 0.0) needs lo <= hi\n"
+        )
+
+    def test_a_zero_grid_flag_is_given(self, capsys):
+        # --alpha-grid 0 is a flag given, not one left out
+        code, out, err = run(capsys, "solve", "--problem", "example_4_1",
+                             "--alpha-grid", "0")
+        assert (code, out, err) == (
+            1, "", "error: alpha_points must be at least 3, got 0\n"
+        )
 
 
 class TestParserReuse:

@@ -576,9 +576,37 @@ class TestNeighborhoodChecks:
             with pytest.raises(ValueError, match=re.escape(message)):
                 check()
 
+    @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf, 0.0, -0.0])
+    def test_direction_must_be_finite_and_nonzero(self, d):
+        # NaN and ±0.0 read as "inconclusive (0 samples in the domain)"
+        # before, and ±inf as an nbhd whose samples overflow; now no
+        # level is fetched
+        def unread(x, a):
+            raise AssertionError("a level was fetched")
+
+        f = dataclasses.replace(EX41, level_lo=unread, level_hi=unread)
+        message = f"direction d must be finite and nonzero, got {d}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            comparability_check(f, 0.0, d, 0.01, 5)
+
     def test_zero_samples_is_inconclusive(self):
         assert non_dominance_check(EX41, 0.0, 0.01, 0).samples == 0
         assert comparability_check(EX41, 0.0, +1.0, 0.01, 0).samples == 0
+
+    @pytest.mark.parametrize("through_check_point", [False, True])
+    def test_zero_samples_over_a_span_that_overflows_do_not_warn(
+        self, through_check_point
+    ):
+        # numpy warned "overflow encountered in subtract" from the span
+        # of a grid of no sample, an error under filterwarnings = error
+        if through_check_point:
+            report = check_point(EX41, 0.0, NewtonConfig(x0=0.0),
+                                 nbhd=1e308, samples=0)
+            assert report.verdict == "inconclusive"
+            verdict = report.non_dominance
+        else:
+            verdict = non_dominance_check(EX41, 0.0, 1e308, 0)
+        assert verdict.describe() == "inconclusive (0 samples in the domain)"
 
     def test_samples_on_a_domain_bound_are_kept(self):
         # the samples land exactly on -0.01 and 0.01, the domain's bounds
