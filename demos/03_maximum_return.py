@@ -9,7 +9,6 @@ rho triangular and propagates them through the levels.
 
 from fuzzynewton import (
     MaxReturnParams,
-    NewtonConfig,
     ProblemSpec,
     TriangularFuzzy,
     centroid,
@@ -21,8 +20,7 @@ from fuzzynewton import (
 
 def run(kind, params):
     resolved = resolve_problem(ProblemSpec(kind=kind, params=params))
-    cfg = NewtonConfig(x0=resolved.x0, eps=resolved.eps, scal=resolved.scal)
-    res = solve(resolved.function, cfg)
+    res = solve(resolved.function, resolved.config)
     value = eval_fuzzy(resolved.function, res.xstar, 101)
     return res, value
 

@@ -10,7 +10,6 @@ import dataclasses
 import numpy as np
 
 from fuzzynewton import (
-    NewtonConfig,
     ProblemSpec,
     ScalarizationConfig,
     build_example_4_1,
@@ -45,7 +44,8 @@ for name, fn, exact in (("F'", scalarize_d1, 14.0),
 
 print("\nfd_step on the fuzzy maximum-return problem")
 resolved = resolve_problem(ProblemSpec(kind="max_return_fuzzy"))
-print(f"  recommended fd_step for this problem: {resolved.scal.fd_step}")
+print("  recommended fd_step for this problem:",
+      resolved.config.scal.fd_step)
 print("  its level endpoints switch formula wherever c(x) crosses an")
 print("  aspiration-interval midpoint, one kink per grid level packed")
 print("  into a band ~1e-3 wide around the minimizer.  A 1e-5 step reads")
@@ -53,8 +53,8 @@ print("  the local curvature inside the band and Newton two-cycles; a")
 print("  1e-4 step spans the band, averages the kinks, and contracts:")
 for h in (1e-5, 1e-4, 1e-3):
     scal = ScalarizationConfig(fd_step=h)
-    res = solve(resolved.function,
-                NewtonConfig(x0=1.0, max_iter=40, scal=scal))
+    res = solve(resolved.function, dataclasses.replace(
+        resolved.config, max_iter=40, scal=scal))
     print(f"  fd_step={h:.0e}: {res.status:>22} "
           f"iters={res.iterations:>2} xstar={res.xstar:.6f}")
 
@@ -62,6 +62,6 @@ print("\nThe alpha-grid sets how faithfully levels represent the number")
 for m in (11, 51, 101, 201):
     scal = ScalarizationConfig(alpha_points=m, fd_step=1e-4)
     res = solve(resolved.function,
-                NewtonConfig(x0=1.0, scal=scal))
+                dataclasses.replace(resolved.config, scal=scal))
     print(f"  m={m:>3}: xstar = {res.xstar:.6f} ({res.iterations} iters)")
 print("  the minimizer is already stable at the default m = 101.")

@@ -6,8 +6,9 @@ instances and prints one row per instance; ``check`` audits an arbitrary
 point for stationarity and non-dominance.
 
 One function applies every flag a command has to its problem: the
-parameter flags over the problem's params, then one resolve, then the
-scalarization and iteration flags over the problem's own settings.
+parameter flags, --x0 and --eps over the spec, then one resolve, then
+the scalarization flags and --max-iter over the problem's NewtonConfig,
+which the command then solves or checks with.
 
 A point's verification has one wording, ``VerificationReport.lines()``,
 which ends with the verdict: ``check`` prints it, and a converged
@@ -43,7 +44,6 @@ from .level_calculus import _Point
 from .newton_solver import (
     STATUS_CONVERGED,
     STATUS_NON_FINITE,
-    NewtonConfig,
     SolveResult,
     VerificationReport,
     check_point,
@@ -205,15 +205,15 @@ def _given(**values) -> dict:
     return {key: value for key, value in values.items() if value is not None}
 
 
-def _problem(spec: ProblemSpec, args) -> tuple[ResolvedProblem, NewtonConfig]:
-    """spec resolved under the flags of args, and its NewtonConfig.  A
-    flag the command lacks reads as not given.
+def _problem(spec: ProblemSpec, args) -> ResolvedProblem:
+    """spec resolved under the flags of args, its config carrying every
+    flag given.  A flag the command lacks reads as not given.
 
-    --Va and --rho go over the spec's params, or its kind's defaults.
-    --alpha-grid wins over the spec's alpha_points and is set with
-    --quadrature and --fd-step in one step, so the grid is checked only
-    against the rule it is used with.  --x0, --eps and --max-iter go over
-    the problem's own values."""
+    --Va and --rho go over the spec's params, or its kind's defaults, and
+    --x0 and --eps over the spec's own.  --alpha-grid wins over the
+    spec's alpha_points and is set with --quadrature and --fd-step in one
+    step, so the grid is checked only against the rule it is used with.
+    --max-iter goes over the problem's own value."""
     flag = vars(args).get
     given = _given(Va=flag("Va"), rho=flag("rho"))
     if given:
@@ -226,16 +226,15 @@ def _problem(spec: ProblemSpec, args) -> tuple[ResolvedProblem, NewtonConfig]:
             name: _param_from_json(value, f"--{name}")
             for name, value in given.items()
         }))
-    resolved = resolve_problem(dataclasses.replace(spec, alpha_points=None))
-    grid = flag("alpha_grid")
-    scal = dataclasses.replace(resolved.scal, **_given(
+    resolved = resolve_problem(dataclasses.replace(
+        spec, alpha_points=None, **_given(x0=flag("x0"), eps=flag("eps"))))
+    grid, config = flag("alpha_grid"), resolved.config
+    scal = dataclasses.replace(config.scal, **_given(
         alpha_points=spec.alpha_points if grid is None else grid,
         quadrature=flag("quadrature"), fd_step=flag("fd_step"),
     ))
-    return dataclasses.replace(resolved, scal=scal), NewtonConfig(**{
-        "x0": resolved.x0, "eps": resolved.eps, "scal": scal,
-        **_given(x0=flag("x0"), eps=flag("eps"), max_iter=flag("max_iter")),
-    })
+    return dataclasses.replace(resolved, config=dataclasses.replace(
+        config, scal=scal, **_given(max_iter=flag("max_iter"))))
 
 
 def _trace_rows(result: SolveResult) -> list[dict]:
@@ -261,15 +260,13 @@ def _verification_dict(rep: VerificationReport) -> dict:
     }
 
 
-def _solve_summary(
-    resolved: ResolvedProblem, cfg: NewtonConfig
-) -> tuple[SolveResult, dict]:
+def _solve_summary(resolved: ResolvedProblem) -> tuple[SolveResult, dict]:
     """Solve; return the result and a summary with the answer's fuzzy
     value, its centroid and F, from one evaluation of the answer."""
     t0 = time.perf_counter()
-    result = solve(resolved.function, cfg)
+    result = solve(resolved.function, resolved.config)
     wall = time.perf_counter() - t0
-    point = _Point(resolved.function, result.xstar, cfg.scal)
+    point = _Point(resolved.function, result.xstar, resolved.config.scal)
     try:
         fval = point.fuzzy_value()
         answer = map(float, (
@@ -293,11 +290,11 @@ def _solve_summary(
     }
 
 
-def _solve_report(resolved: ResolvedProblem, cfg: NewtonConfig) -> dict:
+def _solve_report(resolved: ResolvedProblem) -> dict:
     """The solve summary plus the convergence order, the trace, the
     settings and, for a converged solve, the VerificationReport."""
-    result, summary = _solve_summary(resolved, cfg)
-    f = resolved.function
+    result, summary = _solve_summary(resolved)
+    f, cfg = resolved.function, resolved.config
     verification = None
     if result.status == STATUS_CONVERGED:
         verification = verify_solution(f, result, cfg)
@@ -408,7 +405,7 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 
 def _cmd_solve(args) -> int:
-    rep = _solve_report(*_problem(_read_spec(args.problem), args))
+    rep = _solve_report(_problem(_read_spec(args.problem), args))
     if args.format == "json":
         text = _render_json(rep)
     elif args.format == "csv":
@@ -446,7 +443,7 @@ def _cmd_table(args) -> int:
             "max_return_fuzzy" if params.is_fuzzy else "max_return_crisp"
         )
         _, summary = _solve_summary(
-            *_problem(ProblemSpec(kind=kind, params=params), args)
+            _problem(ProblemSpec(kind=kind, params=params), args)
         )
         results.append(
             {
@@ -477,8 +474,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    resolved, cfg = _problem(_read_spec(args.problem), args)
-    report = check_point(resolved.function, args.xstar, cfg,
+    resolved = _problem(_read_spec(args.problem), args)
+    report = check_point(resolved.function, args.xstar, resolved.config,
                          **_given(nbhd=args.nbhd, samples=args.samples))
     sys.stdout.writelines(f"{line}\n" for line in report.lines())
     return 0 if report.ok else 3

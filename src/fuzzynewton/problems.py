@@ -46,6 +46,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -291,12 +292,11 @@ def build_max_return_fuzzy(
 
 @dataclass(frozen=True)
 class ResolvedProblem:
-    """A ready-to-solve problem: function plus recommended settings."""
+    """A ready-to-solve problem: its function and the NewtonConfig to
+    solve it with."""
 
     function: FuzzyFunction
-    x0: float = 1.0
-    eps: float = NewtonConfig.eps
-    scal: ScalarizationConfig = ScalarizationConfig()
+    config: NewtonConfig
     bracket: Optional[tuple[float, float]] = None
     params: Optional[MaxReturnParams] = None
 
@@ -304,6 +304,15 @@ class ResolvedProblem:
     def label(self) -> str:
         return self.function.name
 
+    # perfbench's reads: it rebuilds config from these three, and they
+    # go once it reads config itself (ROADMAP item 1)
+    x0 = property(lambda self: self.config.x0)
+    eps = property(lambda self: self.config.eps)
+    scal = property(lambda self: self.config.scal)
+
+
+# Every kind starts Newton from 1.0 at NewtonConfig's step tolerance.
+_RECOMMENDED = NewtonConfig(x0=1.0)
 
 # The fuzzy return-risk levels are piecewise smooth: near the minimizer
 # the scalarized objective carries a band of extra curvature roughly 1e-3
@@ -316,25 +325,26 @@ class ResolvedProblem:
 FUZZY_MAX_RETURN_SCAL = ScalarizationConfig(fd_step=1e-4)
 
 # Each problem kind: its builder from params and coefficients, its
-# default params (None for a kind that takes none), its recommended
-# settings and its bracket (None for a kind that has none).  Every kind
-# but the last is a built-in.
+# default params (None for a kind that takes none), its bracket (None
+# for a kind that has none) and its recommended NewtonConfig.  Every
+# kind but the last is a built-in.
 _KINDS = {
     "example_4_1": (
         lambda params, coeffs: build_example_4_1(), None,
-        ScalarizationConfig(), (-0.5, 0.5),
+        (-0.5, 0.5), _RECOMMENDED,
     ),
     "max_return_crisp": (
         lambda params, coeffs: build_max_return_crisp(params),
-        DEFAULT_CRISP_PARAMS, ScalarizationConfig(), (0.0, 1.5),
+        DEFAULT_CRISP_PARAMS, (0.0, 1.5), _RECOMMENDED,
     ),
     "max_return_fuzzy": (
         lambda params, coeffs: build_max_return_fuzzy(params),
-        DEFAULT_FUZZY_PARAMS, FUZZY_MAX_RETURN_SCAL, (0.0, 1.5),
+        DEFAULT_FUZZY_PARAMS, (0.0, 1.5),
+        dataclasses.replace(_RECOMMENDED, scal=FUZZY_MAX_RETURN_SCAL),
     ),
     "fuzzy_polynomial": (
         lambda params, coeffs: build_fuzzy_polynomial(coeffs), None,
-        ScalarizationConfig(), None,
+        None, _RECOMMENDED,
     ),
 }
 BUILTIN_NAMES = tuple(_KINDS)[:-1]
@@ -354,6 +364,9 @@ class ProblemSpec:
     alpha_points: Optional[int] = None
 
     def __post_init__(self):
+        for key in ("x0", "eps"):
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, _number(getattr(self, key), key))
         if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise ConfigFormatError(f"unknown problem kind {self.kind!r}")
         if self.kind == "fuzzy_polynomial" and not self.coefficients:
@@ -371,12 +384,14 @@ class ProblemSpec:
 
 
 def resolve_problem(spec: ProblemSpec) -> ResolvedProblem:
-    """Materialize a ProblemSpec into a function plus solver settings.
+    """Materialize a ProblemSpec into its function and the NewtonConfig
+    to solve it with: the kind's recommended config with the spec's x0,
+    eps and alpha_points in place of its own, where the spec gives them.
 
     The solver minimizes, so a "maximize" sense resolves to the negated
     function.
     """
-    build, default, scal, bracket = _KINDS[spec.kind]
+    build, default, bracket, config = _KINDS[spec.kind]
     params = spec.params or default
     fn = build(params, spec.coefficients)
     if spec.domain is not None:
@@ -385,18 +400,19 @@ def resolve_problem(spec: ProblemSpec) -> ResolvedProblem:
     if spec.sense == "maximize":
         fn = negate(fn)
     if spec.alpha_points is not None:
-        scal = dataclasses.replace(scal, alpha_points=spec.alpha_points)
-    return ResolvedProblem(
-        function=fn, scal=scal, bracket=bracket, params=params,
-        **{key: float(getattr(spec, key)) for key in ("x0", "eps")
-           if getattr(spec, key) is not None},
-    )
+        config = dataclasses.replace(config, scal=dataclasses.replace(
+            config.scal, alpha_points=spec.alpha_points))
+    return ResolvedProblem(fn, dataclasses.replace(config, **{
+        key: getattr(spec, key) for key in ("x0", "eps")
+        if getattr(spec, key) is not None
+    }), bracket, params)
 
 
 def _number(v, what: str) -> float:
-    """A number from outside as a float: a JSON int or float, not a bool,
-    a string or a container.  Ranges are checked where the value is used."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    """A number from outside as a float: an int or a float, numpy's
+    included, not a bool, a string or a container.  Ranges are checked
+    where the value is used."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise ConfigFormatError(f"{what} must be a number, got {v!r}")
     try:
         return float(v)
@@ -467,8 +483,6 @@ _CODECS = {
                         _items(v, "domain must be a [lo, hi] pair", 2)),
         list,
     ),
-    **{key: (lambda v, key=key: _number(v, key), lambda v: v)
-       for key in ("x0", "eps")},
 }
 _AS_IS = (lambda v: v, lambda v: v)
 

@@ -16,7 +16,6 @@ from fuzzynewton import (
     FuzzyNumber,
     HukuharaNonexistence,
     MaxReturnParams,
-    NewtonConfig,
     ProblemSpec,
     ScalarizationConfig,
     TriangularFuzzy,
@@ -56,7 +55,7 @@ def solve_builtin(kind, **params):
         params=MaxReturnParams(**params) if params else None,
     )
     resolved = resolve_problem(spec)
-    cfg = NewtonConfig(x0=resolved.x0, eps=resolved.eps, scal=resolved.scal)
+    cfg = resolved.config
     return resolved, cfg, solve(resolved.function, cfg)
 
 
@@ -225,7 +224,8 @@ def test_criterion_6_grid_oracle_equivalence():
         resolved, _, res = solve_builtin(kind)
         assert res.status == "converged"
         xg = grid_search_min(
-            resolved.function, resolved.bracket, resolved.scal, step=1e-5
+            resolved.function, resolved.bracket, resolved.config.scal,
+            step=1e-5,
         )
         assert abs(res.xstar - xg) <= 1e-4, f"{kind}: {res.xstar} vs {xg}"
 

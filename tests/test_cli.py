@@ -632,6 +632,44 @@ class TestErrorPaths:
             "left <= peak <= right, got (3.0, 2.0, 1.0)\n"
         )
 
+    def test_unknown_sense_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "sense.json"
+        path.write_text(json.dumps({"kind": "example_4_1", "sense": "max"}))
+        code, out, err = run(capsys, "solve", "--problem", str(path))
+        assert (code, out) == (1, "")
+        assert err == ("error: sense must be 'minimize' or 'maximize', "
+                       "got 'max'\n")
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read sweep file: "),
+        ("[{not json", "sweep file is not valid JSON: "),
+        ('{"Va": 0.00168, "rho": 1}',
+         "sweep file must hold a JSON list of rows\n"),
+    ])
+    def test_unusable_sweep_file_is_one_error_line(self, tmp_path, capsys,
+                                                   content, message):
+        sweep = tmp_path / "sweep.json"
+        if content is not None:
+            sweep.write_text(content)
+        code, out, err = run(capsys, "table", "--sweep", str(sweep))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_flags_replace_a_configs_bad_x0_and_eps(self, tmp_path, capsys):
+        # --x0 and --eps go over the config's values before the problem
+        # is resolved, so only the values the solve uses are checked
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(
+            {"kind": "example_4_1", "x0": math.nan, "eps": -1}
+        ))
+        code, out, err = run(capsys, "solve", "--problem", str(path))
+        assert (code, out, err) == (1, "", "error: x0 must be finite\n")
+        code, out, err = run(capsys, "solve", "--problem", str(path),
+                             "--x0", "1", "--eps", "1e-6", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["config"]["eps"] == 1e-6
+
     def test_sweep_row_names_the_non_finite_key(self, tmp_path, capsys):
         sweep = tmp_path / "sweep.json"
         sweep.write_text(json.dumps([{"Va": 0.00168, "rho": math.inf}]))

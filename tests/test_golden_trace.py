@@ -29,7 +29,6 @@ import pytest
 
 from fuzzynewton import (
     STATUS_CONVERGED,
-    NewtonConfig,
     ProblemSpec,
     centroid,
     check_point,
@@ -43,13 +42,12 @@ GOLDEN = pathlib.Path(__file__).with_name("golden_trace.json")
 
 
 def _builtin(name, x0=None, fd_step=None):
-    resolved = resolve_problem(ProblemSpec(kind=name))
-    scal = resolved.scal
+    resolved = resolve_problem(ProblemSpec(kind=name, x0=x0))
+    cfg = resolved.config
     if fd_step is not None:
-        scal = dataclasses.replace(scal, fd_step=fd_step)
-    cfg = NewtonConfig(
-        x0=resolved.x0 if x0 is None else x0, eps=resolved.eps, scal=scal
-    )
+        cfg = dataclasses.replace(
+            cfg, scal=dataclasses.replace(cfg.scal, fd_step=fd_step)
+        )
     return resolved.function, cfg
 
 

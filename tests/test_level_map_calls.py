@@ -54,8 +54,7 @@ class Counter:
 
 def _builtin(name):
     resolved = resolve_problem(ProblemSpec(kind=name))
-    cfg = NewtonConfig(x0=resolved.x0, eps=resolved.eps, scal=resolved.scal)
-    return resolved.function, cfg
+    return resolved.function, resolved.config
 
 
 # (solve, verify_solution) at each built-in's recommended settings.

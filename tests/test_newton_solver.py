@@ -252,9 +252,9 @@ class TestSolve:
 
     def test_two_cycle_end_point_is_not_stationary(self):
         resolved = resolve_problem(ProblemSpec(kind="max_return_fuzzy"))
-        scal = dataclasses.replace(resolved.scal, fd_step=1e-5)
-        res = solve(resolved.function, NewtonConfig(
-            x0=resolved.x0, eps=resolved.eps, scal=scal,
+        cfg = resolved.config
+        res = solve(resolved.function, dataclasses.replace(
+            cfg, scal=dataclasses.replace(cfg.scal, fd_step=1e-5)
         ))
         assert res.status == STATUS_MAX_ITER
         assert res.stationarity_kind == "not-stationary"
@@ -309,9 +309,9 @@ class TestMalformedIterate:
 
 def _builtin(name, **scal):
     resolved = resolve_problem(ProblemSpec(kind=name))
-    return resolved.function, NewtonConfig(
-        x0=resolved.x0, eps=resolved.eps,
-        scal=dataclasses.replace(resolved.scal, **scal),
+    cfg = resolved.config
+    return resolved.function, dataclasses.replace(
+        cfg, scal=dataclasses.replace(cfg.scal, **scal)
     )
 
 

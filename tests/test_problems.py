@@ -49,6 +49,11 @@ from helpers import (
 from test_level_map_calls import LEVEL_FIELDS
 
 CFG = ScalarizationConfig()
+# one spec of each problem kind, fuzzy_polynomial with one coefficient
+KIND_SPECS = [ProblemSpec(kind=name) for name in BUILTIN_NAMES] + [
+    ProblemSpec(kind="fuzzy_polynomial",
+                coefficients=(TriangularFuzzy(0.0, 1.0, 2.0),)),
+]
 
 
 class TestFuzzyPolynomial:
@@ -380,14 +385,14 @@ class TestContinuumReference:
     def test_continuum_minimizer_against_solve_and_the_oracle(self):
         va, rho = DEFAULT_FUZZY_PARAMS.Va, DEFAULT_FUZZY_PARAMS.rho
         resolved = resolve_problem(ProblemSpec(kind="max_return_fuzzy"))
-        f, scal = resolved.function, resolved.scal
+        f, cfg = resolved.function, resolved.config
+        scal = cfg.scal
         x_cont = golden_section_min(
             lambda x: return_risk_continuum(va, rho, x), 0.69, 0.71)
         assert x_cont == pytest.approx(0.6992570, abs=5e-8)
-        result = solve(f, NewtonConfig(x0=resolved.x0, eps=resolved.eps,
-                                       scal=scal))
+        result = solve(f, cfg)
         # 2.9e-6 apart
-        assert abs(result.xstar - x_cont) < resolved.eps
+        assert abs(result.xstar - x_cont) < cfg.eps
         # Simpson's own minimizer is 4.0e-6 off the continuum one, and the
         # oracle's grid point lies within a step of Simpson's minimizer
         x_simpson = golden_section_min(lambda x: scalarize(f, x, scal),
@@ -405,15 +410,27 @@ class TestResolveProblem:
         }
         for name in BUILTIN_NAMES:
             resolved = resolve_problem(ProblemSpec(kind=name))
-            assert resolved.x0 == 1.0
-            assert resolved.eps == 1e-5
             assert resolved.bracket[0] < resolved.bracket[1]
 
-    def test_fuzzy_builtin_recommends_wider_fd_step(self):
-        fuzzy = resolve_problem(ProblemSpec(kind="max_return_fuzzy"))
-        crisp = resolve_problem(ProblemSpec(kind="max_return_crisp"))
-        assert fuzzy.scal.fd_step == 1e-4
-        assert crisp.scal.fd_step == 1e-5
+    @pytest.mark.parametrize("spec", KIND_SPECS, ids=lambda s: s.kind)
+    def test_each_kind_recommends_its_config(self, spec):
+        # every kind starts from 1.0 at the default step tolerance; only
+        # the fuzzy return-risk problem takes a wider fd_step
+        config = resolve_problem(spec).config
+        assert (config.x0, config.eps) == (1.0, 1e-5)
+        assert config.scal.fd_step == (
+            1e-4 if spec.kind == "max_return_fuzzy" else 1e-5
+        )
+
+    @pytest.mark.parametrize("overrides", [{}, {"x0": 0.25, "eps": 1e-8,
+                                                "alpha_points": 51}])
+    @pytest.mark.parametrize("spec", KIND_SPECS, ids=lambda s: s.kind)
+    def test_perfbench_reads_rebuild_the_config(self, spec, overrides):
+        # perfbench builds its NewtonConfig from ResolvedProblem's x0, eps
+        # and scal, which is the problem's own config only while these
+        # three read through to it and config sets no other field
+        r = resolve_problem(dataclasses.replace(spec, **overrides))
+        assert NewtonConfig(x0=r.x0, eps=r.eps, scal=r.scal) == r.config
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigFormatError):
@@ -421,14 +438,17 @@ class TestResolveProblem:
         with pytest.raises(ConfigFormatError):
             ProblemSpec(kind="fuzzy_polynomial")  # needs coefficients
 
-    def test_overrides(self):
-        spec = ProblemSpec(
-            kind="example_4_1", x0=0.25, eps=1e-8, alpha_points=51
+    @pytest.mark.parametrize("spec", KIND_SPECS, ids=lambda s: s.kind)
+    def test_overrides(self, spec):
+        # a spec replaces only the settings it gives
+        kind_config = resolve_problem(spec).config
+        config = resolve_problem(dataclasses.replace(
+            spec, x0=0.25, eps=1e-8, alpha_points=51
+        )).config
+        assert config == dataclasses.replace(
+            kind_config, x0=0.25, eps=1e-8,
+            scal=dataclasses.replace(kind_config.scal, alpha_points=51),
         )
-        resolved = resolve_problem(spec)
-        assert resolved.x0 == 0.25
-        assert resolved.eps == 1e-8
-        assert resolved.scal.alpha_points == 51
 
     def test_polynomial_domain_override(self):
         spec = ProblemSpec(
@@ -453,7 +473,7 @@ class TestResolveProblem:
             assert resolved.function.domain == (0.25, 1.0)
             assert resolved.bracket == (0.25, 1.0)
         with pytest.raises(DomainError):
-            scalarize(resolved.function, 0.0, resolved.scal)
+            scalarize(resolved.function, 0.0, resolved.config.scal)
 
     def test_grid_size_is_checked_when_resolved(self):
         for text in ('{"kind": "example_4_1", "alpha_points": 11.9}',
@@ -482,9 +502,8 @@ class TestResolveProblem:
         )
         resolved = resolve_problem(spec)
         assert resolved.label == "-(fuzzy_polynomial(degree=2))"
-        assert (resolved.x0, resolved.eps) == (0.5, 1e-5)
+        assert resolved.config == NewtonConfig(x0=0.5)
         assert (resolved.bracket, resolved.params) == (None, None)
-        assert resolved.scal == ScalarizationConfig()
 
     @pytest.mark.parametrize("kind", BUILTIN_NAMES)
     def test_maximize_sense_negates_the_objective(self, kind):
@@ -492,9 +511,9 @@ class TestResolveProblem:
         flipped = resolve_problem(ProblemSpec(kind=kind, sense="maximize"))
         assert flipped.label == f"-({plain.label})"
         for x in (0.25, 0.7, 1.0):
-            assert scalarize(flipped.function, x, flipped.scal) == -scalarize(
-                plain.function, x, plain.scal
-            )
+            assert scalarize(
+                flipped.function, x, flipped.config.scal
+            ) == -scalarize(plain.function, x, plain.config.scal)
 
 
 class TestConfigFiles:
@@ -594,17 +613,48 @@ class TestConfigFiles:
                 '"params": {"Va": [1, 2], "rho": 1}}'
             )
 
+    def test_a_bad_later_key_is_named_before_a_bad_x0(self):
+        # ProblemSpec reads x0 and eps, after the config's other keys are
+        # read, so a bad domain is named first
+        with pytest.raises(ConfigFormatError, match="domain must be"):
+            parse_problem_config(
+                '{"kind": "example_4_1", "x0": "1", "domain": [0]}'
+            )
+
+
+class TestProblemSpecNumbers:
+    """ProblemSpec reads x0 and eps as a config's reader does, so a spec
+    built in Python takes the numbers a config file takes."""
+
+    @pytest.mark.parametrize("key", ["x0", "eps"])
+    @pytest.mark.parametrize("value", [
+        "0.5", True, np.bool_(True), [1], 1j,
+    ])
+    def test_a_non_number_is_a_config_error(self, key, value):
+        # "0.5" resolved to 0.5, True to 1.0, and [1] raised a TypeError;
+        # serialize_problem_config wrote "x0": "0.5", which parse rejects
+        with pytest.raises(ConfigFormatError,
+                           match=f"^{key} must be a number, got "):
+            ProblemSpec(kind="example_4_1", **{key: value})
+
+    @pytest.mark.parametrize("value", [
+        np.int64(1), np.float32(0.5), np.float64(0.5), 2, 0.5,
+    ])
+    def test_numpy_numbers_are_taken_as_floats(self, value):
+        spec = ProblemSpec(kind="example_4_1", x0=value, eps=value)
+        assert type(spec.x0) is float and type(spec.eps) is float
+        assert spec.x0 == spec.eps == float(value)
+        # a numpy int made serialize_problem_config raise a TypeError
+        assert parse_problem_config(serialize_problem_config(spec)) == spec
+        assert resolve_problem(spec).config.x0 == float(value)
+
 
 class TestGridOracle:
     def test_matches_newton_on_example(self):
         resolved = resolve_problem(ProblemSpec(kind="example_4_1"))
-        res = solve(
-            resolved.function,
-            NewtonConfig(x0=resolved.x0, eps=resolved.eps,
-                         scal=resolved.scal),
-        )
+        res = solve(resolved.function, resolved.config)
         xg = grid_search_min(
-            resolved.function, resolved.bracket, resolved.scal
+            resolved.function, resolved.bracket, resolved.config.scal
         )
         assert abs(res.xstar - xg) <= 1e-4
 

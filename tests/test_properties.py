@@ -23,7 +23,6 @@ from fuzzynewton import (
     FuzzyNumber,
     HukuharaNonexistence,
     InvalidLevelError,
-    NewtonConfig,
     NumericError,
     OneSidedStencilWarning,
     ScalarizationConfig,
@@ -577,6 +576,12 @@ class TestGridOracleProperties:
         [TriangularFuzzy(0.0, 0.0, 0.0), TriangularFuzzy(-1.0, -1.0, -1.0)],
         0, 1, 0.0, 0.6,
     )
+    @example(  # np.roots puts F' = 0.5 + 13x + 2.2e-91 x^3's root -1/26 at 0
+        [TriangularFuzzy(0.0, 0.0, 0.0), TriangularFuzzy(0.0, 0.0, 1.0),
+         TriangularFuzzy(3.0, 3.0, 4.0), TriangularFuzzy(0.0, 0.0, 0.0),
+         TriangularFuzzy(0.0, 0.0, 1.0963061602278137e-91)],
+        -3, 1, 0.0, 1.0,
+    )
     def test_grid_minimum_matches_the_exact_minimum(self, coeffs, start,
                                                     points, a_off, b_off):
         # each end a whole number of steps or a fraction of one off it
@@ -586,11 +591,18 @@ class TestGridOracleProperties:
         exact = crisp_polynomial(coeffs)
         xg = grid_search_min(f, (a, b), CFG, step=step)
         assert a <= xg <= b
-        # F's least value on [a, b] is at an end or a root of F'; the real
-        # part of a complex root is one more point of the bracket, which
-        # can raise the least candidate value but never hide the minimum
-        roots = np.roots(exact.deriv().coef[::-1]).real
-        candidates = [a, b, *roots[(a <= roots) & (roots <= b)]]
+        # F's least value on [a, b] is at an end or a root of F'.  np.roots
+        # can misplace a real root where a top coefficient is tiny, so each
+        # root's real part also takes Newton steps on F'.  Any point of the
+        # bracket can raise the least candidate value but never hide the
+        # minimum, so every root and step that lands in it is a candidate
+        d1, d2 = exact.deriv(), exact.deriv(2)
+        roots = polished = np.roots(d1.coef[::-1]).real
+        with np.errstate(all="ignore"):
+            for _ in range(8):
+                polished = polished - d1(polished) / d2(polished)
+        points = np.concatenate([roots, polished])
+        candidates = [a, b, *points[(a <= points) & (points <= b)]]
         least = min(exact(c) for c in candidates)
         # the grid's gaps are at most a step, so some grid point lies
         # within step/2 of the minimizer; and |F'| <= |F|'(max(|a|, |b|))
@@ -885,13 +897,11 @@ def verified_points(draw):
     """A built-in at its settings on a grid of 101 or 1001 levels, maybe
     with a domain edge near or at x, a point x near its answer, a
     neighbourhood and 0-101 samples."""
-    resolved = resolve_problem(ProblemSpec(kind=draw(st.sampled_from(
-        BUILTIN_NAMES))))
-    m = draw(st.sampled_from([101, 1001]))
-    cfg = NewtonConfig(
-        x0=resolved.x0, eps=resolved.eps,
-        scal=dataclasses.replace(resolved.scal, alpha_points=m),
-    )
+    resolved = resolve_problem(ProblemSpec(
+        kind=draw(st.sampled_from(BUILTIN_NAMES)),
+        alpha_points=draw(st.sampled_from([101, 1001])),
+    ))
+    cfg = resolved.config
     answer = 0.0 if resolved.function.name == "example_4_1" else 0.7
     x = answer + draw(finite(-0.5, 0.5) | st.just(0.0))
     f = resolved.function
@@ -1103,8 +1113,8 @@ class TestOneProblemOneAnswer:
         resolved = resolve_problem(ProblemSpec(kind=kind, params=params))
         scal = ScalarizationConfig(alpha_points=m, quadrature=quadrature,
                                    fd_step=fd_step)
-        api = solve(resolved.function, NewtonConfig(
-            x0=resolved.x0, eps=resolved.eps, scal=scal)).xstar
+        api = solve(resolved.function,
+                    dataclasses.replace(resolved.config, scal=scal)).xstar
         rule = ["--quadrature", quadrature, "--fd-step", repr(fd_step)]
         grid = ["--alpha-grid", str(m)]
         row = _params_to_json(params)
