@@ -10,8 +10,9 @@ and second derivatives come either from user-supplied analytic level
 derivatives (integrated with the same rule) or from central finite
 differences applied to F itself.
 
-All level values pass through one evaluator: ``_levels`` fetches a pair
-of level maps at a scalar x or on an x-column by alpha grid,
+All level values pass through one evaluator: ``_levels`` fetches one
+level pair, a callable (x, alpha) -> (lo, hi), at a scalar x or on an
+x-column by alpha grid,
 ``_integrate`` applies the quadrature weights, cached per grid size and
 rule, and raises NumericError on a non-finite value, and ``_Point``
 shares the levels fetched near one point among F, its finite-difference
@@ -26,6 +27,14 @@ only by ``_fuzzy_numbers``, which checks a block of level rows with one
 call of fuzzy_core's validity kernel: one row for eval_fuzzy, a block
 of iterates for a solve.
 
+A FuzzyFunction derives one level pair per derivative order from its
+two end fields.  A function built by ``crisp_lift``, ``negate`` or a
+built-in of ``problems`` computes both ends in one call: its end fields
+are the halves of one pair, made by ``_from_pairs``, each of which
+computes the pair and returns its own end when called alone, and the
+derived pair is that pair.  For any other two ends, a caller's own maps
+or ends wrapped with dataclasses.replace, the pair calls lo and then hi.
+
 The alpha grid of each size is one object, fuzzy_core's ``_grid``: built
 and validated once, read-only, and passed to every level map and every
 fuzzy value.  So a FuzzyNumber on it skips the grid check, and the
@@ -38,14 +47,14 @@ The neighbourhood checks (comparability and non-dominance) are read
 by one scanner, ``_first_witness``, from one x-column: the point, any
 other points whose levels the caller wants (a verification's stencil),
 then each check's samples in the domain.  The column is fetched in
-scalarize_many's blocks, one at a time, with one call pair of the
-level maps and one call of fuzzy_core's row-wise invariant kernel per
-block, and each check compares its own rows with a row-wise order
-kernel.  So a verification is one fetch: its point, its stencil and
-all three checks take one call pair per block of 102 rows at 101
-levels.  Verdicts, witnesses and errors are those of taking the
-samples one at a time in order and the checks one after another; a
-check that finds no sample in the domain is inconclusive.
+scalarize_many's blocks, one at a time, with one fetch of the level
+pair and one call of fuzzy_core's row-wise invariant kernel per block,
+and each check compares its own rows with a row-wise order kernel.  So
+a verification is one fetch: its point, its stencil and all three
+checks take one fetch per block of 102 rows at 101 levels.  Verdicts,
+witnesses and errors are those of taking the samples one at a time in
+order and the checks one after another; a check that finds no sample in
+the domain is inconclusive.
 
 Level callables must accept numpy arrays for the alpha argument and
 broadcast; accepting array x as well is optional but enables the fast
@@ -96,6 +105,7 @@ __all__ = [
 ]
 
 LevelMap = Callable[[float, np.ndarray], np.ndarray]
+LevelPair = Callable[[float, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 class OneSidedStencilWarning(UserWarning):
@@ -112,6 +122,9 @@ class FuzzyFunction:
     1 and 2 are optional, as lo/hi pairs; when absent, scalarized
     derivatives fall back to finite differences.  ``domain`` is a closed
     real interval, possibly unbounded.
+
+    Each order's two ends are read as one level pair, derived here (see
+    ``_pair``), so that ``dataclasses.replace`` derives it anew.
     """
 
     level_lo: LevelMap
@@ -134,14 +147,57 @@ class FuzzyFunction:
     def __post_init__(self):
         if not self.domain[0] <= self.domain[1]:
             raise ValueError(f"domain {self.domain} needs lo <= hi")
-        for order in ("d1", "d2"):
-            lo, hi = (getattr(self, f"{order}_{end}") for end in ("lo", "hi"))
+        for order, lo, hi in (("d1", self.d1_lo, self.d1_hi),
+                              ("d2", self.d2_lo, self.d2_hi)):
             if (lo is None) != (hi is None):
                 raise ValueError(f"{order}_lo and {order}_hi go together")
+        object.__setattr__(self, "_level_pair",
+                           _pair(self.level_lo, self.level_hi))
+        object.__setattr__(self, "_d1_pair", _pair(self.d1_lo, self.d1_hi))
+        object.__setattr__(self, "_d2_pair", _pair(self.d2_lo, self.d2_hi))
 
     def contains(self, x):
         """Whether x lies in the closed domain, elementwise; NaN does not."""
         return (self.domain[0] <= x) & (x <= self.domain[1])
+
+
+class _Half:
+    """One end of a level pair as a level map: it computes the pair and
+    returns its lo end (end 0) or its hi end (end 1)."""
+
+    __slots__ = ("pair", "end")
+
+    def __init__(self, pair: LevelPair, end: int):
+        self.pair, self.end = pair, end
+
+    def __call__(self, x, a):
+        return self.pair(x, a)[self.end]
+
+
+def _pair(lo: Optional[LevelMap], hi: Optional[LevelMap]) -> Optional[LevelPair]:
+    """The level pair of two end maps: the pair whose lo and hi halves
+    they are, or else one that calls lo and then hi."""
+    if lo is None:
+        return None
+    if (type(lo) is _Half and type(hi) is _Half and lo.pair is hi.pair
+            and lo.end == 0 and hi.end == 1):
+        return lo.pair
+    return lambda x, a: (lo(x, a), hi(x, a))
+
+
+def _from_pairs(level: LevelPair, d1: Optional[LevelPair] = None,
+                d2: Optional[LevelPair] = None, **fields) -> FuzzyFunction:
+    """The FuzzyFunction of a level pair per order, d1 and d2 optional.
+
+    Its end fields are the halves of each pair, so an end called alone
+    gives that end's values; the FuzzyFunction reads the pair itself.
+    """
+    ends = []
+    for pair in (level, d1, d2):
+        ends += (None, None) if pair is None else (_Half(pair, 0),
+                                                   _Half(pair, 1))
+    # the six end fields, in order
+    return FuzzyFunction(*ends, **fields)
 
 
 @dataclass(frozen=True)
@@ -199,45 +255,45 @@ def crisp_lift(
 ) -> FuzzyFunction:
     """Embed a real function as a fuzzy one with degenerate levels lo = hi.
 
-    Level maps ignore alpha apart from broadcasting against it: they add
-    0.0 * alpha, a row kept for the last shared grid seen.
+    Each order is one level pair that computes g(x) (or d1, d2) once
+    and returns its row as both ends.  The row ignores alpha apart from
+    broadcasting against it: it adds 0.0 * alpha, a row kept for the last
+    shared grid seen.
     """
 
     def lift(fn):
         if fn is None:
             return None
-        return lambda x, a: np.asarray(fn(x)) + _zeros(a)
 
-    lev, dmap1, dmap2 = lift(g), lift(d1), lift(d2)
-    return FuzzyFunction(
-        level_lo=lev,
-        level_hi=lev,
-        d1_lo=dmap1,
-        d1_hi=dmap1,
-        d2_lo=dmap2,
-        d2_hi=dmap2,
-        domain=domain,
-        name=name,
-    )
+        def pair(x, a):
+            row = np.asarray(fn(x)) + _zeros(a)
+            return row, row
+
+        return pair
+
+    return _from_pairs(lift(g), lift(d1), lift(d2), domain=domain, name=name)
 
 
 def negate(f: FuzzyFunction) -> FuzzyFunction:
-    """Pointwise fuzzy negation: levels swap roles and change sign."""
+    """Pointwise fuzzy negation: levels swap roles and change sign.
 
-    def flip(m):
-        if m is None:
+    Each order is one level pair, (-hi, -lo) from one call of f's pair,
+    so negating a built-in computes its levels once per fetch.
+    """
+
+    def flip(pair):
+        if pair is None:
             return None
-        return lambda x, a: -np.asarray(m(x, a))
 
-    return FuzzyFunction(
-        level_lo=flip(f.level_hi),
-        level_hi=flip(f.level_lo),
-        d1_lo=flip(f.d1_hi),
-        d1_hi=flip(f.d1_lo),
-        d2_lo=flip(f.d2_hi),
-        d2_hi=flip(f.d2_lo),
-        domain=f.domain,
-        name=f"-({f.name})" if f.name else "",
+        def flipped(x, a):
+            lo, hi = pair(x, a)
+            return -np.asarray(hi), -np.asarray(lo)
+
+        return flipped
+
+    return _from_pairs(
+        flip(f._level_pair), flip(f._d1_pair), flip(f._d2_pair),
+        domain=f.domain, name=f"-({f.name})" if f.name else "",
     )
 
 
@@ -285,8 +341,8 @@ def _blocks(xs: np.ndarray, m: int):
     return ((i, xs[i:i + rows]) for i in range(0, xs.size, rows))
 
 
-def _levels(lo_map: LevelMap, hi_map: LevelMap, x, alphas: np.ndarray):
-    """A pair of level maps at x on the alpha grid, as float arrays.
+def _levels(pair: LevelPair, x, alphas: np.ndarray):
+    """A level pair at x on the alpha grid, as two float arrays.
 
     A scalar x gives arrays shaped like ``alphas``; an x column of shape
     (n, 1) gives (n, m) arrays.  A float x (np.float64 included) takes
@@ -301,16 +357,18 @@ def _levels(lo_map: LevelMap, hi_map: LevelMap, x, alphas: np.ndarray):
         values = np.asarray(values, float)
         return values if values.shape == shape else np.broadcast_to(values, shape)
 
-    return shaped(lo_map(x, alphas)), shaped(hi_map(x, alphas))
+    lo, hi = pair(x, alphas)
+    return shaped(lo), shaped(hi)
 
 
 def _levels_each(f: FuzzyFunction, xs: np.ndarray, alphas: np.ndarray):
-    """The levels of f at each x in xs, as two (n, m) arrays: one call
-    per level map, or one per point for maps that take a scalar x only."""
+    """The levels of f at each x in xs, as two (n, m) arrays: one fetch
+    of its level pair, or one per point for maps that take a scalar x
+    only."""
     try:
-        return _levels(f.level_lo, f.level_hi, xs[:, None], alphas)
+        return _levels(f._level_pair, xs[:, None], alphas)
     except _SCALAR_ONLY:
-        pairs = [_levels(f.level_lo, f.level_hi, float(x), alphas) for x in xs]
+        pairs = [_levels(f._level_pair, float(x), alphas) for x in xs]
         return tuple(np.array(ends) for ends in zip(*pairs))
 
 
@@ -433,9 +491,7 @@ class _Point:
 
     def levels(self, p: float):
         if p not in self._levels:
-            self._levels[p] = _levels(
-                self.f.level_lo, self.f.level_hi, p, self.alphas
-            )
+            self._levels[p] = _levels(self.f._level_pair, p, self.alphas)
         return self._levels[p]
 
     def F(self, p: float) -> float:
@@ -460,19 +516,19 @@ class _Point:
             self._fd = _stencil(self.f, self.x, self.h)
         return self._fd
 
-    def _analytic(self, lo_map: LevelMap, hi_map: LevelMap) -> float:
-        lo, hi = _levels(lo_map, hi_map, self.x, self.alphas)
+    def _analytic(self, pair: LevelPair) -> float:
+        lo, hi = _levels(pair, self.x, self.alphas)
         return float(_integrate(lo, hi, self.w, self.x))
 
     def d1(self) -> float:
         if self.f.has_analytic_d1:
-            return self._analytic(self.f.d1_lo, self.f.d1_hi)
+            return self._analytic(self.f._d1_pair)
         points, (j, i, denom) = self.stencil()
         return (self.F(points[j]) - self.F(points[i])) / denom
 
     def d2(self) -> float:
         if self.f.has_analytic_d2:
-            return self._analytic(self.f.d2_lo, self.f.d2_hi)
+            return self._analytic(self.f._d2_pair)
         fa, fb, fc = (self.F(p) for p in self.stencil()[0])
         return (fa - 2.0 * fb + fc) / (self.h * self.h)
 
@@ -495,7 +551,7 @@ def eval_fuzzy(f: FuzzyFunction, x: float, m: int = _ALPHA_POINTS) -> FuzzyNumbe
     """
     _require_in_domain(f, x)
     alphas = _grid(m)
-    lo, hi = _levels(f.level_lo, f.level_hi, x, alphas)
+    lo, hi = _levels(f._level_pair, x, alphas)
     return _fuzzy_numbers(f, [x], [lo], [hi])[0]
 
 
@@ -508,9 +564,10 @@ def scalarize_many(f: FuzzyFunction, xs, cfg: ScalarizationConfig) -> np.ndarray
     """F at each x of a 1-D array, 10302 level values (_BLOCK_VALUES) of
     points at a time: 102 points at 101 levels, and at least one point.
 
-    A block is one x-column call per level map, or one call per point for
-    maps that take a scalar x only, with the same values.  One block's
-    levels are alive at a time, so memory stays that of one block.
+    A block is one x-column fetch of the level pair, or one fetch per
+    point for maps that take a scalar x only, with the same values.  One
+    block's levels are alive at a time, so memory stays that of one
+    block.
     Raises DomainError naming the first x outside the domain, and
     NumericError when a value is not finite, as scalarize does.
     """

@@ -15,30 +15,40 @@ Three built-ins are registered:
 User-defined fuzzy-polynomial objectives use the same machinery through
 ``build_fuzzy_polynomial`` and the JSON problem-config format.
 
-What a builder derives from alpha alone, the coefficient cuts or the
-return-risk bounds with their weights rho_L/V_U^2 and rho_U/V_L^2, is
-tabled by ``_per_grid`` once per shared alpha grid; the level maps do
-only the x-side work on each call.
+Each kind writes each derivative order as one level pair (see
+``level_calculus._from_pairs``), which computes both level ends in one
+call: the x-side work they share is done once.  What a builder derives
+from alpha alone, the coefficient cuts or the return-risk bounds with
+their weights rho_L/V_U^2 and rho_U/V_L^2, is tabled by ``_per_grid``
+once per shared alpha grid; the level pairs do only the x-side work on
+each call.
 
 The return-risk maps do that work on a float x as a Python float (see
 ``_x``): they only add and multiply x, which round alike in Python and
-in numpy, and a 0-d array costs about 1 us per operation.
+in numpy, and a 0-d array costs about 1 us per operation.  The fuzzy
+pair takes the alpha table, c(x), the residual end c - V_L and the
+linear part once for both ends; the crisp pairs compute g(x) (or g',
+g'') once and return its row as both ends.
 
-A polynomial map runs one loop for a float x and for an x-column (a
+A polynomial pair runs one loop for a float x and for an x-column (a
 block of scalarize_many).  It takes the powers once per call as numpy's
 ``x**i``: for a float x these are 0-d and then become Python floats, so
 the sign test and the derivative factor run in Python; Python's
 ``x**2`` calls ``pow``, which can differ from numpy's square in the
 last bit, and raises OverflowError where numpy returns inf.  One
-helper, ``_term_cut``, picks each term's coefficient cut (for the lower
-end cL where x^i >= 0, else cU): a Python test for a float, one cut for
-a column whose rows share that sign, broadcast over the column in one
-pass, and np.where only for a mixed-sign column.  Each term is written
-once, and the derivative maps read x^(i-n) from the same powers.
+helper, ``_term_cut``, picks each term's coefficient cuts for both ends
+(for the lower end cL where x^i >= 0, else cU, and the other for the
+upper end): a Python test for a float, one pair of cuts for a column
+whose rows share that sign, broadcast over the column in one pass, and
+np.where only for a mixed-sign column.  Each term's factor is taken
+once for both ends, and the derivative pairs read x^(i-n) from the same
+powers.
 
 The return-risk maps scale and shift their residual square in place.
 A term's product and each sum have the operands of the plain formulas,
-in another order, so every level keeps its bits.
+in another order, so every level keeps its bits: per element, each end
+runs the operations of its own map as first written, in the same
+order.
 """
 
 from __future__ import annotations
@@ -57,7 +67,8 @@ from .fuzzy_core import (
     TriangularFuzzy, _per_grid, _require_positive, _square_lo, triangular_to_record,
 )
 from .level_calculus import (
-    FuzzyFunction, ScalarizationConfig, crisp_lift, negate, scalarize_many,
+    FuzzyFunction, ScalarizationConfig, _from_pairs, crisp_lift, negate,
+    scalarize_many,
 )
 from .newton_solver import NewtonConfig
 
@@ -122,19 +133,23 @@ DEFAULT_CRISP_PARAMS = MaxReturnParams(Va=0.00168, rho=1.0)
 
 
 def _term_cut(power, cl, cu):
-    """The cut a polynomial term multiplies: cl where x^i = power is
-    >= 0, else cu (a NaN power included).  A float power gives one cut;
-    a column's rows each take one cut for the whole term, so a column
-    whose rows share a sign broadcasts that cut, and only a mixed-sign
-    column selects per row with np.where."""
+    """The cuts a polynomial term multiplies for its lower and upper
+    end, in that order: cl and cu where x^i = power is >= 0, else cu and
+    cl (a NaN power included).  A float power gives one pair of cuts; a
+    column's rows each take one pair for the whole term, so a column
+    whose rows share a sign broadcasts that pair, and only a mixed-sign
+    column selects per row with np.where, one block per end, each made
+    as it is read."""
     if isinstance(power, float):
-        return cl if power >= 0.0 else cu
+        return (cl, cu) if power >= 0.0 else (cu, cl)
     # count_nonzero is one pass
     pos = power >= 0.0
     n = np.count_nonzero(pos)
     if n == pos.size:
-        return cl
-    return cu if n == 0 else np.where(pos, cl, cu)
+        return cl, cu
+    if n == 0:
+        return cu, cl
+    return (np.where(pos, *ends) for ends in ((cl, cu), (cu, cl)))
 
 
 def build_fuzzy_polynomial(
@@ -153,31 +168,31 @@ def build_fuzzy_polynomial(
     coeffs = tuple(coeffs)
     cuts = _per_grid(lambda a: [c.cut(a) for c in coeffs])
 
-    def level_map(order: int, lower: bool):
-        """The lower or upper endpoint of the n-th x-derivative, n = order:
+    def level_pair(order: int):
+        """Both endpoints of the n-th x-derivative, n = order:
         d^n/dx^n x^i = i!/(i-n)! * x^(i-n), so only terms i >= n count."""
 
-        def level(x, a):
+        def levels(x, a):
             scalar = isinstance(x, float)
             x = np.asarray(x, float)
             # numpy's powers; a float x's are 0-d, then Python floats
             powers = [float(x**i) if scalar else x**i
                       for i in range(len(coeffs))]
-            out = np.zeros(np.shape(a) if scalar
-                           else np.broadcast(x, a).shape)
+            shape = np.shape(a) if scalar else np.broadcast(x, a).shape
+            lo, hi = np.zeros(shape), np.zeros(shape)
             for i, (cl, cu) in enumerate(cuts(a)[order:], order):
-                if not lower:
-                    cl, cu = cu, cl
-                out += (_term_cut(powers[i], cl, cu)
-                        * (math.perm(i, order) * powers[i - order]))
-            return out
+                factor = math.perm(i, order) * powers[i - order]
+                # the upper end's cut is read once the lower end's term
+                # is summed, so one np.where block is alive at a time
+                cut = iter(_term_cut(powers[i], cl, cu))
+                lo += next(cut) * factor
+                hi += next(cut) * factor
+            return lo, hi
 
-        return level
+        return levels
 
-    return FuzzyFunction(
-        **{f"{prefix}_{side}": level_map(order, side == "lo")
-           for order, prefix in enumerate(("level", "d1", "d2"))
-           for side in ("lo", "hi")},
+    return _from_pairs(
+        *(level_pair(order) for order in range(3)),
         name=name or f"fuzzy_polynomial(degree={len(coeffs) - 1})",
     )
 
@@ -260,34 +275,26 @@ def build_max_return_fuzzy(
         (vl, vu), (rho_l, rho_u) = va.cut(a), rho.cut(a)
         return vl, vu, rho_l / (vu * vu), rho_u / (vl * vl)
 
-    def level_lo(x, a):
-        vl, vu, k_lo, _ = table(a)
+    def levels(x, a):
+        vl, vu, k_lo, k_hi = table(a)
         x = _x(x)
         c = _c_poly(x)
-        t = _square_lo(c - vu, c - vl)
-        t *= k_lo
-        t += LIN1 * x + LIN0
-        return t
-
-    def level_hi(x, a):
-        vl, vu, _, k_hi = table(a)
-        x = _x(x)
-        c = _c_poly(x)
+        ru = c - vl
+        line = LIN1 * x + LIN0
+        lo = _square_lo(c - vu, ru)
+        lo *= k_lo
+        lo += line
         # max(rl^2, ru^2) of the residual [rl, ru] = [c - vu, c - vl] is
         # the square of max(-rl, ru), and -rl = vu - c exactly; this needs
         # rl <= ru bit for bit, which holds as TriangularFuzzy.cut rounds
         # monotonically, so that vl <= vu
-        r = np.maximum(vu - c, c - vl)
-        r *= r
-        r *= k_hi
-        r += LIN1 * x + LIN0
-        return r
+        hi = np.maximum(vu - c, ru)
+        hi *= hi
+        hi *= k_hi
+        hi += line
+        return lo, hi
 
-    return FuzzyFunction(
-        level_lo=level_lo,
-        level_hi=level_hi,
-        name="max_return_fuzzy",
-    )
+    return _from_pairs(levels, name="max_return_fuzzy")
 
 
 @dataclass(frozen=True)
@@ -352,7 +359,12 @@ BUILTIN_NAMES = tuple(_KINDS)[:-1]
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Declarative problem definition matching the JSON config format."""
+    """Declarative problem definition matching the JSON config format.
+
+    Every value with a config codec is read as a config's is, whether
+    it comes from a config or from Python: lists become tuples, numbers
+    floats, and a value of the wrong form is a ConfigFormatError.
+    """
 
     kind: str
     coefficients: Optional[tuple[TriangularFuzzy, ...]] = None
@@ -364,9 +376,11 @@ class ProblemSpec:
     alpha_points: Optional[int] = None
 
     def __post_init__(self):
-        for key in ("x0", "eps"):
+        # every key with a codec is read here, from a config or from
+        # Python alike, so a spec holds one form of each value
+        for key, (read, _) in _CODECS.items():
             if getattr(self, key) is not None:
-                object.__setattr__(self, key, _number(getattr(self, key), key))
+                object.__setattr__(self, key, read(getattr(self, key)))
         if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise ConfigFormatError(f"unknown problem kind {self.kind!r}")
         if self.kind == "fuzzy_polynomial" and not self.coefficients:
@@ -420,9 +434,10 @@ def _number(v, what: str) -> float:
         raise ConfigFormatError(f"{what} is out of a float's range") from err
 
 
-def _items(v, what: str, n: Optional[int] = None) -> list:
-    """v if it is a JSON list, of n items when n is given."""
-    if not isinstance(v, list) or n not in (None, len(v)):
+def _items(v, what: str, n: Optional[int] = None) -> Sequence:
+    """v if it is a list (a JSON array) or a tuple, of n items when n is
+    given."""
+    if not isinstance(v, (list, tuple)) or n not in (None, len(v)):
         raise ConfigFormatError(f"{what}, got {v!r}")
     return v
 
@@ -436,7 +451,10 @@ def _vertices(what: str, *vertices: float) -> TriangularFuzzy:
 
 
 def _triangular(v, what: str) -> TriangularFuzzy:
-    """A [left, peak, right] list of numbers as a TriangularFuzzy."""
+    """A [left, peak, right] list of numbers as a TriangularFuzzy; a
+    TriangularFuzzy as it is."""
+    if isinstance(v, TriangularFuzzy):
+        return v
     triple = _items(v, f"{what} must be a [left, peak, right] triple", 3)
     return _vertices(what, *(_number(e, f"an entry of {what}") for e in triple))
 
@@ -452,7 +470,10 @@ def _param_from_json(v, name: str) -> ParamValue:
 
 
 def _params_from_json(data) -> MaxReturnParams:
-    """MaxReturnParams from a {"Va": ..., "rho": ...} object."""
+    """MaxReturnParams from a {"Va": ..., "rho": ...} object; a
+    MaxReturnParams as it is."""
+    if isinstance(data, MaxReturnParams):
+        return data
     if not isinstance(data, dict) or set(data) != {"Va", "rho"}:
         raise ConfigFormatError(
             "params must be an object with keys 'Va' and 'rho'"
@@ -468,8 +489,12 @@ def _params_to_json(p: MaxReturnParams) -> dict:
 
 
 # The reader and the writer of each config key whose JSON value is not
-# the ProblemSpec field as it is; every other key is passed as given,
-# for ProblemSpec, resolve_problem or ScalarizationConfig to check.
+# the ProblemSpec field as it is, or that must be a number.
+# ProblemSpec.__post_init__ runs each reader, in this order, on a value
+# from a config or from Python; a reader takes its own output as it is.
+# Every other key is passed as given, for ProblemSpec, resolve_problem or
+# ScalarizationConfig to check.
+_AS_IS = (lambda v: v, lambda v: v)
 _CODECS = {
     "coefficients": (
         lambda v: tuple(_triangular(c, "a coefficient") for c in _items(
@@ -483,8 +508,9 @@ _CODECS = {
                         _items(v, "domain must be a [lo, hi] pair", 2)),
         list,
     ),
+    "x0": (lambda v: _number(v, "x0"), _AS_IS[1]),
+    "eps": (lambda v: _number(v, "eps"), _AS_IS[1]),
 }
-_AS_IS = (lambda v: v, lambda v: v)
 
 
 def parse_problem_config(text: str) -> ProblemSpec:
@@ -504,8 +530,7 @@ def parse_problem_config(text: str) -> ProblemSpec:
             f"unknown config keys: {', '.join(sorted(unknown))}"
         )
     return ProblemSpec(**{
-        key: _CODECS.get(key, _AS_IS)[0](value)
-        for key, value in data.items() if value is not None
+        key: value for key, value in data.items() if value is not None
     })
 
 

@@ -15,6 +15,7 @@ from fuzzynewton import (
     non_dominance_check,
     uniform_alphas,
 )
+from fuzzynewton.fuzzy_core import _square_lo
 from fuzzynewton.level_calculus import _Point
 from fuzzynewton.newton_solver import VerificationReport, _stat_tol
 from fuzzynewton.problems import C0, C1, C2, LIN0, LIN1
@@ -48,6 +49,45 @@ def old_crisp_level(g, x, a):
     """crisp_lift's level map as first written: g(x) plus a fresh
     0.0 * alpha row on every call."""
     return np.asarray(g(x)) + 0.0 * np.asarray(a)
+
+
+def old_polynomial_level(coeffs, order, lower, x, a):
+    """build_fuzzy_polynomial's map of one end of the order-th
+    x-derivative as written with a map per end: each end takes its own
+    powers, sign test and factor per term."""
+    scalar = isinstance(x, float)
+    x = np.asarray(x, float)
+    powers = [float(x**i) if scalar else x**i for i in range(len(coeffs))]
+    out = np.zeros(np.shape(a) if scalar else np.broadcast(x, a).shape)
+    for i, c in enumerate(coeffs[order:], order):
+        cl, cu = c.cut(a)
+        if not lower:
+            cl, cu = cu, cl
+        if scalar:
+            cut = cl if powers[i] >= 0.0 else cu
+        else:
+            pos = powers[i] >= 0.0
+            n = np.count_nonzero(pos)
+            cut = (cl if n == pos.size else cu if n == 0
+                   else np.where(pos, cl, cu))
+        out += cut * (math.perm(i, order) * powers[i - order])
+    return out
+
+
+def old_return_risk_levels(va, rho, x, a):
+    """build_max_return_fuzzy's level_lo and level_hi as written with a
+    map per end, one after the other."""
+    (vl, vu), (rho_l, rho_u) = va.cut(a), rho.cut(a)
+    x = x if isinstance(x, float) else np.asarray(x, float)
+    c = (C2 * x + C1) * x + C0
+    t = _square_lo(c - vu, c - vl)
+    t *= rho_l / (vu * vu)
+    t += LIN1 * x + LIN0
+    r = np.maximum(vu - c, c - vl)
+    r *= r
+    r *= rho_u / (vl * vl)
+    r += LIN1 * x + LIN0
+    return t, r
 
 
 def assembled_report(f, x, cfg, nbhd, samples) -> VerificationReport:

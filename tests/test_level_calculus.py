@@ -372,6 +372,69 @@ class TestCrispLiftAndNegate:
         assert n.has_analytic_d1 and n.has_analytic_d2
         assert scalarize_d1(n, 1.0, CFG) == pytest.approx(-ex41_d1(1.0))
 
+    def test_negate_calls_a_pair_once_per_fetch(self):
+        # a negation built from per-end flips computed f's pair twice per
+        # fetch; f with separate end maps calls each end once
+        calls = []
+
+        def counted(pair):
+            def levels(x, a):
+                calls.append("pair")
+                return pair(x, a)
+
+            return levels
+
+        paired = level_calculus._from_pairs(
+            *(counted(p) for p in
+              (EX41._level_pair, EX41._d1_pair, EX41._d2_pair))
+        )
+        ends = _ends_counted(EX41, calls)
+        for f, per_fetch in ((paired, ["pair"]), (ends, ["lo", "hi"])):
+            n = negate(f)
+            calls.clear()
+            eval_fuzzy(n, 1.0)
+            scalarize_d1(n, 1.0, CFG)
+            scalarize_d2(n, 1.0, CFG)
+            assert calls == 3 * per_fetch
+
+
+def _ends_counted(f, calls):
+    """f with its six end maps recording "lo" or "hi" into calls."""
+
+    def counted(end, level_map):
+        def level(x, a):
+            calls.append(end)
+            return level_map(x, a)
+
+        return level
+
+    return dataclasses.replace(f, **{
+        f"{order}_{end}": counted(end, getattr(f, f"{order}_{end}"))
+        for order in ("level", "d1", "d2") for end in ("lo", "hi")
+    })
+
+
+class TestLevelPairs:
+    """A FuzzyFunction reads each order's two ends as one level pair."""
+
+    def test_the_halves_of_a_pair_give_back_that_pair(self):
+        f = FuzzyFunction(EX41.level_lo, EX41.level_hi, EX41.d1_lo,
+                          EX41.d1_hi)
+        assert f._level_pair is EX41._level_pair
+        assert f._d1_pair is EX41._d1_pair and f._d2_pair is None
+        assert dataclasses.replace(EX41)._level_pair is EX41._level_pair
+
+    def test_swapped_or_mixed_halves_call_each_end(self):
+        a = level_calculus._grid(11)
+        lo, hi = EX41._level_pair(0.7, a)
+        swapped = FuzzyFunction(EX41.level_hi, EX41.level_lo)
+        mixed = FuzzyFunction(EX41.level_lo, EX41.d1_hi)
+        for f, want in ((swapped, (hi, lo)),
+                        (mixed, (lo, EX41._d1_pair(0.7, a)[1]))):
+            got = f._level_pair(0.7, a)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
 
 class TestDerivatives:
     def test_half_a_derivative_pair_is_rejected(self):

@@ -1,5 +1,8 @@
 """Level-map calls per operation, counted by wrapping a function's six
-level fields with ``dataclasses.replace``.
+level fields with ``dataclasses.replace``, and level-pair fetches of an
+unwrapped built-in, counted by wrapping ``level_calculus._levels``.  A
+function whose ends are wrapped calls each end, so the end counts are
+twice the fetches.
 
 The count does not depend on the hardware, so it pins the work an
 operation does: a change that evaluates more or fewer level maps shows
@@ -18,6 +21,7 @@ import numpy as np
 import pytest
 
 from fuzzynewton import TriangularFuzzy, cli
+from fuzzynewton import level_calculus
 from fuzzynewton.level_calculus import _block_rows
 from fuzzynewton.newton_solver import (
     NewtonConfig,
@@ -82,6 +86,36 @@ def test_solve_and_verify_calls(name):
     solve_calls, counter.calls = counter.calls, 0
     verify_solution(f, result, cfg)
     assert (solve_calls, counter.calls) == BUILTIN_CALLS[name]
+
+
+# (solve, verify_solution) fetches of a level pair by an unwrapped
+# built-in, whose ends are the halves of one pair per order: one pair call
+# per fetch, half of BUILTIN_CALLS' end calls.
+BUILTIN_FETCHES = {
+    "example_4_1": (17, 3),
+    "max_return_crisp": (29, 3),
+    "max_return_fuzzy": (36, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_FETCHES))
+def test_solve_and_verify_fetch_each_pair_once(monkeypatch, name):
+    f, cfg = _builtin(name)
+    pairs = {f._level_pair, f._d1_pair, f._d2_pair} - {None}
+    counter = Counter()
+    levels = level_calculus._levels
+
+    def counted(pair, x, alphas):
+        # the built-in's own pairs, not an adapter that calls each end
+        assert pair in pairs
+        counter.calls += 1
+        return levels(pair, x, alphas)
+
+    monkeypatch.setattr(level_calculus, "_levels", counted)
+    result = solve(f, cfg)
+    solve_calls, counter.calls = counter.calls, 0
+    verify_solution(f, result, cfg)
+    assert (solve_calls, counter.calls) == BUILTIN_FETCHES[name]
 
 
 def _column_rows(f, x, nbhd, samples):

@@ -37,6 +37,7 @@ from fuzzynewton import (
     solve,
 )
 from fuzzynewton.fuzzy_core import _grid
+from fuzzynewton.level_calculus import _levels
 from fuzzynewton.problems import C0, C1, C2, DEFAULT_FUZZY_PARAMS
 
 from helpers import (
@@ -133,18 +134,20 @@ def test_levels_on_alternating_shared_grids_match_a_fresh_function(name):
                 )
 
 
-# Bounds on the tracemalloc peak of one level-map call on a 102-row
-# x-column at 101 levels, one scalarize_many block, in arrays of that
-# block's size: the maps read 3.63-3.64 (example_4_1; 3.84-3.85 on a
-# mixed-sign column), 2.62 (max_return_crisp) and 4.16/3.62
-# (max_return_fuzzy's lo/hi).  Each bound is within one array of what
-# the maps read, so a map that keeps one more block-sized temporary
-# alive fails here: the grid oracle's page faults sit in these maps, and
-# its block budget sits near a fault edge (see
-# level_calculus._BLOCK_VALUES).  A polynomial map that builds an
-# np.where block for every term reads 4.72.
-MAP_PEAK_BLOCKS = {
-    "example_4_1": 4.2, "max_return_crisp": 3.5, "max_return_fuzzy": 4.5,
+# Bounds on the tracemalloc peak of one _levels fetch of a level pair on
+# a 102-row x-column at 101 levels, one scalarize_many block, in arrays of
+# that block's size.  A built-in's pair holds both ends, so the unit is
+# both ends of an order: the pairs read 4.67 (example_4_1; 4.88 on a
+# mixed-sign column), 2.62 (max_return_crisp, one row as both ends) and
+# 4.63 (max_return_fuzzy), where the two end maps fetched one after the
+# other read 4.67, 3.62 and 4.62.  Each bound is at most half an array
+# above what the pairs read, so a pair that keeps one more block-sized
+# temporary alive fails here: the grid oracle's page faults sit in these
+# maps, and its block budget sits near a fault edge (see
+# level_calculus._BLOCK_VALUES).  A polynomial pair that makes a term's
+# two np.where blocks at once reads 5.87 on the mixed-sign column.
+PAIR_PEAK_BLOCKS = {
+    "example_4_1": 5.1, "max_return_crisp": 3.1, "max_return_fuzzy": 5.1,
 }
 
 
@@ -152,15 +155,17 @@ MAP_PEAK_BLOCKS = {
 def test_level_map_peak_in_one_block(name):
     f = resolve_problem(ProblemSpec(kind=name)).function
     grid = _grid(101)
-    xs = np.linspace(0.3, 0.9, 102)[:, None]
-    block_bytes = xs.size * grid.size * 8
-    for k in LEVEL_FIELDS:
-        level = getattr(f, k)
-        if level is None:
-            continue
-        level(xs, grid)  # the alpha-side table, built once per grid
-        blocks = traced_peak(level, xs, grid) / block_bytes
-        assert blocks < MAP_PEAK_BLOCKS[name], (k, blocks)
+    for xs in (np.linspace(0.3, 0.9, 102), np.linspace(-0.3, 0.9, 102)):
+        xs = xs[:, None]
+        block_bytes = xs.size * grid.size * 8
+        for order in ("level", "d1", "d2"):
+            pair = getattr(f, f"_{order}_pair")
+            if pair is None:
+                continue
+            # the alpha-side table, built once per grid
+            _levels(pair, xs, grid)
+            blocks = traced_peak(_levels, pair, xs, grid) / block_bytes
+            assert blocks < PAIR_PEAK_BLOCKS[name], (order, blocks)
 
 
 # x forms for the polynomial maps: scalars of each sign and the special
@@ -647,6 +652,48 @@ class TestProblemSpecNumbers:
         # a numpy int made serialize_problem_config raise a TypeError
         assert parse_problem_config(serialize_problem_config(spec)) == spec
         assert resolve_problem(spec).config.x0 == float(value)
+
+
+class TestProblemSpecSequences:
+    """ProblemSpec reads domain and coefficients as a config's readers do,
+    so a spec built in Python with lists is the spec its config parses
+    to."""
+
+    def test_a_list_domain_is_a_tuple_of_floats(self):
+        # a list stayed a list: the spec was unhashable and did not equal
+        # its own parsed config
+        spec = ProblemSpec(kind="example_4_1", domain=[0, 1.0])
+        assert spec.domain == (0.0, 1.0)
+        assert [type(b) for b in spec.domain] == [float, float]
+        assert hash(spec) == hash(ProblemSpec("example_4_1",
+                                              domain=(0.0, 1.0)))
+        assert parse_problem_config(serialize_problem_config(spec)) == spec
+
+    def test_list_coefficients_are_a_tuple_of_triangulars(self):
+        spec = ProblemSpec(kind="fuzzy_polynomial", coefficients=[
+            TriangularFuzzy(0.0, 1.0, 2.0), [1, 2, 3],
+        ])
+        assert spec.coefficients == (TriangularFuzzy(0.0, 1.0, 2.0),
+                                     TriangularFuzzy(1.0, 2.0, 3.0))
+        hash(spec)
+        assert parse_problem_config(serialize_problem_config(spec)) == spec
+
+    @pytest.mark.parametrize("domain, message", [
+        (("0", 1), "a domain bound must be a number, got '0'"),
+        ((True, 1), "a domain bound must be a number, got True"),
+        ([0.0], "domain must be a [lo, hi] pair, got [0.0]"),
+        ("01", "domain must be a [lo, hi] pair, got '01'"),
+    ])
+    def test_a_bad_domain_is_a_config_error(self, domain, message):
+        # ("0", 1) raised a bare TypeError from resolve_problem
+        with pytest.raises(ConfigFormatError) as err:
+            ProblemSpec(kind="example_4_1", domain=domain)
+        assert str(err.value) == message
+
+    def test_a_bad_coefficient_is_a_config_error(self):
+        with pytest.raises(ConfigFormatError,
+                           match="^a coefficient must be a"):
+            ProblemSpec(kind="fuzzy_polynomial", coefficients=[(1, 2)])
 
 
 class TestGridOracle:

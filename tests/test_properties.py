@@ -94,6 +94,8 @@ from helpers import (
     fuzzy_pairs,
     fuzzy_triples,
     old_crisp_level,
+    old_polynomial_level,
+    old_return_risk_levels,
     positive_fuzzy_numbers,
     report_bits,
     size_polynomial,
@@ -806,7 +808,7 @@ class TestScalarPathsKeepTheirBits:
             col_lo, col_hi = _levels_each(f, column, a)
             block = integrated(col_lo, col_hi, w, column)
             for form in (x, np.float64(x), np.array(x)):
-                lo, hi = _levels(f.level_lo, f.level_hi, form, a)
+                lo, hi = _levels(f._level_pair, form, a)
                 assert_same_bits(lo, col_lo[0])
                 assert_same_bits(hi, col_hi[0])
                 value = integrated(lo, hi, w, form)
@@ -836,6 +838,82 @@ class TestScalarPathsKeepTheirBits:
                                          old_crisp_level(g, form, a))
             if a is own:
                 own *= -1.0
+
+
+# x in every form a level pair takes: any float, signed zeros, NaN and
+# infinities, as a float, an np.float64, a 0-d array and in a column
+PAIR_X = finite(-3.0, 3.0) | st.sampled_from(
+    [0.0, -0.0, math.nan, math.inf, -math.inf]
+)
+
+
+def x_forms(x, column):
+    """x as a float, an np.float64 and a 0-d array, and an x-column of
+    column's points with rows of both signed zeros, NaN and both
+    infinities."""
+    special = [0.0, -0.0, math.nan, math.inf, -math.inf]
+    return (x, np.float64(x), np.array(x),
+            np.array(column)[:, None],
+            np.array(column + special)[:, None])
+
+
+def assert_pair_bits(f, order, x, a, want_lo, want_hi):
+    """f's level pair of the order and that of negate(f) at (x, a) give
+    want_lo, want_hi and their negation bit for bit."""
+    for g, want in ((f, (want_lo, want_hi)),
+                    (negate(f), (-np.asarray(want_hi), -np.asarray(want_lo)))):
+        lo, hi = getattr(g, f"_{order}_pair")(x, a)
+        assert_same_bits(lo, want[0])
+        assert_same_bits(hi, want[1])
+
+
+class TestLevelPairsKeepTheirBits:
+    """Every built-in kind computes both ends of an order in one level
+    pair, sharing the work on x between them; per element, each end runs
+    the operations of the map per end it replaces, in the same order, so
+    its bits are those of the maps per end kept in helpers (and of their
+    negation for negate's pair)."""
+
+    @given(st.lists(triangulars(lo=-5.0, span=3.0), min_size=1, max_size=6),
+           PAIR_X, st.lists(PAIR_X, min_size=1, max_size=6),
+           st.sampled_from([3, 101, 1001]))
+    def test_polynomial_pairs(self, coeffs, x, column, m):
+        f, a = build_fuzzy_polynomial(tuple(coeffs)), _grid(m)
+        with np.errstate(all="ignore"):
+            for form in x_forms(x, column):
+                for n, order in enumerate(("level", "d1", "d2")):
+                    assert_pair_bits(f, order, form, a, *(
+                        old_polynomial_level(coeffs, n, lower, form, a)
+                        for lower in (True, False)
+                    ))
+
+    @given(positive_triangulars(1e-4, 1e-2), positive_triangulars(0.1, 5.0),
+           PAIR_X, st.lists(PAIR_X, min_size=1, max_size=6),
+           st.sampled_from([3, 101, 1001]))
+    def test_return_risk_pairs(self, va, rho, x, column, m):
+        params = MaxReturnParams(Va=va, rho=rho)
+        fuzzy = build_max_return_fuzzy(params)
+        crisp = build_max_return_crisp(params)
+        a = _grid(m)
+        with np.errstate(all="ignore"):
+            for form in x_forms(x, column):
+                assert_pair_bits(fuzzy, "level", form, a,
+                                 *old_return_risk_levels(va, rho, form, a))
+                for order, want in zip(("level", "d1", "d2"),
+                                       old_crisp_levels(va, rho, form, a)):
+                    assert_pair_bits(crisp, order, form, a, want, want)
+
+    @given(finite(-5.0, 5.0), finite(-5.0, 5.0), finite(-5.0, 5.0),
+           PAIR_X, st.lists(PAIR_X, min_size=1, max_size=6),
+           st.sampled_from([3, 101, 1001]))
+    def test_crisp_lift_pairs(self, c0, c1, c2, x, column, m):
+        maps = quadratic(c0, c1, c2)
+        f, a = crisp_lift(*maps), _grid(m)
+        with np.errstate(all="ignore"):
+            for form in x_forms(x, column):
+                for order, g in zip(("level", "d1", "d2"), maps):
+                    want = old_crisp_level(g, form, a)
+                    assert_pair_bits(f, order, form, a, want, want)
 
 
 def first_witness_by_sample(f, x0, xs, reach, m, is_witness):
