@@ -18,11 +18,17 @@ rule, and raises NumericError on a non-finite value, and ``_Point``
 shares the levels fetched near one point among F, its finite-difference
 derivatives, the fuzzy value and the level slopes.  The Newton solver,
 the verifier, the grid oracle and the centroid all read values through
-it.  A float x takes a path of its own through it, with the same level
-map calls and the same bits as row 0 of an x-column: ``_levels`` takes
-the grid's shape without np.broadcast, ``_integrate`` takes the one
-row's 1-D dot and tests it with math.isfinite, and ``crisp_lift`` adds
-a 0.0 * alpha row kept per shared grid.  A fuzzy value of f is built
+it.  A Newton iterate of a function without analytic F' and F'' is one
+fetch: ``_Point.fetch`` takes x and its stencil points in the domain as
+one x-column.  F at a point whose levels a _Point does not keep comes
+from ``scalarize``, with a _Point of its own: a stencil point outside
+the domain, and the stencil points of a solve's stationarity kind and of
+the public ``scalarize_d1`` and ``scalarize_d2``.  A float x takes a
+path of its own through it, with the same level map calls and the same
+bits as row 0 of an x-column: ``_levels`` takes the grid's shape
+without np.broadcast, ``_integrate`` takes the one row's 1-D dot and
+tests it with math.isfinite, and ``crisp_lift`` adds a 0.0 * alpha row
+kept per shared grid.  A fuzzy value of f is built
 only by ``_fuzzy_numbers``, which checks a block of level rows with one
 call of fuzzy_core's validity kernel: one row for eval_fuzzy, a block
 of iterates for a solve.
@@ -430,26 +436,21 @@ def _fuzzy_numbers(f: FuzzyFunction, xs, lo, hi) -> list[FuzzyNumber]:
 def _stencil(f: FuzzyFunction, x: float, h: float):
     """Finite-difference stencil at x with step h.
 
-    Returns the three abscissae and the pair (j, i, denom) with
-    F'(x) ~ (F[j] - F[i]) / denom.  The stencil is central where the
-    domain allows and shifted one-sided at a boundary, with a warning.
+    Returns the three abscissae, the pair (j, i, denom) with
+    F'(x) ~ (F[j] - F[i]) / denom, and the side a one-sided stencil is
+    shifted to at a domain boundary, None where the domain allows a
+    central one.  A one-sided stencil's outer point may lie outside the
+    domain; where neither side fits, raises DomainError.
     """
     if f.contains(x - h) and f.contains(x + h):
-        return (x - h, x, x + h), (2, 0, 2.0 * h)
+        return (x - h, x, x + h), (2, 0, 2.0 * h), None
     if f.contains(x + h):
-        side, points, first = "right", (x, x + h, x + 2.0 * h), (1, 0, h)
-    elif f.contains(x - h):
-        side, points, first = "left", (x - 2.0 * h, x - h, x), (2, 1, h)
-    else:
-        raise DomainError(
-            f"domain too narrow for a finite-difference stencil around x={x}"
-        )
-    warnings.warn(
-        f"stencil shrunk to one-sided ({side}) at the domain boundary",
-        OneSidedStencilWarning,
-        stacklevel=_outside_stacklevel(),
+        return (x, x + h, x + 2.0 * h), (1, 0, h), "right"
+    if f.contains(x - h):
+        return (x - 2.0 * h, x - h, x), (2, 1, h), "left"
+    raise DomainError(
+        f"domain too narrow for a finite-difference stencil around x={x}"
     )
-    return points, first
 
 
 def _outside_stacklevel() -> int:
@@ -469,8 +470,14 @@ class _Point:
 
     Levels fetched at a point are kept for the life of the object, so the
     finite-difference stencil around x, the fuzzy value at x and the
-    level slopes share one evaluation per point.  F at a stencil point
-    whose levels are not otherwise needed comes from ``scalarize``.
+    level slopes share one evaluation per point.  ``fetch`` takes x and
+    the other stencil points in the domain as one x-column, which is how
+    the Newton solver reads each iterate of a function without analytic
+    F' and F'': one fetch of the level pair per step.  F at a point whose
+    levels are not kept comes from ``scalarize``: a stencil point outside
+    the domain, which raises DomainError there, and every point of a
+    _Point that did not fetch, as the stationarity kind of a solve and the
+    public scalarize_d1 and scalarize_d2 read theirs.
     """
 
     def __init__(self, f: FuzzyFunction, x: float, cfg: ScalarizationConfig):
@@ -488,6 +495,29 @@ class _Point:
         points[i]; they must not be written."""
         for p, row_lo, row_hi in zip(points, lo, hi):
             self._levels.setdefault(p, (row_lo, row_hi))
+
+    def fetch(self) -> None:
+        """Fetch and keep the levels of x and of its other stencil points
+        in the domain, x first, as one x-column of _levels_each.
+
+        F, F' and F'' then read kept rows, each integrated by its own 1-D
+        dot, so they have the bits of points fetched one at a time.  What
+        they raise or warn comes in the same order as without the fetch:
+        F(x) is tested when value() reads it, a one-sided stencil warns
+        when F' or F'' first reads it, a stencil point outside the domain
+        raises DomainError when F reads it, and a domain too narrow for a
+        stencil leaves x to be fetched alone and F' to raise DomainError.
+        Only a level map's own error at a stencil point comes earlier,
+        before F(x)'s NumericError.
+        """
+        try:
+            points = _stencil(self.f, self.x, self.h)[0]
+        except DomainError:
+            return
+        column = [self.x] + [p for p in points
+                             if p != self.x and self.f.contains(p)]
+        self.keep(column, *_levels_each(self.f, np.array(column),
+                                        self.alphas))
 
     def levels(self, p: float):
         if p not in self._levels:
@@ -512,8 +542,18 @@ class _Point:
         return _fuzzy_numbers(self.f, [self.x], [lo], [hi])[0]
 
     def stencil(self):
+        """The stencil's abscissae and (j, i, denom), as _stencil gives
+        them; the first read of a one-sided stencil warns."""
         if self._fd is None:
-            self._fd = _stencil(self.f, self.x, self.h)
+            points, first, side = _stencil(self.f, self.x, self.h)
+            if side is not None:
+                warnings.warn(
+                    f"stencil shrunk to one-sided ({side}) at the domain "
+                    f"boundary",
+                    OneSidedStencilWarning,
+                    stacklevel=_outside_stacklevel(),
+                )
+            self._fd = points, first
         return self._fd
 
     def _analytic(self, pair: LevelPair) -> float:

@@ -162,6 +162,13 @@ def solve(f: FuzzyFunction, cfg: NewtonConfig) -> SolveResult:
     start x0 outside the domain raises DomainError, and levels that do
     not form a fuzzy number at an iterate raise MalformedFunctionError.
 
+    An iterate of a function without analytic F' and F'' fetches its
+    levels and those of its finite-difference stencil as one x-column,
+    one fetch of the level pair per step; this is decided once per
+    solve, and the trace has the bits of points fetched one at a time.
+    The end point's stationarity kind takes F' and F'' as
+    scalarize_d1 and scalarize_d2 do, a fetch per stencil point.
+
     The levels of each iterate are kept and checked in blocks of
     level_calculus._block_rows(m) iterates (102 at m = 101, 10 at
     m = 1001), when a block fills and when the loop stops.  The first
@@ -178,9 +185,13 @@ def solve(f: FuzzyFunction, cfg: NewtonConfig) -> SolveResult:
     # accepted steps with the level rows of x_k, up to one block
     pending: list[tuple] = []
     status = STATUS_MAX_ITER
+    # F' or F'' by the stencil: each iterate fetches it with x, at once
+    fetch = not (f.has_analytic_d1 and f.has_analytic_d2)
     for k in range(cfg.max_iter):
         point = _Point(f, xk, cfg.scal)
         try:
+            if fetch:
+                point.fetch()
             fval = point.value()
             d1 = point.d1()
             d2 = point.d2()

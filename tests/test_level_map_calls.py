@@ -63,7 +63,11 @@ def _builtin(name):
 
 # (solve, verify_solution) at each built-in's recommended settings.
 # solve ends with F' and F'' at xstar for its stationarity kind: with
-# analytic derivatives, 2 calls each.
+# analytic derivatives, 2 calls each; by the stencil, a scalarize call
+# pair per stencil point. Each finite-difference iterate fetches x and
+# its stencil as one x-column, one call pair: max_return_fuzzy's 11
+# iterations and its stationarity kind make 2 x (11 + 3). Fetching x
+# and each other stencil point apart made 72.
 # verify_solution: one x-column call per level map for each block of
 # the column of xstar, its two other stencil points and the kept
 # samples of the three sampling checks (3 + 74 or 75 rows, one block),
@@ -73,7 +77,7 @@ def _builtin(name):
 BUILTIN_CALLS = {
     "example_4_1": (34, 6),
     "max_return_crisp": (58, 6),
-    "max_return_fuzzy": (72, 2),
+    "max_return_fuzzy": (28, 2),
 }
 
 
@@ -94,7 +98,7 @@ def test_solve_and_verify_calls(name):
 BUILTIN_FETCHES = {
     "example_4_1": (17, 3),
     "max_return_crisp": (29, 3),
-    "max_return_fuzzy": (36, 1),
+    "max_return_fuzzy": (14, 1),
 }
 
 
@@ -116,6 +120,52 @@ def test_solve_and_verify_fetch_each_pair_once(monkeypatch, name):
     solve_calls, counter.calls = counter.calls, 0
     verify_solution(f, result, cfg)
     assert (solve_calls, counter.calls) == BUILTIN_FETCHES[name]
+
+
+def _fd_case(name, x0=None, **scal):
+    """A built-in at its settings, x0 and scal replaced where given, with
+    its analytic derivatives dropped: F' and F'' by the stencil."""
+    resolved = resolve_problem(ProblemSpec(kind=name, x0=x0))
+    cfg = resolved.config
+    f = dataclasses.replace(resolved.function, d1_lo=None, d1_hi=None,
+                            d2_lo=None, d2_hi=None)
+    return f, dataclasses.replace(
+        cfg, scal=dataclasses.replace(cfg.scal, **scal)
+    )
+
+
+# finite-difference solves: converged ones, the 100-iteration two-cycle,
+# a grid of 1001 levels, and polynomial and crisp built-ins whose
+# analytic derivatives are dropped
+FD_SOLVES = {
+    "max_return_fuzzy": lambda: _fd_case("max_return_fuzzy"),
+    "max_return_fuzzy_x0_1.25": lambda: _fd_case("max_return_fuzzy", 1.25),
+    "max_return_fuzzy_m1001": lambda: _fd_case("max_return_fuzzy",
+                                               alpha_points=1001),
+    "two_cycle": lambda: _fd_case("max_return_fuzzy", fd_step=1e-5),
+    "example_4_1": lambda: _fd_case("example_4_1", fd_step=1e-5),
+    "max_return_crisp": lambda: _fd_case("max_return_crisp"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FD_SOLVES))
+def test_fd_solve_fetches_once_per_iteration(monkeypatch, name):
+    # one level-pair fetch per iterate, x and its stencil as one column,
+    # and three for the stationarity kind's F' and F'' at xstar, which
+    # read each stencil point through scalarize
+    f, cfg = FD_SOLVES[name]()
+    counter = Counter()
+    levels = level_calculus._levels
+
+    def counted(pair, x, alphas):
+        assert pair is f._level_pair
+        counter.calls += 1
+        return levels(pair, x, alphas)
+
+    monkeypatch.setattr(level_calculus, "_levels", counted)
+    result = solve(f, cfg)
+    assert result.status in ("converged", "max-iter-exceeded")
+    assert counter.calls == result.iterations + 3
 
 
 def _column_rows(f, x, nbhd, samples):
@@ -220,12 +270,13 @@ def _cli_calls(monkeypatch, argv, code):
 
 # A `solve` report: the solve and the verification of BUILTIN_CALLS,
 # plus the answer's fuzzy value and F(xstar) from one evaluation of
-# xstar (2 calls). Evaluating them apart made 52/76/88, and fetching
-# the verification's stencil and each check apart 50/74/86.
+# xstar (2 calls). Evaluating them apart made 52/76/88, fetching the
+# verification's stencil and each check apart 50/74/86, and fetching a
+# finite-difference iterate's stencil points apart 42/66/76.
 REPORT_CALLS = {
     "example_4_1": 42,
     "max_return_crisp": 66,
-    "max_return_fuzzy": 76,
+    "max_return_fuzzy": 32,
 }
 
 
@@ -238,8 +289,9 @@ def test_solve_report_evaluates_the_answer_once(monkeypatch, name):
 def test_table_solves_without_verifying(monkeypatch, tmp_path):
     # The five-row reference sweep of the CLI golden test: a solve and
     # the fuzzy value at xstar per row. Verifying each row as well, and
-    # evaluating F(xstar) apart, made 1028 calls. Each crisp row's
-    # stationarity kind takes F' at xstar: 2 calls.
+    # evaluating F(xstar) apart, made 1028 calls, and fetching the fuzzy
+    # row's stencil points apart 314. Each crisp row's stationarity kind
+    # takes F' at xstar: 2 calls.
     sweep = tmp_path / "sweep.json"
     sweep.write_text(json.dumps(FILES["sweep.json"]))
-    assert _cli_calls(monkeypatch, ["table", "--sweep", str(sweep)], 0) == 314
+    assert _cli_calls(monkeypatch, ["table", "--sweep", str(sweep)], 0) == 270

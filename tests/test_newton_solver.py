@@ -32,6 +32,9 @@ from fuzzynewton import (
     estimate_convergence_order,
     eval_fuzzy,
     resolve_problem,
+    scalarize,
+    scalarize_d1,
+    scalarize_d2,
     solve,
     verify_solution,
 )
@@ -382,6 +385,125 @@ class TestTraceFuzzyValues:
             monkeypatch.setattr(module, "_invalid_rows", spy)
         check_point(EX41, 0.0, NewtonConfig(x0=0.0), samples=samples)
         assert shapes == blocks
+
+
+def _scalar_only(f):
+    """f with a level pair that takes a float x only, so that
+    _levels_each fetches each point of an x-column by itself."""
+    pair = f._level_pair
+
+    def scalar_pair(x, a):
+        if not isinstance(x, float):
+            raise TypeError("a float x only")
+        return pair(x, a)
+
+    return level_calculus._from_pairs(scalar_pair, domain=f.domain,
+                                      name=f.name)
+
+
+def _trace_bits(res):
+    """A solve's trace with every float as its bits and every fuzzy value
+    as the bytes of its levels."""
+    return [
+        (rec.k, *(float(v).hex() for v in
+                  (rec.x_k, rec.F, rec.dF, rec.d2F, rec.step)),
+         rec.fuzzy_value.lo.tobytes(), rec.fuzzy_value.hi.tobytes())
+        for rec in res.trace
+    ]
+
+
+class TestStencilColumn:
+    # max_return_fuzzy, with no analytic F' or F'', converged at 101 and
+    # 1001 levels and in the 100-iteration two-cycle at fd_step 1e-5
+    @pytest.mark.parametrize("scal, records", [
+        ({}, 11),
+        ({"alpha_points": 1001}, 11),
+        ({"fd_step": 1e-5}, 100),
+    ])
+    def test_trace_has_the_bits_of_per_point_fetches(self, scal, records):
+        # each iterate's stencil is one x-column; a scalar-only pair
+        # fetches its points one at a time, and scalarize and its
+        # derivatives, with a _Point per stencil point, integrate each
+        # point's own row: all three give the same bits
+        f, cfg = _builtin("max_return_fuzzy", **scal)
+        res = solve(f, cfg)
+        assert res.iterations == records
+        assert _trace_bits(solve(_scalar_only(f), cfg)) == _trace_bits(res)
+        for rec in res.trace:
+            x = rec.x_k
+            assert (rec.F, rec.dF, rec.d2F) == (
+                scalarize(f, x, cfg.scal),
+                scalarize_d1(f, x, cfg.scal),
+                scalarize_d2(f, x, cfg.scal),
+            )
+            assert rec.step == -rec.dF / rec.d2F
+            ref = eval_fuzzy(f, x, cfg.scal.alpha_points)
+            assert rec.fuzzy_value.lo.tobytes() == ref.lo.tobytes()
+            assert rec.fuzzy_value.hi.tobytes() == ref.hi.tobytes()
+
+    def test_non_finite_derivative_ends_the_solve(self):
+        # F = -1.6e308 at 0.5 and +-1.6e308 beside it are finite, but the
+        # stencil's difference of them overflows: F' and F'' are inf
+        f = crisp_lift(
+            lambda x: np.where(np.asarray(x) > 0.5, 8e307, -8e307),
+            domain=(0.0, 1.0),
+        )
+        res = solve(f, NewtonConfig(x0=0.5))
+        assert res.status == STATUS_NON_FINITE
+        assert (res.xstar, res.iterations) == (0.5, 0)
+        assert res.stationarity_kind == "inconclusive"
+
+    @pytest.mark.parametrize("value, status", [
+        (1.0, STATUS_LEFT_DOMAIN),
+        (np.nan, STATUS_NON_FINITE),
+    ])
+    def test_domain_too_narrow_for_a_stencil(self, value, status):
+        # no stencil fits in [0, 1e-6] at h = 1e-5: F' raises DomainError,
+        # after F(x) has been read, so a non-finite F(x) ends the solve
+        # as non-finite, as with x fetched alone
+        f = crisp_lift(lambda x: np.full(np.shape(x), value),
+                       domain=(0.0, 1e-6))
+        res = solve(f, NewtonConfig(x0=0.0))
+        assert res.status == status
+        assert (res.xstar, res.iterations) == (0.0, 0)
+
+    @pytest.mark.parametrize("case", ["quadratic", "max_return_fuzzy",
+                                      "non_finite"])
+    def test_one_sided_steps_warn_as_before(self, case):
+        # quadratic: F = 2 (x - 8e-6)^2 on [0, 1], h = 1e-5; from 0.5 the
+        # central step lands within h of 0, and the two steps after it
+        # read one-sided stencils, ending where the forward difference
+        # vanishes, 3e-6. max_return_fuzzy on [0.6992, 0.8] from 0.8: its
+        # last steps read one-sided stencils at the lower edge. non_finite:
+        # F(0) is NaN, which ends the loop before its one-sided stencil is
+        # read; only the end point's stationarity kind reads it. With x
+        # and its stencil fetched apart, the solves warned 3, 3 and 1
+        # times and reached these statuses
+        if case == "quadratic":
+            f = crisp_lift(lambda x: (np.asarray(x) - 8e-6) ** 2,
+                           domain=(0.0, 1.0))
+            cfg = NewtonConfig(x0=0.5, eps=1e-9,
+                               scal=ScalarizationConfig(fd_step=1e-5))
+            status, iterations, xstar, warned = STATUS_CONVERGED, 3, 3e-6, 3
+        elif case == "max_return_fuzzy":
+            f, cfg = _builtin("max_return_fuzzy")
+            f = dataclasses.replace(f, domain=(0.6992, 0.8))
+            cfg = dataclasses.replace(cfg, x0=0.8)
+            status, iterations, xstar, warned = (
+                STATUS_CONVERGED, 6, 0.6992064596329269, 3
+            )
+        else:
+            f = crisp_lift(lambda x: np.full(np.shape(x), np.nan),
+                           domain=(0.0, 1.0))
+            cfg = NewtonConfig(x0=0.0)
+            status, iterations, xstar, warned = STATUS_NON_FINITE, 0, 0.0, 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = solve(f, cfg)
+        assert res.status == status
+        assert res.iterations == iterations
+        assert res.xstar == pytest.approx(xstar, abs=1e-15)
+        assert [w.category for w in caught] == [OneSidedStencilWarning] * warned
 
 
 class TestCopies:
