@@ -19,16 +19,16 @@ shares the levels fetched near one point among F, its finite-difference
 derivatives, the fuzzy value and the level slopes.  The Newton solver,
 the verifier, the grid oracle and the centroid all read values through
 it.  A Newton iterate of a function without analytic F' and F'' is one
-fetch: ``_Point.fetch`` takes x and its stencil points in the domain as
-one x-column.  F at a point whose levels a _Point does not keep comes
-from ``scalarize``, with a _Point of its own: a stencil point outside
-the domain, and the stencil points of a solve's stationarity kind and of
-the public ``scalarize_d1`` and ``scalarize_d2``.  A float x takes a
-path of its own through it, with the same level map calls and the same
-bits as row 0 of an x-column: ``_levels`` takes the grid's shape
-without np.broadcast, ``_integrate`` takes the one row's 1-D dot and
-tests it with math.isfinite, and ``crisp_lift`` adds a 0.0 * alpha row
-kept per shared grid.  A fuzzy value of f is built
+fetch: ``_Point.fetch`` takes the point's ``column()``, which a
+verification reads too.  F at a point whose levels a _Point does not
+keep comes from ``scalarize``, with a _Point of its own: a stencil point
+outside the domain, and the stencil points of a solve's stationarity
+kind and of the public ``scalarize_d1`` and ``scalarize_d2``.  A float
+x takes a path of its own through it, with the same level map calls and
+the same bits as row 0 of an x-column: ``_levels`` takes the grid's
+shape without np.broadcast, ``_integrate`` takes the one row's 1-D dot
+and tests it with math.isfinite, and ``crisp_lift`` adds a 0.0 * alpha
+row kept per shared grid.  A fuzzy value of f is built
 only by ``_fuzzy_numbers``, which checks a block of level rows with one
 call of fuzzy_core's validity kernel: one row for eval_fuzzy, a block
 of iterates for a solve.
@@ -51,13 +51,14 @@ caller's own gets a fresh table each time.
 
 The neighbourhood checks (comparability and non-dominance) are read
 by one scanner, ``_first_witness``, from one x-column: the point, any
-other points whose levels the caller wants (a verification's stencil),
-then each check's samples in the domain.  The column is fetched in
-scalarize_many's blocks, one at a time, with one fetch of the level
-pair and one call of fuzzy_core's row-wise invariant kernel per block,
-and each check compares its own rows with a row-wise order kernel.  So
-a verification is one fetch: its point, its stencil and all three
-checks take one fetch per block of 102 rows at 101 levels.  Verdicts,
+other points whose levels the caller wants (a verification's: the rest
+of its _Point's ``column()``), then each check's samples in the domain.
+The column is fetched in scalarize_many's blocks, one at a time, with
+one fetch of the level pair and one call of fuzzy_core's row-wise
+invariant kernel per block, and each check compares its own rows with a
+row-wise order kernel.  So a verification is one fetch: its point's
+column and all three checks take one fetch per block of 102 rows at 101
+levels.  Verdicts,
 witnesses and errors are those of taking the samples one at a time in
 order and the checks one after another; a check that finds no sample in
 the domain is inconclusive.
@@ -470,14 +471,13 @@ class _Point:
 
     Levels fetched at a point are kept for the life of the object, so the
     finite-difference stencil around x, the fuzzy value at x and the
-    level slopes share one evaluation per point.  ``fetch`` takes x and
-    the other stencil points in the domain as one x-column, which is how
-    the Newton solver reads each iterate of a function without analytic
-    F' and F'': one fetch of the level pair per step.  F at a point whose
-    levels are not kept comes from ``scalarize``: a stencil point outside
-    the domain, which raises DomainError there, and every point of a
-    _Point that did not fetch, as the stationarity kind of a solve and the
-    public scalarize_d1 and scalarize_d2 read theirs.
+    level slopes share one evaluation per point.  ``fetch`` takes
+    ``column()`` in one fetch of the level pair, which is how the Newton
+    solver reads each iterate of a function without analytic F' and F''.
+    F at a point whose levels are not kept comes from ``scalarize``: a
+    stencil point outside the domain, which raises DomainError there, and
+    every point of a _Point that did not fetch, as the stationarity kind
+    of a solve and the public scalarize_d1 and scalarize_d2 read theirs.
     """
 
     def __init__(self, f: FuzzyFunction, x: float, cfg: ScalarizationConfig):
@@ -496,9 +496,19 @@ class _Point:
         for p, row_lo, row_hi in zip(points, lo, hi):
             self._levels.setdefault(p, (row_lo, row_hi))
 
+    def column(self) -> list:
+        """The points whose levels a fetch near x takes, as one x-column:
+        x first, then its other stencil points that lie in the domain, or
+        x alone where the domain is too narrow for a stencil."""
+        try:
+            points = _stencil(self.f, self.x, self.h)[0]
+        except DomainError:
+            return [self.x]
+        return [self.x] + [p for p in points
+                           if p != self.x and self.f.contains(p)]
+
     def fetch(self) -> None:
-        """Fetch and keep the levels of x and of its other stencil points
-        in the domain, x first, as one x-column of _levels_each.
+        """Fetch and keep the levels of column() through _levels_each.
 
         F, F' and F'' then read kept rows, each integrated by its own 1-D
         dot, so they have the bits of points fetched one at a time.  What
@@ -506,18 +516,16 @@ class _Point:
         F(x) is tested when value() reads it, a one-sided stencil warns
         when F' or F'' first reads it, a stencil point outside the domain
         raises DomainError when F reads it, and a domain too narrow for a
-        stencil leaves x to be fetched alone and F' to raise DomainError.
-        Only a level map's own error at a stencil point comes earlier,
-        before F(x)'s NumericError.
+        stencil leaves F' to raise DomainError.  Only a level map's own
+        error at a stencil point comes earlier, before F(x)'s NumericError.
+
+        x's rows are kept as copies of their own, so that levels(x), which
+        a solve keeps past the point, holds no view of the whole column.
         """
-        try:
-            points = _stencil(self.f, self.x, self.h)[0]
-        except DomainError:
-            return
-        column = [self.x] + [p for p in points
-                             if p != self.x and self.f.contains(p)]
-        self.keep(column, *_levels_each(self.f, np.array(column),
-                                        self.alphas))
+        column = self.column()
+        lo, hi = _levels_each(self.f, np.array(column), self.alphas)
+        self._levels[self.x] = lo[0].copy(), hi[0].copy()
+        self.keep(column[1:], lo[1:], hi[1:])
 
     def levels(self, p: float):
         if p not in self._levels:
@@ -653,9 +661,10 @@ def _first_witness(
     go: rounding can land one a few ulps off x0, which is x0 for all
     practical purposes, not evidence.
 
-    x0, the points of lead and each check's kept samples, in that order,
-    make one x-column, fetched in scalarize_many's blocks with one
-    _invalid_rows call per block.  Once the rows of x0 and lead are in,
+    x0, the points of lead (a verification's: the rest of its _Point's
+    column()) and each check's kept samples, in that order, make one
+    x-column, fetched in scalarize_many's blocks with one _invalid_rows
+    call per block.  Once the rows of x0 and lead are in,
     on_lead gets copies of them, before a sample row is read.  Each
     check then scans its own rows, which may span blocks, with an
     order kernel of fuzzy_core against x0's row: the first row that is

@@ -163,9 +163,9 @@ def solve(f: FuzzyFunction, cfg: NewtonConfig) -> SolveResult:
     not form a fuzzy number at an iterate raise MalformedFunctionError.
 
     An iterate of a function without analytic F' and F'' fetches its
-    levels and those of its finite-difference stencil as one x-column,
-    one fetch of the level pair per step; this is decided once per
-    solve, and the trace has the bits of points fetched one at a time.
+    _Point's column(), one fetch of the level pair per step; this is
+    decided once per solve, and the trace has the bits of points fetched
+    one at a time.
     The end point's stationarity kind takes F' and F'' as
     scalarize_d1 and scalarize_d2 do, a fetch per stencil point.
 
@@ -347,21 +347,27 @@ def check_point(
     read; a non-finite x raises ValueError, naming it as the report's
     xstar.
 
-    One fetch serves the whole verification: x, its other stencil
-    points and the kept samples of the three checks are one x-column,
-    read in level_calculus's blocks with one call pair of the level
-    maps and one validity check per block (one block at 25 samples and
-    101 levels).  The level slopes, and F' and F'' by the stencil, read
-    its stencil rows; analytic F' and F'' take a call pair each.  F''
-    is taken before a sample row is checked, so non-finite levels at x
-    raise NumericError there; an nbhd or samples that is not valid, or
-    an nbhd whose samples overflow, raises ValueError before any level
-    is fetched.
+    One fetch serves the whole verification: the column() of x's
+    _Point, which a Newton iterate fetches too, and the kept samples of
+    the three checks are one x-column, read in level_calculus's blocks
+    with one call pair of the level maps and one validity check per
+    block (one block at 25 samples and 101 levels).  The level slopes,
+    and F' and F'' by the stencil, read its stencil rows; analytic F'
+    and F'' take a call pair each.  No level outside the domain is read:
+    an F'' by a one-sided stencil whose outer point lies outside it
+    raises the DomainError that scalarize_d2 raises there.  F'' is taken
+    before a sample row is checked, so non-finite levels at x raise
+    NumericError there.  Before any level is fetched, a one-sided
+    stencil warns, a domain too narrow for a stencil raises DomainError,
+    and an nbhd or samples that is not valid, or an nbhd whose samples
+    overflow, raises ValueError.
     """
     if not math.isfinite(x):
         raise ValueError(f"xstar must be finite, got {x}")
     point = _Point(f, x, cfg.scal)
-    stencil = [p for p in point.stencil()[0] if p != x]
+    # warns of a one-sided stencil, or raises where none fits, first
+    point.stencil()
+    column = point.column()
     checks = [
         _non_dominance(x, nbhd, samples),
         _comparability(x, +1.0, nbhd, samples),
@@ -370,12 +376,12 @@ def check_point(
 
     def derivatives(lo, hi):
         # F' and F'' raise NumericError before a sample row is read
-        point.keep([x, *stencil], lo, hi)
+        point.keep(column, lo, hi)
         return point.level_d1_max(), point.d1(), point.d2()
 
     (non_dominance, comp_plus, comp_minus), (level_d1_max, d1, d2) = (
         _first_witness(f, x, checks, nbhd, cfg.scal.alpha_points,
-                       stencil, derivatives)
+                       column[1:], derivatives)
     )
     return VerificationReport(
         xstar=x,

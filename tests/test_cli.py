@@ -916,3 +916,23 @@ def test_module_bad_flag_is_one_error_line():
         "error: unrecognized arguments: --no-such-flag"
     ]
     assert proc.stdout == ""
+
+
+def test_module_check_needing_a_level_outside_the_domain_is_an_input_error(
+        tmp_path):
+    # F'' at 0.7 needs the one-sided stencil's outer point 0.7002, past
+    # the domain: check raises there, as scalarize_d2 does, and as solve
+    # from 0.7 ends left-domain
+    cfg = tmp_path / "narrow.json"
+    cfg.write_text(json.dumps({
+        "kind": "max_return_fuzzy", "domain": [0.7, 0.70015], "x0": 0.7,
+    }))
+    proc = _run_module("check", "--problem", str(cfg), "--xstar", "0.7")
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert [line for line in lines if line.startswith("error:")] == [
+        "error: x=0.7001999999999999 outside the function domain "
+        "[0.7, 0.70015]"
+    ]
+    assert sum("OneSidedStencilWarning" in line for line in lines) == 1
+    assert proc.stdout == ""

@@ -511,6 +511,35 @@ class TestDerivatives:
             with pytest.raises(DomainError, match=r"x=2e-05 outside"):
                 scalarize_d2(f, 0.0, CFG)
 
+    @pytest.mark.parametrize("domain, column", [
+        ((-1.0, 1.0), [0.0, -1e-5, 1e-5]),
+        ((0.0, 1.0), [0.0, 1e-5, 2e-5]),
+        ((0.0, 1.5e-5), [0.0, 1e-5]),
+        ((-1.0, 0.0), [0.0, -2e-5, -1e-5]),
+        ((-1.5e-5, 0.0), [0.0, -1e-5]),
+        ((0.0, 5e-6), [0.0]),
+    ], ids=["central", "right", "right_outer_outside", "left",
+            "left_outer_outside", "too_narrow"])
+    def test_column_is_what_fetch_takes(self, monkeypatch, domain, column):
+        # x first, then its stencil points in the domain; x alone where
+        # no stencil fits. h = 1e-5 at x = 0
+        point = level_calculus._Point(
+            dataclasses.replace(EX41, domain=domain), 0.0, CFG
+        )
+        fetched = []
+        levels_each = level_calculus._levels_each
+
+        def spy(f, xs, alphas):
+            fetched.append(xs.tolist())
+            return levels_each(f, xs, alphas)
+
+        monkeypatch.setattr(level_calculus, "_levels_each", spy)
+        assert point.column() == column
+        point.fetch()
+        assert fetched == [column]
+        # x's rows are its own, not views of the fetched column
+        assert all(row.base is None for row in point.levels(0.0))
+
 
 class TestContains:
     def test_bounds_are_inclusive(self):
@@ -879,6 +908,42 @@ class TestCheckPointColumn:
             want = assembled_report(f, 0.0, cfg, 0.01, 25)
         assert report_bits(rep) == report_bits(want)
         assert rep.non_dominance.samples == 12
+
+    @pytest.mark.parametrize("fd", [False, True], ids=["analytic", "fd"])
+    def test_no_level_is_read_outside_the_domain(self, fd):
+        # at 1e-5 on (0, 1.5e-5), h = 1e-5, the left stencil's outer
+        # point is -1e-5: F'' by the stencil raises there, as scalarize_d2
+        # does, and analytic F'' reads no level there
+        seen = []
+
+        def spied(pair):
+            if pair is None:
+                return None
+
+            def spy(x, a):
+                seen.extend(np.ravel(x))
+                return pair(x, a)
+
+            return spy
+
+        f = _fd_only(EX41) if fd else EX41
+        f = level_calculus._from_pairs(
+            *(spied(p) for p in (f._level_pair, f._d1_pair, f._d2_pair)),
+            domain=(0.0, 1.5e-5), name=f.name,
+        )
+        x, cfg = 1e-5, NewtonConfig(x0=1e-5)
+        with pytest.warns(OneSidedStencilWarning):
+            if fd:
+                with pytest.raises(DomainError, match="x=-1e-05 outside"):
+                    check_point(f, x, cfg)
+            else:
+                rep = check_point(f, x, cfg)
+        assert seen and all(f.contains(p) for p in seen)
+        if not fd:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", OneSidedStencilWarning)
+                want = assembled_report(f, x, cfg, 0.01, 25)
+            assert report_bits(rep) == report_bits(want)
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 7, 101])
     def test_blocks_split_at_any_row_count(self, monkeypatch, rows):

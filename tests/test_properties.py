@@ -23,6 +23,7 @@ from fuzzynewton import (
     FuzzyNumber,
     HukuharaNonexistence,
     InvalidLevelError,
+    NewtonConfig,
     NumericError,
     OneSidedStencilWarning,
     ScalarizationConfig,
@@ -1006,6 +1007,59 @@ class TestCheckPointIsItsPartsApart:
                     check_point(*case)
                 return
             assert report_bits(check_point(*case)) == want
+
+
+# max_return_fuzzy, and example_4_1 with and without its analytic F', F''
+EDGE_FUNCTIONS = {
+    "max_return_fuzzy": resolve_problem(
+        ProblemSpec(kind="max_return_fuzzy")).function,
+    "example_4_1": resolve_problem(ProblemSpec(kind="example_4_1")).function,
+}
+EDGE_FUNCTIONS["example_4_1_fd"] = dataclasses.replace(
+    EDGE_FUNCTIONS["example_4_1"],
+    d1_lo=None, d1_hi=None, d2_lo=None, d2_hi=None,
+)
+
+
+@st.composite
+def near_edge_points(draw):
+    """A function's name, an fd_step, a domain [a, a + w] 1 to 4 stencil
+    steps wide, and a point x in it."""
+    name = draw(st.sampled_from(sorted(EDGE_FUNCTIONS)))
+    fd_step = draw(st.floats(1e-6, 1e-3))
+    a = draw(finite(0.2, 1.2) if name == "max_return_fuzzy"
+             else finite(-2.0, 1.0))
+    w = draw(st.floats(1.0, 4.0)) * fd_step * max(1.0, abs(a))
+    x = min(a + draw(st.floats(0.0, 1.0)) * w, a + w)
+    return name, fd_step, (a, a + w), x
+
+
+class TestCheckPointReadsTheIterateColumn:
+    @settings(max_examples=80, deadline=None)
+    @given(near_edge_points())
+    # F'' at 0.7 needs 0.7 + 2h = 0.7002, past the domain's upper end
+    @example(("max_return_fuzzy", 1e-4, (0.7, 0.70015), 0.7))
+    def test_derivatives_are_those_of_scalarize(self, case):
+        # one column per point: F' and F'' of a verification are those of
+        # scalarize_d1 and scalarize_d2, and its report is that of its
+        # parts apart, or both sides raise the same DomainError (the
+        # level slopes need a stencil even with analytic F' and F'')
+        name, fd_step, domain, x = case
+        f = dataclasses.replace(EDGE_FUNCTIONS[name], domain=domain)
+        scal = ScalarizationConfig(fd_step=fd_step)
+        cfg = NewtonConfig(x0=x, scal=scal)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OneSidedStencilWarning)
+            try:
+                want = assembled_report(f, x, cfg, 0.01, 25)
+            except DomainError as err:
+                with pytest.raises(DomainError, match=re.escape(str(err))):
+                    check_point(f, x, cfg)
+                return
+            rep = check_point(f, x, cfg)
+            d1, d2 = scalarize_d1(f, x, scal), scalarize_d2(f, x, scal)
+        assert (rep.d1.hex(), rep.d2.hex()) == (d1.hex(), d2.hex())
+        assert report_bits(rep) == report_bits(want)
 
 
 KINDS = BUILTIN_NAMES + ("fuzzy_polynomial",)
