@@ -32,6 +32,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import sys
 import time
 from typing import Optional
@@ -252,7 +253,9 @@ def _verification_dict(rep: VerificationReport) -> dict:
         "d2": float(rep.d2),
         "stat_tol": float(rep.stat_tol),
         "stationary": rep.stationary,
-        "level_d1_max": float(rep.level_d1_max),
+        # nan where no stencil fits: null, as JSON has no NaN
+        "level_d1_max": (None if math.isnan(rep.level_d1_max)
+                         else float(rep.level_d1_max)),
         "non_dominance": rep.non_dominance.describe(),
         "comparability_plus": rep.comp_plus.describe(),
         "comparability_minus": rep.comp_minus.describe(),

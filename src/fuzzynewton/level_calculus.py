@@ -12,23 +12,26 @@ differences applied to F itself.
 
 All level values pass through one evaluator: ``_levels`` fetches one
 level pair, a callable (x, alpha) -> (lo, hi), at a scalar x or on an
-x-column by alpha grid,
+x-column by alpha grid, or a jet (below) at x,
 ``_integrate`` applies the quadrature weights, cached per grid size and
-rule, and raises NumericError on a non-finite value, and ``_Point``
-shares the levels fetched near one point among F, its finite-difference
-derivatives, the fuzzy value and the level slopes.  The Newton solver,
-the verifier, the grid oracle and the centroid all read values through
-it.  A Newton iterate of a function without analytic F' and F'' is one
-fetch: ``_Point.fetch`` takes the point's ``column()``, which a
-verification reads too.  F at a point whose levels a _Point does not
+rule, a row at a time or a block in one stacked call, ``_finite``
+raises NumericError on a non-finite value, and ``_Point``
+shares the levels fetched near one point among F, its derivatives, the
+fuzzy value and the level slopes.  The Newton solver, the verifier, the
+grid oracle and the centroid all read values through it.  A Newton
+iterate is one fetch on both derivative paths: ``_Point.fetch`` takes
+the jet of a built-in with analytic F' and F'', or else the point's
+``column()``, which a verification reads too, and integrates it in one
+stacked call; a caller's own level derivatives still fetch each order.
+F at a point whose levels a _Point does not
 keep comes from ``scalarize``, with a _Point of its own: a stencil point
 outside the domain, and the stencil points of a solve's stationarity
 kind and of the public ``scalarize_d1`` and ``scalarize_d2``.  A float
 x takes a path of its own through it, with the same level map calls and
 the same bits as row 0 of an x-column: ``_levels`` takes the grid's
-shape without np.broadcast, ``_integrate`` takes the one row's 1-D dot
-and tests it with math.isfinite, and ``crisp_lift`` adds a 0.0 * alpha
-row kept per shared grid.  A fuzzy value of f is built
+shape without np.broadcast, ``_integrate`` takes the one row's 1-D dot,
+``_finite`` tests it with math.isfinite, and ``crisp_lift`` adds a
+0.0 * alpha row kept per shared grid.  A fuzzy value of f is built
 only by ``_fuzzy_numbers``, which checks a block of level rows with one
 call of fuzzy_core's validity kernel: one row for eval_fuzzy, a block
 of iterates for a solve.
@@ -40,6 +43,11 @@ are the halves of one pair, made by ``_from_pairs``, each of which
 computes the pair and returns its own end when called alone, and the
 derived pair is that pair.  For any other two ends, a caller's own maps
 or ends wrapped with dataclasses.replace, the pair calls lo and then hi.
+A built-in with analytic F' and F'' (and its negation, and a crisp lift
+with both derivatives) also has a private jet, one call for the level,
+d1 and d2 pairs at once, with the bits of each; the FuzzyFunction
+derives ``_jet`` only while all six ends are the halves that carry it,
+so wrapped ends or a caller's own maps have none.
 
 The alpha grid of each size is one object, fuzzy_core's ``_grid``: built
 and validated once, read-only, and passed to every level map and every
@@ -162,6 +170,10 @@ class FuzzyFunction:
                            _pair(self.level_lo, self.level_hi))
         object.__setattr__(self, "_d1_pair", _pair(self.d1_lo, self.d1_hi))
         object.__setattr__(self, "_d2_pair", _pair(self.d2_lo, self.d2_hi))
+        object.__setattr__(self, "_jet", _jet((
+            self.level_lo, self.level_hi, self.d1_lo, self.d1_hi,
+            self.d2_lo, self.d2_hi,
+        )))
 
     def contains(self, x):
         """Whether x lies in the closed domain, elementwise; NaN does not."""
@@ -170,12 +182,15 @@ class FuzzyFunction:
 
 class _Half:
     """One end of a level pair as a level map: it computes the pair and
-    returns its lo end (end 0) or its hi end (end 1)."""
+    returns its lo end (end 0) or its hi end (end 1).  The halves that
+    _from_pairs makes with a jet carry it, and the place of their end
+    field among the six."""
 
-    __slots__ = ("pair", "end")
+    __slots__ = ("pair", "end", "jet", "place")
 
-    def __init__(self, pair: LevelPair, end: int):
-        self.pair, self.end = pair, end
+    def __init__(self, pair: LevelPair, end: int,
+                 jet: Optional[LevelPair] = None, place: int = -1):
+        self.pair, self.end, self.jet, self.place = pair, end, jet, place
 
     def __call__(self, x, a):
         return self.pair(x, a)[self.end]
@@ -192,17 +207,45 @@ def _pair(lo: Optional[LevelMap], hi: Optional[LevelMap]) -> Optional[LevelPair]
     return lambda x, a: (lo(x, a), hi(x, a))
 
 
+def _jet(ends) -> Optional[LevelPair]:
+    """The jet of the six end fields, in field order: the one whose
+    halves, each in its own place, they all are; else None."""
+    jet = getattr(ends[0], "jet", None)
+    if jet is None or not all(type(end) is _Half and end.jet is jet
+                              and end.place == i
+                              for i, end in enumerate(ends)):
+        return None
+    return jet
+
+
+def _stacked(pairs, x, a):
+    """A jet's (lo, hi) from its level, d1 and d2 pairs called one after
+    another: the jets' path for an x that is not a float."""
+    return tuple(np.stack(np.broadcast_arrays(*ends))
+                 for ends in zip(*(pair(x, a) for pair in pairs)))
+
+
 def _from_pairs(level: LevelPair, d1: Optional[LevelPair] = None,
-                d2: Optional[LevelPair] = None, **fields) -> FuzzyFunction:
+                d2: Optional[LevelPair] = None,
+                jet: Optional[LevelPair] = None, **fields) -> FuzzyFunction:
     """The FuzzyFunction of a level pair per order, d1 and d2 optional.
 
     Its end fields are the halves of each pair, so an end called alone
     gives that end's values; the FuzzyFunction reads the pair itself.
+
+    A jet, given with d1 and d2, is one callable (x, alpha) -> (lo, hi)
+    for all three orders: the rows of lo and hi on their leading axis,
+    of length 3, have the bits of the level, d1 and d2 pairs' lo and hi.
+    The halves carry it, and the FuzzyFunction derives its ``_jet``
+    from them while its six ends are these halves, so that a _Point
+    fetches F, F' and F'' in one call; any other ends, or a caller's
+    own, have none.
     """
     ends = []
     for pair in (level, d1, d2):
-        ends += (None, None) if pair is None else (_Half(pair, 0),
-                                                   _Half(pair, 1))
+        ends += (None, None) if pair is None else (
+            _Half(pair, 0, jet, len(ends)), _Half(pair, 1, jet, len(ends) + 1)
+        )
     # the six end fields, in order
     return FuzzyFunction(*ends, **fields)
 
@@ -265,8 +308,11 @@ def crisp_lift(
     Each order is one level pair that computes g(x) (or d1, d2) once
     and returns its row as both ends.  The row ignores alpha apart from
     broadcasting against it: it adds 0.0 * alpha, a row kept for the last
-    shared grid seen.
+    shared grid seen.  With both d1 and d2, a jet (see ``_from_pairs``)
+    takes the three values at a float x as a column and adds the row to
+    it in one addition, returning the (3, m) block as both ends.
     """
+    maps = (g, d1, d2)
 
     def lift(fn):
         if fn is None:
@@ -278,14 +324,25 @@ def crisp_lift(
 
         return pair
 
-    return _from_pairs(lift(g), lift(d1), lift(d2), domain=domain, name=name)
+    pairs = [lift(fn) for fn in maps]
+
+    def jet(x, a):
+        if not isinstance(x, float):
+            return _stacked(pairs, x, a)
+        rows = np.array([fn(x) for fn in maps], float)[:, None] + _zeros(a)
+        return rows, rows
+
+    return _from_pairs(*pairs,
+                       jet if d1 is not None and d2 is not None else None,
+                       domain=domain, name=name)
 
 
 def negate(f: FuzzyFunction) -> FuzzyFunction:
     """Pointwise fuzzy negation: levels swap roles and change sign.
 
     Each order is one level pair, (-hi, -lo) from one call of f's pair,
-    so negating a built-in computes its levels once per fetch.
+    so negating a built-in computes its levels once per fetch; f's jet,
+    where it has one, is flipped the same way into the negation's jet.
     """
 
     def flip(pair):
@@ -299,7 +356,7 @@ def negate(f: FuzzyFunction) -> FuzzyFunction:
         return flipped
 
     return _from_pairs(
-        flip(f._level_pair), flip(f._d1_pair), flip(f._d2_pair),
+        *map(flip, (f._level_pair, f._d1_pair, f._d2_pair, f._jet)),
         domain=f.domain, name=f"-({f.name})" if f.name else "",
     )
 
@@ -348,17 +405,18 @@ def _blocks(xs: np.ndarray, m: int):
     return ((i, xs[i:i + rows]) for i in range(0, xs.size, rows))
 
 
-def _levels(pair: LevelPair, x, alphas: np.ndarray):
+def _levels(pair: LevelPair, x, alphas: np.ndarray, lead: tuple = ()):
     """A level pair at x on the alpha grid, as two float arrays.
 
     A scalar x gives arrays shaped like ``alphas``; an x column of shape
     (n, 1) gives (n, m) arrays.  A float x (np.float64 included) takes
-    that shape without np.broadcast.
+    that shape without np.broadcast.  A jet's fetch passes lead=(3,):
+    its arrays have a row per order in front of that shape.
     """
     if isinstance(x, float):
-        shape = alphas.shape
+        shape = lead + alphas.shape
     else:
-        shape = np.broadcast(x, alphas).shape
+        shape = lead + np.broadcast(x, alphas).shape
 
     def shaped(values):
         values = np.asarray(values, float)
@@ -379,27 +437,42 @@ def _levels_each(f: FuzzyFunction, xs: np.ndarray, alphas: np.ndarray):
         return tuple(np.array(ends) for ends in zip(*pairs))
 
 
-def _integrate(lo: np.ndarray, hi: np.ndarray, w: np.ndarray, x):
-    """Quadrature of lo + hi over alpha, one value per x.
+def _integrate(lo: np.ndarray, hi: np.ndarray, w: np.ndarray, x=None):
+    """Quadrature of lo + hi over alpha, one value per row.
 
     Every row is integrated by one dot of its own, at every shape: a
     single row is the 1-D ``(lo + hi) @ w``, and numpy's matmul takes
     each (1, m) @ (m, 1) item of a block to that same vector dot, where
     a 2-D ``@`` would hand the block to BLAS gemv, which rounds each row
     by its place in the block.  So F has the same bits from scalarize,
-    from scalarize_many at any block size and in the grid oracle.  A
-    single row's value is tested by math.isfinite, at a fraction of the
-    cost of numpy's test of one value.
+    from scalarize_many at any block size, in the grid oracle and from
+    a _Point's stacked block, and F' and F'' from a jet's three rows
+    have the bits of each order's pair integrated alone.
 
-    Raises NumericError naming the first x whose value is not finite;
-    with positive weights, a non-finite level value makes it so.
+    Given x, the points of the rows, the values are tested by _finite;
+    without it they are returned untested, for a caller that tests each
+    value as it reads it.
     """
     if lo.ndim == 1:
-        value = (lo + hi) @ w
-        if not math.isfinite(value):
+        values = (lo + hi) @ w
+    else:
+        values = np.matmul((lo + hi)[..., None, :], w[:, None])[..., 0, 0]
+    return values if x is None else _finite(values, x)
+
+
+def _finite(values, x):
+    """values, once every one is finite: a float at the point x, or an
+    array at the points x.
+
+    Raises NumericError naming the first x whose value is not finite;
+    with positive weights, a non-finite level value makes it so.  A
+    float is tested by math.isfinite, at a fraction of the cost of
+    numpy's test of one value.
+    """
+    if isinstance(values, float):
+        if not math.isfinite(values):
             raise NumericError(f"non-finite level values at x={np.ravel(x)[0]}")
-        return value
-    values = np.matmul((lo + hi)[..., None, :], w[:, None])[..., 0, 0]
+        return values
     finite = np.isfinite(values)
     if not finite.all():
         bad = np.ravel(x)[np.argmin(np.ravel(finite))]
@@ -471,13 +544,18 @@ class _Point:
 
     Levels fetched at a point are kept for the life of the object, so the
     finite-difference stencil around x, the fuzzy value at x and the
-    level slopes share one evaluation per point.  ``fetch`` takes
-    ``column()`` in one fetch of the level pair, which is how the Newton
-    solver reads each iterate of a function without analytic F' and F''.
-    F at a point whose levels are not kept comes from ``scalarize``: a
-    stencil point outside the domain, which raises DomainError there, and
-    every point of a _Point that did not fetch, as the stationarity kind
-    of a solve and the public scalarize_d1 and scalarize_d2 read theirs.
+    level slopes share one evaluation per point.  ``fetch`` takes in one
+    fetch what F, F' and F'' read near x, which is how the Newton solver
+    reads each iterate: the three orders at x of f's jet where f has one
+    (a built-in with analytic F' and F''), else the levels of
+    ``column()``.  Analytic F' and F'' read the jet's fetch, made when
+    they are first read if ``fetch`` has not made it; the F' and F'' of
+    a caller's own level derivatives fetch their pair each.  F at a
+    point whose levels are not kept comes from ``scalarize``: a stencil
+    point outside the domain, which raises DomainError there, and every
+    point of a _Point that did not fetch its column, as the stationarity
+    kind of a solve and the public scalarize_d1 and scalarize_d2 read
+    theirs.
     """
 
     def __init__(self, f: FuzzyFunction, x: float, cfg: ScalarizationConfig):
@@ -487,7 +565,9 @@ class _Point:
         self.alphas = _grid(cfg.alpha_points)
         self.w = _quad_weights(cfg.alpha_points, cfg.quadrature)
         self._levels: dict = {}
+        # F per point and the jet's F' and F'', each tested when read
         self._values: dict = {}
+        self._orders = None
         self._fd = None
 
     def keep(self, points, lo, hi) -> None:
@@ -508,24 +588,40 @@ class _Point:
                            if p != self.x and self.f.contains(p)]
 
     def fetch(self) -> None:
-        """Fetch and keep the levels of column() through _levels_each.
+        """Fetch and keep the jet's three orders at x through _levels,
+        where f has a jet, or else the levels of column() through
+        _levels_each, and integrate the block with one stacked call of
+        _integrate.
 
-        F, F' and F'' then read kept rows, each integrated by its own 1-D
-        dot, so they have the bits of points fetched one at a time.  What
-        they raise or warn comes in the same order as without the fetch:
-        F(x) is tested when value() reads it, a one-sided stencil warns
-        when F' or F'' first reads it, a stencil point outside the domain
-        raises DomainError when F reads it, and a domain too narrow for a
-        stencil leaves F' to raise DomainError.  Only a level map's own
-        error at a stencil point comes earlier, before F(x)'s NumericError.
+        F, F' and F'' then read kept values, each row integrated by its
+        own dot, so they have the bits of points and orders fetched one
+        at a time.  Each value is tested for finiteness when it is read,
+        so what they raise or warn comes in the same order as without
+        the fetch: F(x) is tested when value() reads it, a one-sided
+        stencil warns when F' or F'' first reads it, a stencil point
+        outside the domain raises DomainError when F reads it, and a
+        domain too narrow for a stencil leaves a finite-difference F' to
+        raise DomainError.  Only a level map's own error, at a stencil
+        point or in a higher order of the jet, comes earlier, before
+        F(x)'s NumericError.  Rows and values kept before are kept.
 
-        x's rows are kept as copies of their own, so that levels(x), which
-        a solve keeps past the point, holds no view of the whole column.
+        A column's x rows are kept as copies of their own, so that
+        levels(x), which a solve keeps past the point, holds no view of
+        the whole column; a jet's are views of its (3, m) blocks, which
+        a solve keeps for at most a block of iterates.
         """
+        if self.f._jet is not None:
+            lo, hi = _levels(self.f._jet, self.x, self.alphas, (3,))
+            F, *self._orders = _integrate(lo, hi, self.w).tolist()
+            self._levels.setdefault(self.x, (lo[0], hi[0]))
+            self._values.setdefault(self.x, F)
+            return
         column = self.column()
         lo, hi = _levels_each(self.f, np.array(column), self.alphas)
-        self._levels[self.x] = lo[0].copy(), hi[0].copy()
+        self._levels.setdefault(self.x, (lo[0].copy(), hi[0].copy()))
         self.keep(column[1:], lo[1:], hi[1:])
+        for p, value in zip(column, _integrate(lo, hi, self.w).tolist()):
+            self._values.setdefault(p, value)
 
     def levels(self, p: float):
         if p not in self._levels:
@@ -535,11 +631,13 @@ class _Point:
     def F(self, p: float) -> float:
         if p not in self._values:
             if p in self._levels:
-                value = float(_integrate(*self._levels[p], self.w, p))
+                value = float(_integrate(*self._levels[p], self.w))
             else:
                 value = scalarize(self.f, p, self.cfg)
             self._values[p] = value
-        return self._values[p]
+        value = self._values[p]
+        # _finite words the error
+        return value if math.isfinite(value) else _finite(value, p)
 
     def value(self) -> float:
         self.levels(self.x)
@@ -564,19 +662,27 @@ class _Point:
             self._fd = points, first
         return self._fd
 
-    def _analytic(self, pair: LevelPair) -> float:
-        lo, hi = _levels(pair, self.x, self.alphas)
-        return float(_integrate(lo, hi, self.w, self.x))
+    def _analytic(self, order: int) -> float:
+        """F' (order 1) or F'' (order 2) from the level derivatives: the
+        jet's fetch, or a fetch of the order's own pair."""
+        if self.f._jet is None:
+            pair = self.f._d1_pair if order == 1 else self.f._d2_pair
+            lo, hi = _levels(pair, self.x, self.alphas)
+            return float(_integrate(lo, hi, self.w, self.x))
+        if self._orders is None:
+            self.fetch()
+        value = self._orders[order - 1]
+        return value if math.isfinite(value) else _finite(value, self.x)
 
     def d1(self) -> float:
         if self.f.has_analytic_d1:
-            return self._analytic(self.f._d1_pair)
+            return self._analytic(1)
         points, (j, i, denom) = self.stencil()
         return (self.F(points[j]) - self.F(points[i])) / denom
 
     def d2(self) -> float:
         if self.f.has_analytic_d2:
-            return self._analytic(self.f._d2_pair)
+            return self._analytic(2)
         fa, fb, fc = (self.F(p) for p in self.stencil()[0])
         return (fa - 2.0 * fb + fc) / (self.h * self.h)
 

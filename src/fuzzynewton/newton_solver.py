@@ -162,12 +162,14 @@ def solve(f: FuzzyFunction, cfg: NewtonConfig) -> SolveResult:
     start x0 outside the domain raises DomainError, and levels that do
     not form a fuzzy number at an iterate raise MalformedFunctionError.
 
-    An iterate of a function without analytic F' and F'' fetches its
-    _Point's column(), one fetch of the level pair per step; this is
-    decided once per solve, and the trace has the bits of points fetched
-    one at a time.
-    The end point's stationarity kind takes F' and F'' as
-    scalarize_d1 and scalarize_d2 do, a fetch per stencil point.
+    Each iterate is one fetch, decided once per solve: a built-in with
+    analytic F' and F'' fetches F, F' and F'' from its jet, and a
+    function without them fetches its _Point's column(); the trace has
+    the bits of points and orders fetched one at a time.  A caller's own
+    level derivatives, or wrapped ends, which have no jet, fetch each
+    order apart.  The end point's stationarity kind takes F' and F'' as
+    scalarize_d1 and scalarize_d2 do: one jet fetch, or a fetch per
+    stencil point.
 
     The levels of each iterate are kept and checked in blocks of
     level_calculus._block_rows(m) iterates (102 at m = 101, 10 at
@@ -185,8 +187,10 @@ def solve(f: FuzzyFunction, cfg: NewtonConfig) -> SolveResult:
     # accepted steps with the level rows of x_k, up to one block
     pending: list[tuple] = []
     status = STATUS_MAX_ITER
-    # F' or F'' by the stencil: each iterate fetches it with x, at once
-    fetch = not (f.has_analytic_d1 and f.has_analytic_d2)
+    # one fetch per iterate: a built-in's jet, or x and its stencil where
+    # F' or F'' reads it; a caller's own level derivatives fetch per order
+    fetch = f._jet is not None or not (f.has_analytic_d1
+                                       and f.has_analytic_d2)
     for k in range(cfg.max_iter):
         point = _Point(f, xk, cfg.scal)
         try:
@@ -201,7 +205,8 @@ def solve(f: FuzzyFunction, cfg: NewtonConfig) -> SolveResult:
         except DomainError:
             status = STATUS_LEFT_DOMAIN
             break
-        if not all(math.isfinite(v) for v in (fval, d1, d2)):
+        # F is finite once read; a difference of two F can overflow
+        if not (math.isfinite(d1) and math.isfinite(d2)):
             status = STATUS_NON_FINITE
             break
         flat = abs(d2) < cfg.d2_floor
@@ -277,7 +282,11 @@ def estimate_convergence_order(trace, xstar: float) -> OrderEstimate:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Post-hoc checks at a converged iterate."""
+    """Post-hoc checks at a converged iterate.
+
+    level_d1_max is nan where no finite-difference stencil fits in the
+    domain and F' and F'' are analytic (see check_point).
+    """
 
     xstar: float
     d1: float
@@ -318,7 +327,9 @@ class VerificationReport:
             f"|F'(xstar)| = {abs(self.d1):.6g} "
             f"({'<' if self.stationary else '>='} tol {self.stat_tol:.6g})",
             f"F''(xstar) = {self.d2:.6g}",
-            f"max level derivative magnitude = {self.level_d1_max:.6g}",
+            "max level derivative magnitude = "
+            + (f"{self.level_d1_max:.6g}" if not math.isnan(self.level_d1_max)
+               else "n/a (no finite-difference stencil fits in the domain)"),
             f"non-dominance: {self.non_dominance.describe()}",
             f"comparability (+): {self.comp_plus.describe()}",
             f"comparability (-): {self.comp_minus.describe()}",
@@ -353,20 +364,30 @@ def check_point(
     with one call pair of the level maps and one validity check per
     block (one block at 25 samples and 101 levels).  The level slopes,
     and F' and F'' by the stencil, read its stencil rows; analytic F'
-    and F'' take a call pair each.  No level outside the domain is read:
-    an F'' by a one-sided stencil whose outer point lies outside it
-    raises the DomainError that scalarize_d2 raises there.  F'' is taken
-    before a sample row is checked, so non-finite levels at x raise
-    NumericError there.  Before any level is fetched, a one-sided
-    stencil warns, a domain too narrow for a stencil raises DomainError,
-    and an nbhd or samples that is not valid, or an nbhd whose samples
-    overflow, raises ValueError.
+    and F'' take one jet fetch, or a call pair each without a jet.  No
+    level outside the domain is read: an F'' by a one-sided stencil
+    whose outer point lies outside it raises the DomainError that
+    scalarize_d2 raises there.  F'' is taken before a sample row is
+    checked, so non-finite levels at x raise NumericError there.  Before
+    any level is fetched, a one-sided stencil warns, a domain too narrow
+    for a stencil raises DomainError where F' or F'' needs one, and an
+    nbhd or samples that is not valid, or an nbhd whose samples
+    overflow, raises ValueError.  With analytic F' and F'' such a domain
+    leaves only the level slopes unread: level_d1_max is nan, and
+    lines() says it is not available.
     """
     if not math.isfinite(x):
         raise ValueError(f"xstar must be finite, got {x}")
     point = _Point(f, x, cfg.scal)
-    # warns of a one-sided stencil, or raises where none fits, first
-    point.stencil()
+    try:
+        # warns of a one-sided stencil, or raises where none fits, first
+        point.stencil()
+        fits = True
+    except DomainError:
+        # analytic F' and F'' need no stencil; the level slopes do
+        if not (f.has_analytic_d1 and f.has_analytic_d2):
+            raise
+        fits = False
     column = point.column()
     checks = [
         _non_dominance(x, nbhd, samples),
@@ -377,7 +398,8 @@ def check_point(
     def derivatives(lo, hi):
         # F' and F'' raise NumericError before a sample row is read
         point.keep(column, lo, hi)
-        return point.level_d1_max(), point.d1(), point.d2()
+        slopes = point.level_d1_max() if fits else math.nan
+        return slopes, point.d1(), point.d2()
 
     (non_dominance, comp_plus, comp_minus), (level_d1_max, d1, d2) = (
         _first_witness(f, x, checks, nbhd, cfg.scal.alpha_points,

@@ -44,6 +44,13 @@ np.where only for a mixed-sign column.  Each term's factor is taken
 once for both ends, and the derivative pairs read x^(i-n) from the same
 powers.
 
+The analytic kinds, a polynomial and the crisp return-risk tradeoff,
+also write a jet (``level_calculus._from_pairs``): the level, d1 and d2
+pairs from one call, with their bits, which a Newton iterate fetches
+once.  A polynomial's jet takes the powers of a float x once, reads each
+term's two cuts as one row pair of the (terms, 2, m) cut table and adds
+its product into every order it counts for, i >= n, in the pairs' order.
+
 The return-risk maps scale and shift their residual square in place.
 A term's product and each sum have the operands of the plain formulas,
 in another order, so every level keeps its bits: per element, each end
@@ -67,8 +74,8 @@ from .fuzzy_core import (
     TriangularFuzzy, _per_grid, _require_positive, _square_lo, triangular_to_record,
 )
 from .level_calculus import (
-    FuzzyFunction, ScalarizationConfig, _from_pairs, crisp_lift, negate,
-    scalarize_many,
+    FuzzyFunction, ScalarizationConfig, _from_pairs, _stacked, crisp_lift,
+    negate, scalarize_many,
 )
 from .newton_solver import NewtonConfig
 
@@ -166,7 +173,14 @@ def build_fuzzy_polynomial(
     if len(coeffs) < 1:
         raise ValueError("need at least one coefficient")
     coeffs = tuple(coeffs)
-    cuts = _per_grid(lambda a: [c.cut(a) for c in coeffs])
+
+    @_per_grid
+    def cuts(a):
+        """Each term's (lower, upper) cuts on the grid a: one (terms, 2,
+        m) block, which the jet reads, and its rows as (cl, cu) views,
+        which the pairs read without making a view per call."""
+        block = np.array([c.cut(a) for c in coeffs])
+        return block, [tuple(row) for row in block]
 
     def level_pair(order: int):
         """Both endpoints of the n-th x-derivative, n = order:
@@ -180,7 +194,7 @@ def build_fuzzy_polynomial(
                       for i in range(len(coeffs))]
             shape = np.shape(a) if scalar else np.broadcast(x, a).shape
             lo, hi = np.zeros(shape), np.zeros(shape)
-            for i, (cl, cu) in enumerate(cuts(a)[order:], order):
+            for i, (cl, cu) in enumerate(cuts(a)[1][order:], order):
                 factor = math.perm(i, order) * powers[i - order]
                 # the upper end's cut is read once the lower end's term
                 # is summed, so one np.where block is alive at a time
@@ -191,8 +205,30 @@ def build_fuzzy_polynomial(
 
         return levels
 
+    pairs = [level_pair(order) for order in range(3)]
+
+    def jet(x, a):
+        """The three orders' pairs as (3, ...) blocks.  For a float x the
+        powers are taken once, each term's two cuts are one (2, m) row
+        pair, swapped as _term_cut swaps them, and each order's row pair
+        sums its terms i >= n from zeros in order, as its pair does; any
+        other x stacks the pairs."""
+        if not isinstance(x, float):
+            return _stacked(pairs, x, a)
+        x = np.asarray(x, float)
+        powers = [float(x**i) for i in range(len(coeffs))]
+        table = cuts(a)[0]
+        # order n's row pair (lo, hi) is out[n]
+        out = np.zeros((3, 2) + np.shape(a))
+        rows = list(out)
+        for i, power in enumerate(powers):
+            cut = table[i] if power >= 0.0 else table[i, ::-1]
+            for n, row in zip(range(i + 1), rows):
+                row += cut * (math.perm(i, n) * powers[i - n])
+        return out[:, 0], out[:, 1]
+
     return _from_pairs(
-        *(level_pair(order) for order in range(3)),
+        *pairs, jet,
         name=name or f"fuzzy_polynomial(degree={len(coeffs) - 1})",
     )
 

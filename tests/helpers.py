@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from fuzzynewton import (
+    DomainError,
     FuzzyNumber,
     TriangularFuzzy,
     comparability_check,
@@ -95,7 +96,14 @@ def assembled_report(f, x, cfg, nbhd, samples) -> VerificationReport:
     F'' of a _Point, which fetches each stencil point for itself, and
     the three public sampling checks, each fetching its own column."""
     point = _Point(f, x, cfg.scal)
-    level_d1_max = point.level_d1_max()
+    try:
+        level_d1_max = point.level_d1_max()
+    except DomainError:
+        # no stencil fits: with analytic F' and F'' only the level slopes
+        # are not available
+        if not (f.has_analytic_d1 and f.has_analytic_d2):
+            raise
+        level_d1_max = math.nan
     d1, d2 = point.d1(), point.d2()
     m = cfg.scal.alpha_points
     return VerificationReport(

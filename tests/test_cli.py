@@ -314,6 +314,27 @@ class TestReportFormats:
         assert row["f_lo0"] <= row["f_lo1"] <= row["f_hi1"] <= row["f_hi0"]
 
 
+    def test_narrow_domain_level_slopes_in_every_format(self, capsys,
+                                                        tmp_path):
+        # no stencil fits in [0, 1e-6] at h = 1e-5: the level slopes are
+        # the report's one figure not available, worded once
+        cfg = tmp_path / "narrow.json"
+        cfg.write_text(json.dumps({
+            "kind": "example_4_1", "domain": [0.0, 1e-6], "x0": 0.0,
+        }))
+        outs = {}
+        for fmt in ("text", "csv", "json"):
+            code, outs[fmt], err = run(capsys, "solve", "--problem",
+                                       str(cfg), "--format", fmt)
+            assert (code, err) == (0, "")
+        assert ("  max level derivative magnitude = n/a (no "
+                "finite-difference stencil fits in the domain)"
+                in outs["text"].splitlines())
+        assert "verification_level_d1_max," in outs["csv"].splitlines()
+        assert json.loads(outs["json"])["verification"]["level_d1_max"] \
+            is None
+
+
 class TestTableCommand:
     def test_reference_sweep(self, tmp_path, capsys):
         sweep = tmp_path / "sweep.json"
@@ -936,3 +957,29 @@ def test_module_check_needing_a_level_outside_the_domain_is_an_input_error(
     ]
     assert sum("OneSidedStencilWarning" in line for line in lines) == 1
     assert proc.stdout == ""
+
+
+def test_module_solve_on_a_domain_too_narrow_for_a_stencil(tmp_path):
+    # analytic F' and F'' need no stencil, so a converged solve on a
+    # domain narrower than one exits 0 with its verification, whose
+    # level slopes are not available: null in json, never a bare NaN
+    # token; check exits by its verdict. Both exited 1 with "domain too
+    # narrow for a finite-difference stencil"
+    cfg = tmp_path / "narrow.json"
+    cfg.write_text(json.dumps({
+        "kind": "example_4_1", "domain": [0.0, 1e-6], "x0": 0.0,
+    }))
+
+    def bare(constant):
+        raise AssertionError(f"bare {constant} token")
+
+    proc = _run_module("solve", "--problem", str(cfg), "--format", "json")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rep = json.loads(proc.stdout, parse_constant=bare)
+    assert rep["status"] == "converged"
+    assert rep["verification"]["level_d1_max"] is None
+    assert rep["verification"]["verdict"] == "inconclusive"
+    proc = _run_module("check", "--problem", str(cfg), "--xstar", "0")
+    assert (proc.returncode, proc.stderr) == (3, "")
+    assert ("max level derivative magnitude = n/a (no finite-difference "
+            "stencil fits in the domain)") in proc.stdout.splitlines()

@@ -522,9 +522,10 @@ class TestDerivatives:
             "left_outer_outside", "too_narrow"])
     def test_column_is_what_fetch_takes(self, monkeypatch, domain, column):
         # x first, then its stencil points in the domain; x alone where
-        # no stencil fits. h = 1e-5 at x = 0
+        # no stencil fits. h = 1e-5 at x = 0. A function with a jet
+        # fetches that instead (test_a_jet_point_fetches_its_orders)
         point = level_calculus._Point(
-            dataclasses.replace(EX41, domain=domain), 0.0, CFG
+            dataclasses.replace(_fd_only(EX41), domain=domain), 0.0, CFG
         )
         fetched = []
         levels_each = level_calculus._levels_each

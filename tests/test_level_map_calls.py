@@ -92,34 +92,62 @@ def test_solve_and_verify_calls(name):
     assert (solve_calls, counter.calls) == BUILTIN_CALLS[name]
 
 
-# (solve, verify_solution) fetches of a level pair by an unwrapped
-# built-in, whose ends are the halves of one pair per order: one pair call
-# per fetch, half of BUILTIN_CALLS' end calls.
+# (solve, verify_solution) fetches of an unwrapped built-in, whose ends
+# are the halves of one pair per order and, with analytic F' and F'',
+# of one jet: a solve fetches the jet once per iterate and once for its
+# stationarity kind, and a verification fetches its column and the jet.
+# Fetching each order's pair apart made 17/29 and 3/3 for the two
+# analytic kinds, three pair fetches per iterate.
 BUILTIN_FETCHES = {
-    "example_4_1": (17, 3),
-    "max_return_crisp": (29, 3),
+    "example_4_1": (6, 2),
+    "max_return_crisp": (10, 2),
     "max_return_fuzzy": (14, 1),
 }
+
+
+def _count_fetches(monkeypatch, f):
+    """A list that gets each level_calculus._levels call's pair from now
+    on: the built-in f's own pairs or jet, not an adapter that calls
+    each end."""
+    pairs = {f._level_pair, f._d1_pair, f._d2_pair, f._jet} - {None}
+    fetched = []
+    levels = level_calculus._levels
+
+    def counted(pair, x, alphas, *lead):
+        assert pair in pairs
+        fetched.append(pair)
+        return levels(pair, x, alphas, *lead)
+
+    monkeypatch.setattr(level_calculus, "_levels", counted)
+    return fetched
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_FETCHES))
 def test_solve_and_verify_fetch_each_pair_once(monkeypatch, name):
     f, cfg = _builtin(name)
-    pairs = {f._level_pair, f._d1_pair, f._d2_pair} - {None}
-    counter = Counter()
-    levels = level_calculus._levels
-
-    def counted(pair, x, alphas):
-        # the built-in's own pairs, not an adapter that calls each end
-        assert pair in pairs
-        counter.calls += 1
-        return levels(pair, x, alphas)
-
-    monkeypatch.setattr(level_calculus, "_levels", counted)
+    fetched = _count_fetches(monkeypatch, f)
     result = solve(f, cfg)
-    solve_calls, counter.calls = counter.calls, 0
+    solve_calls = len(fetched)
+    fetched.clear()
     verify_solution(f, result, cfg)
-    assert (solve_calls, counter.calls) == BUILTIN_FETCHES[name]
+    assert (solve_calls, len(fetched)) == BUILTIN_FETCHES[name]
+
+
+@pytest.mark.parametrize("name, sense", [
+    ("example_4_1", "minimize"), ("max_return_crisp", "minimize"),
+    ("example_4_1", "maximize"),
+])
+def test_analytic_solve_fetches_its_jet_once_per_iteration(monkeypatch,
+                                                           name, sense):
+    # F, F' and F'' of an iterate from one jet fetch, and F' and F'' of
+    # the stationarity kind at xstar from one more; negate flips the jet
+    resolved = resolve_problem(ProblemSpec(kind=name, sense=sense, x0=-1.0))
+    f, cfg = resolved.function, resolved.config
+    assert f._jet is not None
+    fetched = _count_fetches(monkeypatch, f)
+    result = solve(f, cfg)
+    assert result.status == "converged"
+    assert fetched == [f._jet] * (result.iterations + 1)
 
 
 def _fd_case(name, x0=None, **scal):

@@ -623,12 +623,33 @@ class TestVerification:
         assert not rep.comp_plus.ok and not rep.comp_minus.ok
 
     def test_check_point_needs_room_for_the_stencil(self):
-        # analytic d1/d2, but the level slopes still take a stencil: a
-        # domain narrower than it is an error, not a silent evaluation
-        # outside the domain
-        f = dataclasses.replace(EX41, domain=(0.0, 1e-9))
-        with pytest.raises(DomainError):
+        # F' and F'' by the stencil: a domain narrower than it is an
+        # error, not a silent evaluation outside the domain
+        f = dataclasses.replace(EX41, domain=(0.0, 1e-9), d1_lo=None,
+                                d1_hi=None, d2_lo=None, d2_hi=None)
+        with pytest.raises(DomainError, match="too narrow"):
             check_point(f, 5e-10, NewtonConfig(x0=5e-10))
+
+    @pytest.mark.parametrize("ends", ["built-in", "wrapped"])
+    def test_analytic_check_point_without_room_has_no_level_slope(self,
+                                                                  ends):
+        # analytic F' and F'' need no stencil, so only the level slopes
+        # are not available: nan, worded once; a verification raised
+        # DomainError here, and so did a converged solve's report
+        f = dataclasses.replace(EX41, domain=(0.0, 1e-6))
+        if ends == "wrapped":
+            f = dataclasses.replace(f, level_lo=lambda x, a: EX41.level_lo(x, a))
+        cfg = NewtonConfig(x0=0.0)
+        res = solve(f, cfg)
+        assert (res.status, res.stationarity_kind) == (STATUS_CONVERGED,
+                                                        "local-min")
+        rep = verify_solution(f, res, cfg)
+        assert math.isnan(rep.level_d1_max)
+        assert (rep.d1, rep.d2) == (0.0, 8.0)
+        assert rep.lines()[2] == ("max level derivative magnitude = n/a "
+                                  "(no finite-difference stencil fits in "
+                                  "the domain)")
+        assert rep.verdict == "inconclusive"
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_check_point_rejects_a_non_finite_point(self, x):

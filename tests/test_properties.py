@@ -5,6 +5,7 @@ import contextlib
 import copy
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -917,6 +918,89 @@ class TestLevelPairsKeepTheirBits:
                     assert_pair_bits(f, order, form, a, want, want)
 
 
+def assert_rows_bits(got, want):
+    """got equals want element for element, NaN included, and in every
+    sign bit."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def assert_jet_bits(f, x, a):
+    """The rows of f's jet and of negate(f)'s at (x, a), on their leading
+    axis, are those of the level, d1 and d2 pairs, for x as a float and
+    as a 0-d array, which takes the stacked pairs' path."""
+    for g, form in itertools.product((f, negate(f)), (x, np.array(x))):
+        with np.errstate(all="ignore"):
+            jet = g._jet(form, a)
+            pairs = [pair(form, a) for pair in
+                     (g._level_pair, g._d1_pair, g._d2_pair)]
+        for end in (0, 1):
+            assert jet[end].shape == (3,) + np.shape(a)
+            for order, pair in enumerate(pairs):
+                assert_rows_bits(jet[end][order], pair[end])
+
+
+# signed zeros, subnormal-range and overflowing powers, and NaN
+JET_X = finite(-3.0, 3.0) | st.sampled_from(
+    [0.0, -0.0, 1e-300, -1e-300, 1e200, -1e200, math.nan]
+)
+JET_M = st.sampled_from([3, 11, 101, 1001])
+
+
+def _ends_wrapped(f):
+    """f with its six ends wrapped, as a caller's own maps: no jet."""
+    return dataclasses.replace(f, **{
+        field: (lambda end: lambda x, a: end(x, a))(getattr(f, field))
+        for field in ("level_lo", "level_hi", "d1_lo", "d1_hi", "d2_lo",
+                      "d2_hi")
+    })
+
+
+def _solve_bits(res):
+    """A solve's status, xstar, stationarity kind and trace, with every
+    float as its bits and every fuzzy value as the bytes of its levels."""
+    return (res.status, res.xstar.hex(), res.stationarity_kind, [
+        (rec.k, *(float(v).hex() for v in
+                  (rec.x_k, rec.F, rec.dF, rec.d2F, rec.step)),
+         rec.fuzzy_value.lo.tobytes(), rec.fuzzy_value.hi.tobytes())
+        for rec in res.trace
+    ])
+
+
+class TestJetKeepsTheBitsOfItsPairs:
+    """A built-in with analytic F' and F'' has a jet, one call for its
+    level, d1 and d2 rows; they have the bits of the three pairs, so a
+    solve that fetches the jet reads what one that fetches each order's
+    pair reads."""
+
+    @given(st.lists(st.just(TriangularFuzzy(0.0, 0.0, 0.0))
+                    | triangulars(lo=-5.0, span=3.0), min_size=1, max_size=6),
+           JET_X, JET_M)
+    def test_polynomial_jet(self, coeffs, x, m):
+        assert_jet_bits(build_fuzzy_polynomial(tuple(coeffs)), x, _grid(m))
+
+    @given(positive_triangulars(1e-4, 1e-2), positive_triangulars(0.1, 5.0),
+           JET_X, JET_M)
+    def test_crisp_return_risk_jet(self, va, rho, x, m):
+        f = build_max_return_crisp(MaxReturnParams(Va=va, rho=rho))
+        assert_jet_bits(f, x, _grid(m))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["example_4_1", "max_return_crisp"]),
+           st.sampled_from(["minimize", "maximize"]), finite(-2.0, 2.0),
+           st.sampled_from([3, 101, 1001]))
+    def test_solve_is_that_of_its_wrapped_ends(self, kind, sense, x0, m):
+        f, cfg = (lambda r: (r.function, r.config))(resolve_problem(
+            ProblemSpec(kind=kind, sense=sense, x0=x0, alpha_points=m)))
+        wrapped = _ends_wrapped(f)
+        assert f._jet is not None and wrapped._jet is None
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", OneSidedStencilWarning)
+            assert _solve_bits(solve(f, cfg)) == _solve_bits(
+                solve(wrapped, cfg))
+
+
 def first_witness_by_sample(f, x0, xs, reach, m, is_witness):
     """Reference for the batched checks: evaluate, validate and compare
     one sample at a time; (index of the first witness or None, samples
@@ -1042,8 +1126,9 @@ class TestCheckPointReadsTheIterateColumn:
     def test_derivatives_are_those_of_scalarize(self, case):
         # one column per point: F' and F'' of a verification are those of
         # scalarize_d1 and scalarize_d2, and its report is that of its
-        # parts apart, or both sides raise the same DomainError (the
-        # level slopes need a stencil even with analytic F' and F'')
+        # parts apart, or both sides raise the same DomainError (where F'
+        # or F'' needs a stencil that does not fit; with analytic F' and
+        # F'' only the level slopes need one, and they read nan)
         name, fd_step, domain, x = case
         f = dataclasses.replace(EDGE_FUNCTIONS[name], domain=domain)
         scal = ScalarizationConfig(fd_step=fd_step)
