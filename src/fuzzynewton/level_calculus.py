@@ -20,10 +20,9 @@ shares the levels fetched near one point among F, its derivatives, the
 fuzzy value and the level slopes.  The Newton solver, the verifier, the
 grid oracle and the centroid all read values through it.  A Newton
 iterate is one fetch on both derivative paths: ``_Point.fetch`` takes
-the jet of a built-in with analytic F' and F'', or else the point's
-``column()``, which a verification reads too, and integrates it in one
-stacked call; a caller's own level derivatives still fetch each order.
-F at a point whose levels a _Point does not
+the jet of a function with analytic F' and F'' at float(x), or else the
+point's ``column()``, which a verification reads too, and integrates it
+in one stacked call.  F at a point whose levels a _Point does not
 keep comes from ``scalarize``, with a _Point of its own: a stencil point
 outside the domain, and the stencil points of a solve's stationarity
 kind and of the public ``scalarize_d1`` and ``scalarize_d2``.  A float
@@ -43,11 +42,14 @@ are the halves of one pair, made by ``_from_pairs``, each of which
 computes the pair and returns its own end when called alone, and the
 derived pair is that pair.  For any other two ends, a caller's own maps
 or ends wrapped with dataclasses.replace, the pair calls lo and then hi.
-A built-in with analytic F' and F'' (and its negation, and a crisp lift
-with both derivatives) also has a private jet, one call for the level,
-d1 and d2 pairs at once, with the bits of each; the FuzzyFunction
-derives ``_jet`` only while all six ends are the halves that carry it,
-so wrapped ends or a caller's own maps have none.
+Analytic derivatives come in both orders or none, and a function with
+them has a private jet, one call for the level, d1 and d2 rows at a
+float x, with the bits of each pair.  A built-in (and its negation, and
+a crisp lift with both derivatives) has a jet fused from its pairs,
+which the FuzzyFunction takes while its three derived pairs are the
+ones the jet was built from; any other function's jet, a caller's own
+maps' or wrapped ends', calls its three pairs and stacks their rows
+(``_stacked``).
 
 The alpha grid of each size is one object, fuzzy_core's ``_grid``: built
 and validated once, read-only, and passed to every level map and every
@@ -134,12 +136,16 @@ class FuzzyFunction:
 
     ``level_lo`` and ``level_hi`` evaluate the lower and upper level
     endpoints at (x, alpha).  Analytic level derivatives in x of orders
-    1 and 2 are optional, as lo/hi pairs; when absent, scalarized
-    derivatives fall back to finite differences.  ``domain`` is a closed
-    real interval, possibly unbounded.
+    1 and 2 are optional, as lo/hi pairs, but both orders or none: d1
+    without d2, d2 without d1, or one end of a pair raises ValueError.
+    Without them, scalarized derivatives fall back to finite
+    differences.  ``domain`` is a closed real interval, possibly
+    unbounded.
 
-    Each order's two ends are read as one level pair, derived here (see
-    ``_pair``), so that ``dataclasses.replace`` derives it anew.
+    Each order's two ends are read as one level pair, and a function
+    with analytic derivatives gets a jet, which fetches the three orders
+    at once (see ``_from_pairs``), both derived here, so that
+    ``dataclasses.replace`` derives them anew.
     """
 
     level_lo: LevelMap
@@ -162,18 +168,22 @@ class FuzzyFunction:
     def __post_init__(self):
         if not self.domain[0] <= self.domain[1]:
             raise ValueError(f"domain {self.domain} needs lo <= hi")
-        for order, lo, hi in (("d1", self.d1_lo, self.d1_hi),
-                              ("d2", self.d2_lo, self.d2_hi)):
-            if (lo is None) != (hi is None):
-                raise ValueError(f"{order}_lo and {order}_hi go together")
-        object.__setattr__(self, "_level_pair",
-                           _pair(self.level_lo, self.level_hi))
-        object.__setattr__(self, "_d1_pair", _pair(self.d1_lo, self.d1_hi))
-        object.__setattr__(self, "_d2_pair", _pair(self.d2_lo, self.d2_hi))
-        object.__setattr__(self, "_jet", _jet((
-            self.level_lo, self.level_hi, self.d1_lo, self.d1_hi,
-            self.d2_lo, self.d2_hi,
-        )))
+        derivatives = (self.d1_lo, self.d1_hi, self.d2_lo, self.d2_hi)
+        if derivatives.count(None) not in (0, 4):
+            raise ValueError("analytic derivatives come in both orders: "
+                             "d1_lo, d1_hi, d2_lo and d2_hi go together")
+        pairs = (_pair(self.level_lo, self.level_hi),
+                 _pair(self.d1_lo, self.d1_hi), _pair(self.d2_lo, self.d2_hi))
+        for name, pair in zip(("_level_pair", "_d1_pair", "_d2_pair"), pairs):
+            object.__setattr__(self, name, pair)
+        jet = None
+        if self.d1_lo is not None:
+            # the jet _from_pairs fused from these very pairs, else the
+            # pairs stacked
+            fused, jet = getattr(self.level_lo, "fused", (None, None))
+            if jet is None or fused != pairs:
+                jet = functools.partial(_stacked, pairs)
+        object.__setattr__(self, "_jet", jet)
 
     def contains(self, x):
         """Whether x lies in the closed domain, elementwise; NaN does not."""
@@ -183,14 +193,13 @@ class FuzzyFunction:
 class _Half:
     """One end of a level pair as a level map: it computes the pair and
     returns its lo end (end 0) or its hi end (end 1).  The halves that
-    _from_pairs makes with a jet carry it, and the place of their end
-    field among the six."""
+    _from_pairs makes share ``fused``: the level, d1 and d2 pairs and
+    the jet fused from them, None where none was given."""
 
-    __slots__ = ("pair", "end", "jet", "place")
+    __slots__ = ("pair", "end", "fused")
 
-    def __init__(self, pair: LevelPair, end: int,
-                 jet: Optional[LevelPair] = None, place: int = -1):
-        self.pair, self.end, self.jet, self.place = pair, end, jet, place
+    def __init__(self, pair: LevelPair, end: int, fused: tuple):
+        self.pair, self.end, self.fused = pair, end, fused
 
     def __call__(self, x, a):
         return self.pair(x, a)[self.end]
@@ -207,21 +216,13 @@ def _pair(lo: Optional[LevelMap], hi: Optional[LevelMap]) -> Optional[LevelPair]
     return lambda x, a: (lo(x, a), hi(x, a))
 
 
-def _jet(ends) -> Optional[LevelPair]:
-    """The jet of the six end fields, in field order: the one whose
-    halves, each in its own place, they all are; else None."""
-    jet = getattr(ends[0], "jet", None)
-    if jet is None or not all(type(end) is _Half and end.jet is jet
-                              and end.place == i
-                              for i, end in enumerate(ends)):
-        return None
-    return jet
-
-
-def _stacked(pairs, x, a):
-    """A jet's (lo, hi) from its level, d1 and d2 pairs called one after
-    another: the jets' path for an x that is not a float."""
-    return tuple(np.stack(np.broadcast_arrays(*ends))
+def _stacked(pairs, x: float, a):
+    """The jet of the level, d1 and d2 pairs called one after another:
+    each end's three rows, broadcast against the alpha grid, stacked on
+    a leading axis.  It is the jet of a function with analytic F' and
+    F'' that has no jet fused from its pairs: a caller's own maps, or
+    ends wrapped with dataclasses.replace."""
+    return tuple(np.stack(np.broadcast_arrays(a, *ends)[1:])
                  for ends in zip(*(pair(x, a) for pair in pairs)))
 
 
@@ -233,18 +234,20 @@ def _from_pairs(level: LevelPair, d1: Optional[LevelPair] = None,
     Its end fields are the halves of each pair, so an end called alone
     gives that end's values; the FuzzyFunction reads the pair itself.
 
-    A jet, given with d1 and d2, is one callable (x, alpha) -> (lo, hi)
-    for all three orders: the rows of lo and hi on their leading axis,
-    of length 3, have the bits of the level, d1 and d2 pairs' lo and hi.
-    The halves carry it, and the FuzzyFunction derives its ``_jet``
-    from them while its six ends are these halves, so that a _Point
-    fetches F, F' and F'' in one call; any other ends, or a caller's
-    own, have none.
+    A jet is one callable (x, alpha) -> (lo, hi) for all three orders at
+    a float x: the rows of lo and hi on their leading axis, of length 3,
+    have the bits of the level, d1 and d2 pairs' lo and hi.  The halves
+    carry it with the pairs, and the FuzzyFunction takes it as its
+    ``_jet`` while its three derived pairs are these, so that a _Point
+    fetches F, F' and F'' in one fused call; with any other ends, or no
+    jet given, it stacks its pairs (``_stacked``).  A function without
+    d1 and d2 has no jet.
     """
+    fused = (level, d1, d2), jet
     ends = []
     for pair in (level, d1, d2):
         ends += (None, None) if pair is None else (
-            _Half(pair, 0, jet, len(ends)), _Half(pair, 1, jet, len(ends) + 1)
+            _Half(pair, 0, fused), _Half(pair, 1, fused)
         )
     # the six end fields, in order
     return FuzzyFunction(*ends, **fields)
@@ -308,9 +311,9 @@ def crisp_lift(
     Each order is one level pair that computes g(x) (or d1, d2) once
     and returns its row as both ends.  The row ignores alpha apart from
     broadcasting against it: it adds 0.0 * alpha, a row kept for the last
-    shared grid seen.  With both d1 and d2, a jet (see ``_from_pairs``)
-    takes the three values at a float x as a column and adds the row to
-    it in one addition, returning the (3, m) block as both ends.
+    shared grid seen.  With d1 and d2, a jet (see ``_from_pairs``) takes
+    the three values at x as a column and adds the row to it in one
+    addition, returning the (3, m) block as both ends.
     """
     maps = (g, d1, d2)
 
@@ -327,22 +330,18 @@ def crisp_lift(
     pairs = [lift(fn) for fn in maps]
 
     def jet(x, a):
-        if not isinstance(x, float):
-            return _stacked(pairs, x, a)
         rows = np.array([fn(x) for fn in maps], float)[:, None] + _zeros(a)
         return rows, rows
 
-    return _from_pairs(*pairs,
-                       jet if d1 is not None and d2 is not None else None,
-                       domain=domain, name=name)
+    return _from_pairs(*pairs, jet, domain=domain, name=name)
 
 
 def negate(f: FuzzyFunction) -> FuzzyFunction:
     """Pointwise fuzzy negation: levels swap roles and change sign.
 
     Each order is one level pair, (-hi, -lo) from one call of f's pair,
-    so negating a built-in computes its levels once per fetch; f's jet,
-    where it has one, is flipped the same way into the negation's jet.
+    so negating a built-in computes its levels once per fetch; f's jet
+    is flipped the same way into the negation's jet.
     """
 
     def flip(pair):
@@ -546,19 +545,22 @@ class _Point:
     finite-difference stencil around x, the fuzzy value at x and the
     level slopes share one evaluation per point.  ``fetch`` takes in one
     fetch what F, F' and F'' read near x, which is how the Newton solver
-    reads each iterate: the three orders at x of f's jet where f has one
-    (a built-in with analytic F' and F''), else the levels of
-    ``column()``.  Analytic F' and F'' read the jet's fetch, made when
-    they are first read if ``fetch`` has not made it; the F' and F'' of
-    a caller's own level derivatives fetch their pair each.  F at a
-    point whose levels are not kept comes from ``scalarize``: a stencil
-    point outside the domain, which raises DomainError there, and every
-    point of a _Point that did not fetch its column, as the stationarity
-    kind of a solve and the public scalarize_d1 and scalarize_d2 read
-    theirs.
+    reads each iterate: the three orders at x of f's jet where f has
+    analytic F' and F'', else the levels of ``column()``.  Analytic F'
+    and F'' read the jet's fetch, made when they are first read if
+    ``fetch`` has not made it.  F at a point whose levels are not kept
+    comes from ``scalarize``: a stencil point outside the domain, which
+    raises DomainError there, and every point of a _Point that did not
+    fetch its column, as the stationarity kind of a solve and the public
+    scalarize_d1 and scalarize_d2 read theirs.
+
+    The levels and values are kept by point, so a 0-d array x is taken
+    as its float; any other x is kept as given, and errors name it so.
     """
 
     def __init__(self, f: FuzzyFunction, x: float, cfg: ScalarizationConfig):
+        if isinstance(x, np.ndarray):
+            x = float(x)
         _require_in_domain(f, x)
         self.f, self.x, self.cfg = f, x, cfg
         self.h = cfg.fd_step * max(1.0, abs(x))
@@ -588,10 +590,10 @@ class _Point:
                            if p != self.x and self.f.contains(p)]
 
     def fetch(self) -> None:
-        """Fetch and keep the jet's three orders at x through _levels,
-        where f has a jet, or else the levels of column() through
-        _levels_each, and integrate the block with one stacked call of
-        _integrate.
+        """Fetch and keep the jet's three orders at float(x) through
+        _levels, where f has a jet, or else the levels of column()
+        through _levels_each, and integrate the block with one stacked
+        call of _integrate.
 
         F, F' and F'' then read kept values, each row integrated by its
         own dot, so they have the bits of points and orders fetched one
@@ -611,7 +613,7 @@ class _Point:
         a solve keeps for at most a block of iterates.
         """
         if self.f._jet is not None:
-            lo, hi = _levels(self.f._jet, self.x, self.alphas, (3,))
+            lo, hi = _levels(self.f._jet, float(self.x), self.alphas, (3,))
             F, *self._orders = _integrate(lo, hi, self.w).tolist()
             self._levels.setdefault(self.x, (lo[0], hi[0]))
             self._values.setdefault(self.x, F)
@@ -663,12 +665,7 @@ class _Point:
         return self._fd
 
     def _analytic(self, order: int) -> float:
-        """F' (order 1) or F'' (order 2) from the level derivatives: the
-        jet's fetch, or a fetch of the order's own pair."""
-        if self.f._jet is None:
-            pair = self.f._d1_pair if order == 1 else self.f._d2_pair
-            lo, hi = _levels(pair, self.x, self.alphas)
-            return float(_integrate(lo, hi, self.w, self.x))
+        """F' (order 1) or F'' (order 2) from the jet's fetch."""
         if self._orders is None:
             self.fetch()
         value = self._orders[order - 1]

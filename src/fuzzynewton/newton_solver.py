@@ -162,14 +162,12 @@ def solve(f: FuzzyFunction, cfg: NewtonConfig) -> SolveResult:
     start x0 outside the domain raises DomainError, and levels that do
     not form a fuzzy number at an iterate raise MalformedFunctionError.
 
-    Each iterate is one fetch, decided once per solve: a built-in with
-    analytic F' and F'' fetches F, F' and F'' from its jet, and a
-    function without them fetches its _Point's column(); the trace has
-    the bits of points and orders fetched one at a time.  A caller's own
-    level derivatives, or wrapped ends, which have no jet, fetch each
-    order apart.  The end point's stationarity kind takes F' and F'' as
-    scalarize_d1 and scalarize_d2 do: one jet fetch, or a fetch per
-    stencil point.
+    Each iterate is one fetch, _Point.fetch: a function with analytic
+    F' and F'' fetches F, F' and F'' from its jet, and one without them
+    fetches its _Point's column(); the trace has the bits of points and
+    orders fetched one at a time.  The end point's stationarity kind
+    takes F' and F'' as scalarize_d1 and scalarize_d2 do: one jet fetch,
+    or a fetch per stencil point.
 
     The levels of each iterate are kept and checked in blocks of
     level_calculus._block_rows(m) iterates (102 at m = 101, 10 at
@@ -187,15 +185,10 @@ def solve(f: FuzzyFunction, cfg: NewtonConfig) -> SolveResult:
     # accepted steps with the level rows of x_k, up to one block
     pending: list[tuple] = []
     status = STATUS_MAX_ITER
-    # one fetch per iterate: a built-in's jet, or x and its stencil where
-    # F' or F'' reads it; a caller's own level derivatives fetch per order
-    fetch = f._jet is not None or not (f.has_analytic_d1
-                                       and f.has_analytic_d2)
     for k in range(cfg.max_iter):
         point = _Point(f, xk, cfg.scal)
         try:
-            if fetch:
-                point.fetch()
+            point.fetch()
             fval = point.value()
             d1 = point.d1()
             d2 = point.d2()
@@ -364,28 +357,30 @@ def check_point(
     with one call pair of the level maps and one validity check per
     block (one block at 25 samples and 101 levels).  The level slopes,
     and F' and F'' by the stencil, read its stencil rows; analytic F'
-    and F'' take one jet fetch, or a call pair each without a jet.  No
-    level outside the domain is read: an F'' by a one-sided stencil
-    whose outer point lies outside it raises the DomainError that
-    scalarize_d2 raises there.  F'' is taken before a sample row is
-    checked, so non-finite levels at x raise NumericError there.  Before
-    any level is fetched, a one-sided stencil warns, a domain too narrow
-    for a stencil raises DomainError where F' or F'' needs one, and an
-    nbhd or samples that is not valid, or an nbhd whose samples
-    overflow, raises ValueError.  With analytic F' and F'' such a domain
-    leaves only the level slopes unread: level_d1_max is nan, and
-    lines() says it is not available.
+    and F'' take one jet fetch.  No level outside the domain is read:
+    an F'' by a one-sided stencil whose outer point lies outside it
+    raises the DomainError that scalarize_d2 raises there.  F'' is taken
+    before a sample row is checked, so non-finite levels at x raise
+    NumericError there.  Before any level is fetched, a one-sided
+    stencil warns, a domain too narrow for a stencil raises DomainError
+    where F' or F'' needs one, and an nbhd or samples that is not
+    valid, or an nbhd whose samples overflow, raises ValueError.  With
+    analytic F' and F'' such a domain leaves only the level slopes
+    unread: level_d1_max is nan, and lines() says it is not available.
+    A 0-d array x is read as its float, as the report's xstar too.
     """
     if not math.isfinite(x):
         raise ValueError(f"xstar must be finite, got {x}")
     point = _Point(f, x, cfg.scal)
+    # a 0-d array x as the float the point keeps
+    x = point.x
     try:
         # warns of a one-sided stencil, or raises where none fits, first
         point.stencil()
         fits = True
     except DomainError:
         # analytic F' and F'' need no stencil; the level slopes do
-        if not (f.has_analytic_d1 and f.has_analytic_d2):
+        if not f.has_analytic_d1:
             raise
         fits = False
     column = point.column()

@@ -46,10 +46,11 @@ powers.
 
 The analytic kinds, a polynomial and the crisp return-risk tradeoff,
 also write a jet (``level_calculus._from_pairs``): the level, d1 and d2
-pairs from one call, with their bits, which a Newton iterate fetches
-once.  A polynomial's jet takes the powers of a float x once, reads each
-term's two cuts as one row pair of the (terms, 2, m) cut table and adds
-its product into every order it counts for, i >= n, in the pairs' order.
+pairs from one call at a float x, with their bits, which a Newton
+iterate fetches once.  A polynomial's jet takes the powers of x once,
+reads each term's two cuts as one row pair of the (terms, 2, m) cut
+table and adds its product into every order it counts for, i >= n, in
+the pairs' order.
 
 The return-risk maps scale and shift their residual square in place.
 A term's product and each sum have the operands of the plain formulas,
@@ -74,8 +75,8 @@ from .fuzzy_core import (
     TriangularFuzzy, _per_grid, _require_positive, _square_lo, triangular_to_record,
 )
 from .level_calculus import (
-    FuzzyFunction, ScalarizationConfig, _from_pairs, _stacked, crisp_lift,
-    negate, scalarize_many,
+    FuzzyFunction, ScalarizationConfig, _from_pairs, crisp_lift, negate,
+    scalarize_many,
 )
 from .newton_solver import NewtonConfig
 
@@ -208,13 +209,10 @@ def build_fuzzy_polynomial(
     pairs = [level_pair(order) for order in range(3)]
 
     def jet(x, a):
-        """The three orders' pairs as (3, ...) blocks.  For a float x the
+        """The three orders' pairs at a float x as (3, m) blocks: the
         powers are taken once, each term's two cuts are one (2, m) row
         pair, swapped as _term_cut swaps them, and each order's row pair
-        sums its terms i >= n from zeros in order, as its pair does; any
-        other x stacks the pairs."""
-        if not isinstance(x, float):
-            return _stacked(pairs, x, a)
+        sums its terms i >= n from zeros in order, as its pair does."""
         x = np.asarray(x, float)
         powers = [float(x**i) for i in range(len(coeffs))]
         table = cuts(a)[0]

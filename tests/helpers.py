@@ -101,7 +101,7 @@ def assembled_report(f, x, cfg, nbhd, samples) -> VerificationReport:
     except DomainError:
         # no stencil fits: with analytic F' and F'' only the level slopes
         # are not available
-        if not (f.has_analytic_d1 and f.has_analytic_d2):
+        if not f.has_analytic_d1:
             raise
         level_d1_max = math.nan
     d1, d2 = point.d1(), point.d2()

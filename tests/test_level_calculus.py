@@ -332,6 +332,34 @@ class TestNonFiniteRow:
         assert str(err.value) == "non-finite level values at x=-1.25e-07"
 
 
+class TestZeroDimensionalX:
+    """A 0-d array x is read as its float: a _Point keeps its levels and
+    values by that float, so every entry point gives the same bits for
+    np.array(0.5) as for 0.5."""
+
+    @pytest.mark.parametrize("fd", [False, True], ids=["analytic", "fd"])
+    def test_entry_points_give_the_bits_of_the_float(self, fd):
+        f = _fd_only(EX41) if fd else EX41
+        cfg = NewtonConfig(x0=0.5)
+
+        def bits(x):
+            v = eval_fuzzy(f, x)
+            report = check_point(f, x, cfg)
+            res = solve(f, NewtonConfig(x0=x))
+            return (
+                v.lo.tobytes(), v.hi.tobytes(),
+                *(float(value(f, x, CFG)).hex() for value in
+                  (scalarize, scalarize_d1, scalarize_d2)),
+                scalarize_many(f, x, CFG).tobytes(),
+                type(report.xstar), report_bits(report),
+                res.status, res.stationarity_kind, res.xstar.hex(),
+                [float(v).hex() for r in res.trace
+                 for v in (r.x_k, r.F, r.dF, r.d2F, r.step)],
+            )
+
+        assert bits(np.array(0.5)) == bits(0.5)
+
+
 class TestCrispLiftAndNegate:
     def test_crisp_lift_doubles_the_function(self):
         g = lambda x: np.asarray(x**2 - 3.0 * x)
@@ -374,7 +402,11 @@ class TestCrispLiftAndNegate:
 
     def test_negate_calls_a_pair_once_per_fetch(self):
         # a negation built from per-end flips computed f's pair twice per
-        # fetch; f with separate end maps calls each end once
+        # fetch; f with separate end maps calls each end once. eval_fuzzy
+        # fetches the level pair, and scalarize_d1 and scalarize_d2 each
+        # fetch f's jet, which stacks the level, d1 and d2 pairs: a jet
+        # fetch counts three pair calls where the d1 and d2 pairs, each
+        # fetched alone, counted one
         calls = []
 
         def counted(pair):
@@ -395,7 +427,7 @@ class TestCrispLiftAndNegate:
             eval_fuzzy(n, 1.0)
             scalarize_d1(n, 1.0, CFG)
             scalarize_d2(n, 1.0, CFG)
-            assert calls == 3 * per_fetch
+            assert calls == (1 + 3 + 3) * per_fetch
 
 
 def _ends_counted(f, calls):
@@ -419,10 +451,19 @@ class TestLevelPairs:
 
     def test_the_halves_of_a_pair_give_back_that_pair(self):
         f = FuzzyFunction(EX41.level_lo, EX41.level_hi, EX41.d1_lo,
-                          EX41.d1_hi)
+                          EX41.d1_hi, EX41.d2_lo, EX41.d2_hi)
         assert f._level_pair is EX41._level_pair
-        assert f._d1_pair is EX41._d1_pair and f._d2_pair is None
-        assert dataclasses.replace(EX41)._level_pair is EX41._level_pair
+        assert f._d1_pair is EX41._d1_pair and f._d2_pair is EX41._d2_pair
+        # the pairs the jet was fused from give back that jet
+        assert f._jet is EX41._jet
+        assert dataclasses.replace(EX41)._jet is EX41._jet
+        # the same halves in other orders stack their pairs
+        swapped = FuzzyFunction(EX41.level_lo, EX41.level_hi, EX41.d2_lo,
+                                EX41.d2_hi, EX41.d1_lo, EX41.d1_hi)
+        assert swapped._jet.func is level_calculus._stacked
+        assert swapped._jet.args == (
+            (EX41._level_pair, EX41._d2_pair, EX41._d1_pair),
+        )
 
     def test_swapped_or_mixed_halves_call_each_end(self):
         a = level_calculus._grid(11)
@@ -438,14 +479,35 @@ class TestLevelPairs:
 
 class TestDerivatives:
     def test_half_a_derivative_pair_is_rejected(self):
-        for field in ("d1_lo", "d1_hi", "d2_lo", "d2_hi"):
-            order = field[:2]
-            with pytest.raises(ValueError, match=f"{order}_lo and {order}_hi"):
-                dataclasses.replace(EX41, **{field: None})
+        # analytic derivatives come as both ends of both orders or not
+        # at all: half a pair, d1 only or d2 only is rejected
+        rule = "d1_lo, d1_hi, d2_lo and d2_hi go together"
+        halves = [{field: None} for field in ("d1_lo", "d1_hi", "d2_lo",
+                                              "d2_hi")]
+        one_order = [dict(d2_lo=None, d2_hi=None), dict(d1_lo=None, d1_hi=None)]
+        for fields in halves + one_order:
+            with pytest.raises(ValueError, match=rule):
+                dataclasses.replace(EX41, **fields)
         # once read as no analytic d1: scalarize_d1 took finite differences
-        with pytest.raises(ValueError, match="d1_lo and d1_hi go together"):
+        with pytest.raises(ValueError, match=rule):
             FuzzyFunction(EX41.level_lo, EX41.level_hi,
                           d1_lo=lambda x, a: 1e9 + 0.0 * a)
+        g = lambda x: x * x
+        for derivatives in ({"d1": g}, {"d2": g}):
+            with pytest.raises(ValueError, match=rule):
+                crisp_lift(g, **derivatives)
+
+    def test_maps_flat_in_alpha_give_the_stacked_jet_a_row_each(self):
+        # a caller's maps that return one number at a float x, not a row,
+        # are broadcast to the grid in the stacked jet as _levels does for
+        # a pair alone: F' and F'' have the bits of the crisp lift, whose
+        # rows add 0.0 * alpha
+        maps = (lambda x: x**3, lambda x: 3.0 * x**2, lambda x: 6.0 * x)
+        ends = [(lambda g: lambda x, a: g(x))(g) for g in maps for _ in "lh"]
+        f, lift = FuzzyFunction(*ends), crisp_lift(*maps)
+        for derivative in (scalarize_d1, scalarize_d2):
+            assert derivative(f, 2.0, CFG).hex() == derivative(
+                lift, 2.0, CFG).hex()
 
     def test_analytic_path_matches_closed_form(self):
         for x in (-1.2, -0.3, 0.0, 0.8, 1.9):

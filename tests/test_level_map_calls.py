@@ -20,7 +20,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fuzzynewton import TriangularFuzzy, cli
+from fuzzynewton import FuzzyFunction, TriangularFuzzy, cli
 from fuzzynewton import level_calculus
 from fuzzynewton.level_calculus import _block_rows
 from fuzzynewton.newton_solver import (
@@ -62,21 +62,26 @@ def _builtin(name):
 
 
 # (solve, verify_solution) at each built-in's recommended settings.
-# solve ends with F' and F'' at xstar for its stationarity kind: with
-# analytic derivatives, 2 calls each; by the stencil, a scalarize call
-# pair per stencil point. Each finite-difference iterate fetches x and
-# its stencil as one x-column, one call pair: max_return_fuzzy's 11
-# iterations and its stationarity kind make 2 x (11 + 3). Fetching x
-# and each other stencil point apart made 72.
+# Wrapped ends have analytic F' and F'' through their jet, the three
+# pairs stacked, which calls all six ends: 6 calls per jet fetch. Each
+# analytic iterate and the stationarity kind at xstar fetch the jet:
+# example_4_1's 5 iterations make 6 x (5 + 1). By the stencil the
+# stationarity kind takes a scalarize call pair per stencil point. Each
+# finite-difference iterate fetches x and its stencil as one x-column,
+# one call pair: max_return_fuzzy's 11 iterations and its stationarity
+# kind make 2 x (11 + 3). Fetching x and each other stencil point apart
+# made 72.
 # verify_solution: one x-column call per level map for each block of
 # the column of xstar, its two other stencil points and the kept
 # samples of the three sampling checks (3 + 74 or 75 rows, one block),
-# plus F' and F'' with analytic derivatives (2 each). The level slopes
-# and a finite-difference F' and F'' read the column's stencil rows.
-# Fetching the stencil and each check apart made 14/14/12.
+# plus one jet fetch with analytic derivatives (6 calls). The level
+# slopes and a finite-difference F' and F'' read the column's stencil
+# rows. Fetching the stencil and each check apart made 14/14/12.
+# Fetching F' and F'' each from its own pair, not order 0 with them,
+# made 34/58 per solve and 6/6 per verify.
 BUILTIN_CALLS = {
-    "example_4_1": (34, 6),
-    "max_return_crisp": (58, 6),
+    "example_4_1": (36, 8),
+    "max_return_crisp": (60, 8),
     "max_return_fuzzy": (28, 2),
 }
 
@@ -133,16 +138,35 @@ def test_solve_and_verify_fetch_each_pair_once(monkeypatch, name):
     assert (solve_calls, len(fetched)) == BUILTIN_FETCHES[name]
 
 
+def _caller_built():
+    """An analytic function of a caller's own, six plain closures and
+    no _from_pairs: g(x) = (x - 1/2)^2 + x^4 >= 0 spread by 1 + alpha
+    below and 3 - alpha above, so F = 4 g, and each end's F' and F''."""
+
+    def ends(g):
+        return lambda x, a: g(x) * (1.0 + a), lambda x, a: g(x) * (3.0 - a)
+
+    return FuzzyFunction(*ends(lambda x: (x - 0.5) ** 2 + x**4),
+                         *ends(lambda x: 2.0 * (x - 0.5) + 4.0 * x**3),
+                         *ends(lambda x: 2.0 + 12.0 * x**2))
+
+
 @pytest.mark.parametrize("name, sense", [
     ("example_4_1", "minimize"), ("max_return_crisp", "minimize"),
-    ("example_4_1", "maximize"),
+    ("example_4_1", "maximize"), ("caller_built", "minimize"),
 ])
 def test_analytic_solve_fetches_its_jet_once_per_iteration(monkeypatch,
                                                            name, sense):
     # F, F' and F'' of an iterate from one jet fetch, and F' and F'' of
-    # the stationarity kind at xstar from one more; negate flips the jet
-    resolved = resolve_problem(ProblemSpec(kind=name, sense=sense, x0=-1.0))
-    f, cfg = resolved.function, resolved.config
+    # the stationarity kind at xstar from one more; negate flips the jet,
+    # and a caller's own maps fetch their pairs stacked as their jet,
+    # where they fetched each order's pair apart (3 per iterate)
+    if name == "caller_built":
+        f, cfg = _caller_built(), NewtonConfig(x0=-1.0)
+    else:
+        resolved = resolve_problem(ProblemSpec(kind=name, sense=sense,
+                                               x0=-1.0))
+        f, cfg = resolved.function, resolved.config
     assert f._jet is not None
     fetched = _count_fetches(monkeypatch, f)
     result = solve(f, cfg)
@@ -212,23 +236,25 @@ def _column_rows(f, x, nbhd, samples):
 
 # verify_solution's calls at 25 and 101 samples per check: 1 and 3
 # blocks of 102 rows. Each check fetching its own block made 14/14/12
-# at both.
+# at both; F' and F'' from their own pairs, not the jet, 6/6/2 and
+# 10/10/6.
 SAMPLE_CALLS = {
-    "example_4_1": [6, 10],
-    "max_return_crisp": [6, 10],
+    "example_4_1": [8, 12],
+    "max_return_crisp": [8, 12],
     "max_return_fuzzy": [2, 6],
 }
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLE_CALLS))
 def test_verify_calls_grow_by_blocks_of_the_column(name):
-    # calls = analytic pairs + 2 x blocks of the column: the samples add
-    # a level-map call pair per block of rows, not per sample or check
+    # calls = a jet fetch's 6 with analytic F' and F'' + 2 x blocks of
+    # the column: the samples add a level-map call pair per block of
+    # rows, not per sample or check
     f, cfg = _builtin(name)
     counter = Counter()
     counted = counter.wrap(f)
     result = solve(counted, cfg)
-    analytic = 2 * (f.has_analytic_d1 + f.has_analytic_d2)
+    analytic = 6 if f.has_analytic_d1 else 0
     calls = []
     for samples in (25, 101):
         counter.calls = 0
@@ -244,13 +270,13 @@ def test_verify_stops_fetching_once_every_check_is_decided():
     # At example_4_1's maximizer -4/3 with 300 samples per check, the
     # column is 903 rows, 9 blocks. Non-dominance reads its 300 rows,
     # and each comparability check is decided by its first sample, row
-    # 303 and row 603, in the sixth block: analytic pairs + 2 x 6.
+    # 303 and row 603, in the sixth block: a jet fetch + 2 x 6.
     f, _ = _builtin("example_4_1")
     counter = Counter()
     report = check_point(counter.wrap(f), -4.0 / 3.0, NewtonConfig(x0=0.0),
                          samples=300)
     assert (report.comp_plus.samples, report.comp_minus.samples) == (1, 1)
-    assert counter.calls == 4 + 2 * 6
+    assert counter.calls == 6 + 2 * 6
 
 
 # TriangularFuzzy.cut calls of a freshly built function over a solve
@@ -299,11 +325,12 @@ def _cli_calls(monkeypatch, argv, code):
 # A `solve` report: the solve and the verification of BUILTIN_CALLS,
 # plus the answer's fuzzy value and F(xstar) from one evaluation of
 # xstar (2 calls). Evaluating them apart made 52/76/88, fetching the
-# verification's stencil and each check apart 50/74/86, and fetching a
-# finite-difference iterate's stencil points apart 42/66/76.
+# verification's stencil and each check apart 50/74/86, fetching a
+# finite-difference iterate's stencil points apart 42/66/76, and F'
+# and F'' each from its own pair, not the jet, 42/66/32.
 REPORT_CALLS = {
-    "example_4_1": 42,
-    "max_return_crisp": 66,
+    "example_4_1": 46,
+    "max_return_crisp": 70,
     "max_return_fuzzy": 32,
 }
 
@@ -317,9 +344,10 @@ def test_solve_report_evaluates_the_answer_once(monkeypatch, name):
 def test_table_solves_without_verifying(monkeypatch, tmp_path):
     # The five-row reference sweep of the CLI golden test: a solve and
     # the fuzzy value at xstar per row. Verifying each row as well, and
-    # evaluating F(xstar) apart, made 1028 calls, and fetching the fuzzy
-    # row's stencil points apart 314. Each crisp row's stationarity kind
-    # takes F' at xstar: 2 calls.
+    # evaluating F(xstar) apart, made 1028 calls, fetching the fuzzy
+    # row's stencil points apart 314, and F' and F'' each from its own
+    # pair, not the jet, 270. Each crisp row's stationarity kind fetches
+    # the jet at xstar: 6 calls.
     sweep = tmp_path / "sweep.json"
     sweep.write_text(json.dumps(FILES["sweep.json"]))
-    assert _cli_calls(monkeypatch, ["table", "--sweep", str(sweep)], 0) == 270
+    assert _cli_calls(monkeypatch, ["table", "--sweep", str(sweep)], 0) == 278

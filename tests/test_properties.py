@@ -5,7 +5,6 @@ import contextlib
 import copy
 import dataclasses
 import io
-import itertools
 import json
 import math
 import os
@@ -66,6 +65,7 @@ from fuzzynewton.fuzzy_core import (
 )
 from fuzzynewton.level_calculus import (
     FuzzyFunction, _integrate, _levels, _levels_each, _quad_weights,
+    _stacked,
 )
 from fuzzynewton.problems import (
     BUILTIN_NAMES,
@@ -927,13 +927,14 @@ def assert_rows_bits(got, want):
 
 
 def assert_jet_bits(f, x, a):
-    """The rows of f's jet and of negate(f)'s at (x, a), on their leading
-    axis, are those of the level, d1 and d2 pairs, for x as a float and
-    as a 0-d array, which takes the stacked pairs' path."""
-    for g, form in itertools.product((f, negate(f)), (x, np.array(x))):
+    """The rows of f's jet, of negate(f)'s and of the stacked pairs of
+    f's wrapped ends at (x, a), on their leading axis, are those of the
+    level, d1 and d2 pairs, for x a float, as _Point.fetch hands a jet
+    its x."""
+    for g in (f, negate(f), _ends_wrapped(f)):
         with np.errstate(all="ignore"):
-            jet = g._jet(form, a)
-            pairs = [pair(form, a) for pair in
+            jet = g._jet(x, a)
+            pairs = [pair(x, a) for pair in
                      (g._level_pair, g._d1_pair, g._d2_pair)]
         for end in (0, 1):
             assert jet[end].shape == (3,) + np.shape(a)
@@ -949,7 +950,8 @@ JET_M = st.sampled_from([3, 11, 101, 1001])
 
 
 def _ends_wrapped(f):
-    """f with its six ends wrapped, as a caller's own maps: no jet."""
+    """f with its six ends wrapped, as a caller's own maps: its jet
+    stacks the pairs that call each end."""
     return dataclasses.replace(f, **{
         field: (lambda end: lambda x, a: end(x, a))(getattr(f, field))
         for field in ("level_lo", "level_hi", "d1_lo", "d1_hi", "d2_lo",
@@ -969,10 +971,10 @@ def _solve_bits(res):
 
 
 class TestJetKeepsTheBitsOfItsPairs:
-    """A built-in with analytic F' and F'' has a jet, one call for its
-    level, d1 and d2 rows; they have the bits of the three pairs, so a
-    solve that fetches the jet reads what one that fetches each order's
-    pair reads."""
+    """A built-in with analytic F' and F'' has a jet fused from its
+    pairs, one call for its level, d1 and d2 rows; they have the bits of
+    the three pairs, so a solve that fetches the fused jet reads what
+    one that fetches the pairs stacked reads."""
 
     @given(st.lists(st.just(TriangularFuzzy(0.0, 0.0, 0.0))
                     | triangulars(lo=-5.0, span=3.0), min_size=1, max_size=6),
@@ -994,7 +996,7 @@ class TestJetKeepsTheBitsOfItsPairs:
         f, cfg = (lambda r: (r.function, r.config))(resolve_problem(
             ProblemSpec(kind=kind, sense=sense, x0=x0, alpha_points=m)))
         wrapped = _ends_wrapped(f)
-        assert f._jet is not None and wrapped._jet is None
+        assert f._jet is f.level_lo.fused[1] and wrapped._jet.func is _stacked
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore", OneSidedStencilWarning)
             assert _solve_bits(solve(f, cfg)) == _solve_bits(
