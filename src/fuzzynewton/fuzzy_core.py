@@ -13,8 +13,10 @@ nonexistence is reported as a value, not an exception).  The level
 invariants and the order are each defined once, as private kernels over
 level arrays of any leading shape, so that a block of many samples is
 validated and compared at once; FuzzyNumber and leq/lt/comparable call
-the same kernels.  One kernel, _invalid_rows, decides in a few numpy
-calls whether each row is a fuzzy number; only a row it rejects is
+the same kernels.  One kernel, _invalid_rows, decides whether each row
+is a fuzzy number: a block whose rows are monotone with no tolerance,
+as the built-ins' levels are, in one comparison pass per invariant,
+and any other block by the tolerant test; only a row it rejects is
 worded, by _level_faults, which finds the first fault at the lowest
 alpha.  Rows of a block that it accepted become FuzzyNumbers without a
 second check (_accepted_numbers).
@@ -333,14 +335,42 @@ _FAULTS = (
 )
 
 
+def _steps_hold(op, ends: np.ndarray) -> bool:
+    """Whether op(next, previous) holds at every step from one level to
+    the next of levels shaped (..., m).  The rows are compared as one
+    flat run, its steps from one row into the next set True: a strided
+    comparison of the row slices fills numpy's ufunc buffers for both
+    operands (128 KiB) and takes about twice as long."""
+    flat = ends.reshape(-1)
+    steps = op(flat[1:], flat[:-1])
+    m = ends.shape[-1]
+    steps[m - 1::m] = True
+    return bool(steps.all())
+
+
 def _invalid_rows(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Which rows of levels shaped (..., m) are not fuzzy numbers.
 
     The one kernel that decides validity, for a FuzzyNumber and for a
-    block of sampled levels alike.  A row is finite exactly when its
-    _slack is, so finiteness is read from that one value per row and not
-    from each endpoint.
+    block of sampled levels alike.  A block is accepted at once when
+    every row passes a test with no tolerance: lo nondecreasing and hi
+    nonincreasing, lo <= hi at the top level, and both bottom endpoints
+    finite.  That is exact.  Such a row has lo_k <= lo_top <= hi_top <=
+    hi_k, with every endpoint between two finite bottom ones, so no mask
+    of the tolerant test is set on it; and a NaN fails every comparison,
+    so a row with one never passes.  Any other block is decided by the
+    tolerant test, _breaks within _slack, in which a row is finite
+    exactly when its _slack is, so finiteness is read from that one
+    value per row and not from each endpoint.
     """
+    if (
+        _steps_hold(np.greater_equal, lo)
+        and _steps_hold(np.less_equal, hi)
+        and (lo[..., -1] <= hi[..., -1]).all()
+        and np.isfinite(lo[..., 0]).all()
+        and np.isfinite(hi[..., 0]).all()
+    ):
+        return np.zeros(lo.shape[:-1], bool)
     # inf - inf gives nan only in rows whose slack is not finite
     with np.errstate(invalid="ignore"):
         tol = _slack(lo, hi)
@@ -501,10 +531,10 @@ def _leq(a_lo, a_hi, b_lo, b_hi) -> np.ndarray:
 
 
 def _lt(a_lo, a_hi, b_lo, b_hi) -> np.ndarray:
-    """Strict fuzzy-max order, row by row: _leq plus strictness at some
-    grid alpha."""
-    strict = np.any(a_lo < b_lo, axis=-1) | np.any(a_hi < b_hi, axis=-1)
-    return _leq(a_lo, a_hi, b_lo, b_hi) & strict
+    """Strict fuzzy-max order, row by row: a <= b and not b <= a.  Where
+    a <= b holds, no endpoint is NaN, so b <= a fails exactly where a is
+    strictly below b at some grid alpha."""
+    return _leq(a_lo, a_hi, b_lo, b_hi) & ~_leq(b_lo, b_hi, a_lo, a_hi)
 
 
 def _comparable(a_lo, a_hi, b_lo, b_hi) -> np.ndarray:

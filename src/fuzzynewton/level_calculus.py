@@ -64,9 +64,10 @@ by one scanner, ``_first_witness``, from one x-column: the point, any
 other points whose levels the caller wants (a verification's: the rest
 of its _Point's ``column()``), then each check's samples in the domain.
 The column is fetched in scalarize_many's blocks, one at a time, with
-one fetch of the level pair and one call of fuzzy_core's row-wise
-invariant kernel per block, and each check compares its own rows with a
-row-wise order kernel.  So a verification is one fetch: its point's
+one fetch of the level pair, one call of fuzzy_core's row-wise
+invariant kernel and one row-wise order kernel per block: whether each
+sample is below x0 and whether x0 is below it, from which each check
+reads its witnesses.  So a verification is one fetch: its point's
 column and all three checks take one fetch per block of 102 rows at 101
 levels.  Verdicts,
 witnesses and errors are those of taking the samples one at a time in
@@ -94,10 +95,9 @@ from .fuzzy_core import (
     _ALPHA_POINTS,
     FuzzyNumber,
     _accepted_numbers,
-    _comparable,
     _grid,
     _invalid_rows,
-    _lt,
+    _leq,
     _per_grid,
     _require_integer,
     _require_positive,
@@ -755,9 +755,9 @@ def _first_witness(
     lead=(), on_lead: Optional[Callable] = None,
 ) -> tuple[list, object]:
     """For each check (xs, is_witness, report), report(i, used): i the
-    index in xs of its first sample x with is_witness(f(x), f(x0)), or
-    None, and used the number of samples it compared; and what on_lead
-    returned.
+    index in xs of its first sample x with is_witness(f(x) <= f(x0),
+    f(x0) <= f(x)) in the fuzzy-max order, or None, and used the number
+    of samples it compared; and what on_lead returned.
 
     Samples outside the domain are skipped, and so are samples within
     1e-12 * max(1, |x0|, reach) of x0, reach being how far the samples
@@ -768,10 +768,12 @@ def _first_witness(
     column()) and each check's kept samples, in that order, make one
     x-column, fetched in scalarize_many's blocks with one _invalid_rows
     call per block.  Once the rows of x0 and lead are in,
-    on_lead gets copies of them, before a sample row is read.  Each
-    check then scans its own rows, which may span blocks, with an
-    order kernel of fuzzy_core against x0's row: the first row that is
-    a witness or breaks an invariant decides, and a broken row raises
+    on_lead gets copies of them, before a sample row is read.  One order
+    kernel per block, fuzzy_core's _leq in each direction against x0's
+    row, covers the rows of the checks not yet decided; each check then
+    scans its own rows, which may span blocks, with its is_witness on
+    those two masks: the first row that is a witness or breaks an
+    invariant decides, and a broken row raises
     MalformedFunctionError, as when the samples are taken one at a time
     and the checks one after another.  So does a broken x0, whatever the
     samples; lead rows are not checked.  Fetching stops once every check
@@ -787,12 +789,13 @@ def _first_witness(
     ]
     sizes = [int(np.count_nonzero(k)) for k in kept]
     head = 1 + len(lead)
-    # check c reads rows ends[c] - sizes[c] to ends[c] of points
-    ends = head + np.cumsum(sizes, dtype=int)
+    # check c reads rows firsts[c] to ends[c] of points
+    ends = (head + np.cumsum(sizes, dtype=int)).tolist()
+    firsts = [end - size for end, size in zip(ends, sizes)]
     points = np.empty(head + sum(sizes))
     points[:head] = x0, *lead
-    for (xs, *_), k, size, end in zip(checks, kept, sizes, ends):
-        points[end - size:end] = xs[k]
+    for (xs, *_), k, first, end in zip(checks, kept, firsts, ends):
+        points[first:end] = xs[k]
     found = [None if size else (None, 0) for size in sizes]
     # copies of the rows of x0 (the base of every order) and lead
     base = np.empty((2, head, m))
@@ -812,25 +815,32 @@ def _first_witness(
                 if x0_bad:
                     # raises: x0's row breaks an invariant
                     _fuzzy_numbers(f, [x0], base[0, :1], base[1, :1])
-        for c, (_, is_witness, _) in enumerate(checks):
-            first, end = int(ends[c]) - sizes[c], int(ends[c])
-            if found[c] is not None or end <= start or stop <= first:
-                continue
-            rows = slice(max(first, start) - start, min(end, stop) - start)
-            hits = np.flatnonzero(
-                bad[rows] | is_witness(lo[rows], hi[rows], *base[:, 0])
-            )
+        live = [
+            c for c, hit in enumerate(found)
+            if hit is None and firsts[c] < stop and start < ends[c]
+        ]
+        if live:
+            # block rows top to bottom hold every live check's rows here
+            top = max(firsts[live[0]], start) - start
+            bottom = min(ends[live[-1]], stop) - start
+            le = _leq(lo[top:bottom], hi[top:bottom], *base[:, 0])
+            ge = _leq(*base[:, 0], lo[top:bottom], hi[top:bottom])
+        for c in live:
+            a = max(firsts[c], start) - start
+            b = min(ends[c], stop) - start
+            mine = slice(a - top, b - top)
+            hits = np.flatnonzero(bad[a:b] | checks[c][1](le[mine], ge[mine]))
             if hits.size:
-                r = rows.start + int(hits[0])
+                r = a + int(hits[0])
                 if bad[r]:
                     # raises: row r breaks an invariant
                     _fuzzy_numbers(
                         f, [float(block[r])], lo[r:r + 1], hi[r:r + 1]
                     )
                 # row start + r of points is check c's i-th kept sample
-                i = start + r - first
+                i = start + r - firsts[c]
                 found[c] = int(np.flatnonzero(kept[c])[i]), i + 1
-            elif end <= stop:
+            elif ends[c] <= stop:
                 found[c] = None, sizes[c]
         # no view of this block may outlive it into the next fetch
         del lo, hi, bad
@@ -839,9 +849,16 @@ def _first_witness(
     return [report(*hit) for (*_, report), hit in zip(checks, found)], measured
 
 
-def _incomparable(*levels) -> np.ndarray:
-    """Not comparable in the fuzzy-max order, row by row."""
-    return ~_comparable(*levels)
+def _below(le: np.ndarray, ge: np.ndarray) -> np.ndarray:
+    """Non-dominance's witness test: a sample strictly below x0 in the
+    fuzzy-max order, from le = (sample <= x0) and ge = (x0 <= sample)."""
+    return le & ~ge
+
+
+def _unrelated(le: np.ndarray, ge: np.ndarray) -> np.ndarray:
+    """Comparability's witness test: a sample related to x0 in neither
+    direction of the fuzzy-max order."""
+    return ~(le | ge)
 
 
 def _require_finite_samples(x0: float, nbhd: float, samples: int,
@@ -857,28 +874,35 @@ def _require_finite_samples(x0: float, nbhd: float, samples: int,
         )
 
 
-def _comparability(x0: float, d: float, delta: float, samples: int):
-    """The samples, order kernel and report of comparability_check."""
+def _comparability(x0: float, directions, delta: float, samples: int):
+    """The samples, witness test and report of comparability_check, one
+    check per direction d of directions, all on one grid of lambdas."""
     _require_positive("nbhd", delta)
     _require_integer("samples", samples, 0)
-    if not (math.isfinite(d) and d):
-        raise ValueError(f"direction d must be finite and nonzero, got {d}")
     lams = np.linspace(0.0, delta, samples + 2)[1:-1]
-    # the last sample is the farthest from x0
-    _require_finite_samples(x0, delta, samples,
-                            lambda: x0 + float(lams[-1]) * d)
 
-    def report(i, used):
-        return ComparabilityReport(
-            direction=d, delta=delta, samples=used,
-            witness=None if i is None else float(lams[i]),
-        )
+    def check(d):
+        if not (math.isfinite(d) and d):
+            raise ValueError(
+                f"direction d must be finite and nonzero, got {d}"
+            )
+        # the last sample is the farthest from x0
+        _require_finite_samples(x0, delta, samples,
+                                lambda: x0 + float(lams[-1]) * d)
 
-    return x0 + lams * d, _incomparable, report
+        def report(i, used):
+            return ComparabilityReport(
+                direction=d, delta=delta, samples=used,
+                witness=None if i is None else float(lams[i]),
+            )
+
+        return x0 + lams * d, _unrelated, report
+
+    return [check(d) for d in directions]
 
 
 def _non_dominance(xstar: float, eps_nbhd: float, samples: int):
-    """The samples, order kernel and verdict of non_dominance_check."""
+    """The samples, witness test and verdict of non_dominance_check."""
     _require_positive("nbhd", eps_nbhd)
     _require_integer("samples", samples, 0)
     lo, hi = xstar - eps_nbhd, xstar + eps_nbhd
@@ -892,7 +916,7 @@ def _non_dominance(xstar: float, eps_nbhd: float, samples: int):
             samples=used, dominator=None if i is None else float(grid[i]),
         )
 
-    return grid, _lt, verdict
+    return grid, _below, verdict
 
 
 # How a check that compared no sample describes itself.
@@ -946,7 +970,7 @@ def comparability_check(
     whose samples around a finite x0 overflow.
     """
     (report,), _ = _first_witness(
-        f, x0, [_comparability(x0, d, delta, samples)], delta, m
+        f, x0, _comparability(x0, (d,), delta, samples), delta, m
     )
     return report
 

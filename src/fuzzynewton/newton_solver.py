@@ -354,8 +354,9 @@ def check_point(
     One fetch serves the whole verification: the column() of x's
     _Point, which a Newton iterate fetches too, and the kept samples of
     the three checks are one x-column, read in level_calculus's blocks
-    with one call pair of the level maps and one validity check per
-    block (one block at 25 samples and 101 levels).  The level slopes,
+    with one call pair of the level maps, one validity check and one
+    order kernel per block (one block at 25 samples and 101 levels); the
+    two comparability checks share one grid of lambdas.  The level slopes,
     and F' and F'' by the stencil, read its stencil rows; analytic F'
     and F'' take one jet fetch.  No level outside the domain is read:
     an F'' by a one-sided stencil whose outer point lies outside it
@@ -386,8 +387,7 @@ def check_point(
     column = point.column()
     checks = [
         _non_dominance(x, nbhd, samples),
-        _comparability(x, +1.0, nbhd, samples),
-        _comparability(x, -1.0, nbhd, samples),
+        *_comparability(x, (+1.0, -1.0), nbhd, samples),
     ]
 
     def derivatives(lo, hi):

@@ -46,6 +46,38 @@ def assert_same_bits(got, want) -> None:
     assert got.tobytes() == want.tobytes()
 
 
+def old_lt(a_lo, a_hi, b_lo, b_hi) -> np.ndarray:
+    """The strict fuzzy-max order as first written, row by row: both
+    endpoints ordered at every alpha, and one strictly at some alpha."""
+    leq = np.all(a_lo <= b_lo, axis=-1) & np.all(a_hi <= b_hi, axis=-1)
+    strict = np.any(a_lo < b_lo, axis=-1) | np.any(a_hi < b_hi, axis=-1)
+    return leq & strict
+
+
+def old_comparable(a_lo, a_hi, b_lo, b_hi) -> np.ndarray:
+    """Related in either direction of the fuzzy-max order, row by row, as
+    first written: each direction's endpoints ordered at every alpha."""
+    return (
+        np.all(a_lo <= b_lo, axis=-1) & np.all(a_hi <= b_hi, axis=-1)
+    ) | (np.all(b_lo <= a_lo, axis=-1) & np.all(b_hi <= a_hi, axis=-1))
+
+
+def exactly_monotone(lo, hi) -> np.ndarray:
+    """Which rows of levels shaped (..., m) are fuzzy numbers with no
+    tolerance, each level by itself: lo nondecreasing, hi nonincreasing,
+    lo <= hi at the top level and finite bottom endpoints."""
+    lo, hi = np.asarray(lo), np.asarray(hi)
+    shape = lo.shape[:-1]
+    rows = zip(lo.reshape(-1, lo.shape[-1]), hi.reshape(-1, hi.shape[-1]))
+    return np.array([
+        all(l1 >= l0 for l0, l1 in zip(row_lo, row_lo[1:]))
+        and all(h1 <= h0 for h0, h1 in zip(row_hi, row_hi[1:]))
+        and row_lo[-1] <= row_hi[-1]
+        and math.isfinite(row_lo[0]) and math.isfinite(row_hi[0])
+        for row_lo, row_hi in rows
+    ], bool).reshape(shape)
+
+
 def old_crisp_level(g, x, a):
     """crisp_lift's level map as first written: g(x) plus a fresh
     0.0 * alpha row on every call."""

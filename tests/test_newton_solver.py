@@ -389,6 +389,22 @@ class TestTraceFuzzyValues:
         assert shapes == blocks
 
 
+@pytest.mark.parametrize("m", [101, 1001])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_levels_never_take_the_tolerant_test(monkeypatch, name, m):
+    # the built-ins' levels are exactly monotone, so every block of a
+    # solve and of a check at its answer passes _invalid_rows' exact test
+    def tolerant(*args):
+        raise AssertionError(f"_breaks ran on {np.shape(args[0])}")
+
+    monkeypatch.setattr(fuzzy_core, "_breaks", tolerant)
+    problem = resolve_problem(ProblemSpec(kind=name, alpha_points=m))
+    res = solve(problem.function, problem.config)
+    assert res.status == STATUS_CONVERGED
+    rep = check_point(problem.function, res.xstar, problem.config)
+    assert rep.non_dominance.samples > 0
+
+
 def _scalar_only(f):
     """f with a level pair that takes a float x only, so that
     _levels_each fetches each point of an x-column by itself."""

@@ -12,6 +12,7 @@ import pickle
 import re
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -55,17 +56,20 @@ from fuzzynewton import (
     solve,
     square,
 )
-from fuzzynewton import cli
+from fuzzynewton import cli, fuzzy_core
 from fuzzynewton.fuzzy_core import (
     EQUALITY_TOL,
+    _comparable,
     _grid,
     _invalid_rows,
+    _leq,
     _level_faults,
+    _lt,
     _square_lo,
 )
 from fuzzynewton.level_calculus import (
-    FuzzyFunction, _integrate, _levels, _levels_each, _quad_weights,
-    _stacked,
+    FuzzyFunction, _below, _integrate, _levels, _levels_each,
+    _quad_weights, _stacked, _unrelated,
 )
 from fuzzynewton.problems import (
     BUILTIN_NAMES,
@@ -91,11 +95,14 @@ from helpers import (
     assert_same_bits,
     assert_valid_fuzzy,
     crisp_polynomial,
+    exactly_monotone,
     finite,
     fuzzy_numbers,
     fuzzy_pairs,
     fuzzy_triples,
+    old_comparable,
     old_crisp_level,
+    old_lt,
     old_polynomial_level,
     old_return_risk_levels,
     positive_fuzzy_numbers,
@@ -235,6 +242,45 @@ class TestOrderAxioms:
             assert leq(a, b)
             assert not levels_equal(a, b, tol=0.0)
             assert comparable(a, b)
+
+
+@st.composite
+def order_blocks(draw):
+    """x0's levels shaped (m,) and a block of rows shaped (n, m) to
+    compare with them, each endpoint one of a few values, so that ties
+    and strict orders are common, with NaN and both infinities."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    ends = st.lists(
+        st.sampled_from([-math.inf, -1.0, 0.0, 1.0, math.inf, math.nan]),
+        min_size=m, max_size=m,
+    )
+    x0 = tuple(np.array(draw(ends)) for _ in range(2))
+    rows = tuple(
+        np.array(draw(st.lists(ends, min_size=n, max_size=n)))
+        for _ in range(2)
+    )
+    return x0, rows
+
+
+class TestOrderKernels:
+    """_lt and _comparable, and the witness tests that _first_witness
+    reads from the two _leq masks of a block, give the bits of the
+    order as first written (helpers.old_lt and old_comparable), with
+    ties, NaN and infinities."""
+
+    @given(order_blocks())
+    def test_kernels_give_the_first_formulas(self, block):
+        x0, rows = block
+        for a, b in ((rows, x0), (x0, rows)):
+            np.testing.assert_array_equal(_lt(*a, *b), old_lt(*a, *b))
+            np.testing.assert_array_equal(
+                _comparable(*a, *b), old_comparable(*a, *b)
+            )
+        le, ge = _leq(*rows, *x0), _leq(*x0, *rows)
+        np.testing.assert_array_equal(_below(le, ge), old_lt(*rows, *x0))
+        np.testing.assert_array_equal(
+            _unrelated(le, ge), ~old_comparable(*rows, *x0)
+        )
 
 
 class TestQuadratureIsMonotone:
@@ -386,12 +432,15 @@ def last_good(bad, v, toward):
 @st.composite
 def level_rows(draw, m):
     """One row of levels on the m-point grid, as (lo, hi): a fuzzy
-    number, or one with a NaN or an infinity in lo or in hi, or with a
-    crossing or a nestedness break exactly at the row's tolerance or
-    one ulp past it.
+    number, exactly monotone, or a crisp one, flat in alpha; or one with
+    a NaN or an infinity in lo or in hi, or infinite bottom levels that
+    are otherwise monotone; or with a crossing or a nestedness break
+    exactly at the row's tolerance or one ulp past it, or a wiggle of
+    1e-16 to 1e-8 of S, inside or beyond the tolerance.
 
-    hi[0] is the largest magnitude S, and every edit stays below it, so
-    the tolerance is EQUALITY_TOL * max(1, S) whatever the edit.
+    hi[0] is the largest magnitude S, and every edit but the crisp row
+    stays below it, so the tolerance is EQUALITY_TOL * max(1, S)
+    whatever the edit.
     """
     big = draw(finite(0.5, 1e12))
     fractions = st.lists(finite(0.0, 1.0), min_size=m, max_size=m)
@@ -399,10 +448,19 @@ def level_rows(draw, m):
     hi = 0.5 * big * np.array(sorted(draw(fractions), reverse=True))
     hi[0] = big
     tol = EQUALITY_TOL * max(1.0, big)
-    kinds = ["valid", "non-finite", "crossing", "lower"] + ["upper"] * (m > 2)
+    breaks = ["crossing", "lower"] + ["upper"] * (m > 2)
+    kinds = ["valid", "crisp", "infinite bottom", "non-finite", "wiggle",
+             *breaks]
     kind = draw(st.sampled_from(kinds))
     past = draw(st.booleans())
-    if kind == "non-finite":
+    if kind == "crisp":
+        lo[:] = hi[:] = draw(finite(-big, big))
+    elif kind == "infinite bottom":
+        j = draw(st.integers(1, m))
+        ends = draw(st.sampled_from([(lo,), (hi,), (lo, hi)]))
+        for e in ends:
+            e[:j] = math.inf if e is hi else -math.inf
+    elif kind == "non-finite":
         ends = draw(st.sampled_from([lo, hi]))
         ends[draw(st.integers(0, m - 1))] = draw(
             st.sampled_from([math.nan, math.inf, -math.inf])
@@ -424,31 +482,58 @@ def level_rows(draw, m):
         b = hi[j - 1]
         v = last_good(lambda v: v - b > tol, b + tol, math.inf)
         hi[j] = math.nextafter(v, math.inf) if past else v
+    elif kind == "wiggle":
+        w = big * draw(st.sampled_from([1e-16, 1e-14, 1e-12, 1e-10, 1e-8]))
+        which = draw(st.sampled_from(breaks))
+        if which == "crossing":
+            lo[-1] = hi[-1] + w
+        elif which == "lower":
+            j = draw(st.integers(1, m - 1))
+            lo[j] = lo[j - 1] - w
+        else:
+            j = draw(st.integers(2, m - 1))
+            hi[j] = hi[j - 1] + w
     return lo, hi
 
 
 @st.composite
 def level_blocks(draw):
-    """A block of one to four level rows on one grid, shaped (n, m)."""
+    """A block of one to four level rows on one grid, shaped (m,),
+    (n, m) or (k, n, m)."""
     m = draw(st.integers(2, 7))
-    rows = draw(st.lists(level_rows(m), min_size=1, max_size=4))
-    return tuple(np.array(ends) for ends in zip(*rows))
+    lead = draw(st.sampled_from(
+        [(), (1,), (2,), (3,), (4,), (1, 1), (2, 1), (1, 3), (2, 2)]
+    ))
+    n = math.prod(lead)
+    rows = draw(st.lists(level_rows(m), min_size=n, max_size=n))
+    return tuple(np.array(ends).reshape(lead + (m,)) for ends in zip(*rows))
 
 
 class TestValidityKernel:
     """_invalid_rows decides whether a row is a fuzzy number and
     _level_faults words a rejected row's first fault; both must agree
-    with each other and with the level-by-level reference."""
+    with each other and with the level-by-level reference.  The
+    kernel's tolerant test, _breaks, runs exactly on a block with a row
+    that is not exactly monotone."""
 
     @given(level_blocks())
     def test_kernel_agrees_with_the_wording_path(self, block):
         lo, hi = block
+        m = lo.shape[-1]
         worded = np.any(
             [bad.any(axis=-1) for bad in _level_faults(lo, hi)], axis=0
         )
-        np.testing.assert_array_equal(_invalid_rows(lo, hi), worded)
-        alphas = _grid(lo.shape[1])
-        for row_lo, row_hi, bad in zip(lo, hi, worded):
+        with mock.patch.object(
+            fuzzy_core, "_breaks", wraps=fuzzy_core._breaks
+        ) as tolerant:
+            invalid = _invalid_rows(lo, hi)
+        assert invalid.shape == lo.shape[:-1]
+        np.testing.assert_array_equal(invalid, worded)
+        assert tolerant.called == (not exactly_monotone(lo, hi).all())
+        alphas = _grid(m)
+        for row_lo, row_hi, bad in zip(
+            lo.reshape(-1, m), hi.reshape(-1, m), np.ravel(worded)
+        ):
             assert _invalid_rows(row_lo, row_hi) == bad
             fault = reference_fault(row_lo, row_hi)
             assert bad == (fault is not None)
