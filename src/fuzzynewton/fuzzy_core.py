@@ -13,13 +13,17 @@ nonexistence is reported as a value, not an exception).  The level
 invariants and the order are each defined once, as private kernels over
 level arrays of any leading shape, so that a block of many samples is
 validated and compared at once; FuzzyNumber and leq/lt/comparable call
-the same kernels.  One kernel, _invalid_rows, decides whether each row
-is a fuzzy number: a block whose rows are monotone with no tolerance,
-as the built-ins' levels are, in one comparison pass per invariant,
-and any other block by the tolerant test; only a row it rejects is
-worded, by _level_faults, which finds the first fault at the lowest
-alpha.  Rows of a block that it accepted become FuzzyNumbers without a
-second check (_accepted_numbers).
+the same kernels.  The order is _leq, and each other fuzzy-max
+predicate is defined once next to it, on the two _leq masks of a pair:
+_below (strictly below) and _unrelated (related in neither direction),
+which lt, comparable and level_calculus's witness scan all read.  One
+kernel, _invalid_rows, decides whether each row is a fuzzy number: a
+block whose rows are monotone with no tolerance, as the built-ins'
+levels are, in one comparison pass per invariant, and any other block
+by the tolerant test; only a row it rejects is worded, by
+_level_faults, which finds the first fault at the lowest alpha.  Rows
+of a block that it accepted become FuzzyNumbers without a second check
+(_accepted_numbers).
 """
 
 from __future__ import annotations
@@ -530,17 +534,18 @@ def _leq(a_lo, a_hi, b_lo, b_hi) -> np.ndarray:
     return np.all(a_lo <= b_lo, axis=-1) & np.all(a_hi <= b_hi, axis=-1)
 
 
-def _lt(a_lo, a_hi, b_lo, b_hi) -> np.ndarray:
-    """Strict fuzzy-max order, row by row: a <= b and not b <= a.  Where
-    a <= b holds, no endpoint is NaN, so b <= a fails exactly where a is
-    strictly below b at some grid alpha."""
-    return _leq(a_lo, a_hi, b_lo, b_hi) & ~_leq(b_lo, b_hi, a_lo, a_hi)
+def _below(le: np.ndarray, ge: np.ndarray) -> np.ndarray:
+    """Strict fuzzy-max order a < b from le = (a <= b) and ge = (b <= a),
+    row by row.  Where a <= b holds, no endpoint is NaN, so b <= a fails
+    exactly where a is strictly below b at some grid alpha.  It is
+    non-dominance's witness test: a sample a strictly below x0 = b."""
+    return le & ~ge
 
 
-def _comparable(a_lo, a_hi, b_lo, b_hi) -> np.ndarray:
-    """Related in at least one direction of the fuzzy-max order, row by
-    row."""
-    return _leq(a_lo, a_hi, b_lo, b_hi) | _leq(b_lo, b_hi, a_lo, a_hi)
+def _unrelated(le: np.ndarray, ge: np.ndarray) -> np.ndarray:
+    """Related in neither direction of the fuzzy-max order, from le and
+    ge as for _below: comparability's witness test."""
+    return ~(le | ge)
 
 
 def leq(a: FuzzyNumber, b: FuzzyNumber) -> bool:
@@ -552,13 +557,15 @@ def leq(a: FuzzyNumber, b: FuzzyNumber) -> bool:
 def lt(a: FuzzyNumber, b: FuzzyNumber) -> bool:
     """Strict fuzzy-max order: leq plus strictness at some grid alpha."""
     _require_same_grid(a, b)
-    return bool(_lt(a.lo, a.hi, b.lo, b.hi))
+    return bool(_below(_leq(a.lo, a.hi, b.lo, b.hi),
+                       _leq(b.lo, b.hi, a.lo, a.hi)))
 
 
 def comparable(a: FuzzyNumber, b: FuzzyNumber) -> bool:
     """Related in at least one direction of the fuzzy-max order."""
     _require_same_grid(a, b)
-    return bool(_comparable(a.lo, a.hi, b.lo, b.hi))
+    return not _unrelated(_leq(a.lo, a.hi, b.lo, b.hi),
+                          _leq(b.lo, b.hi, a.lo, a.hi))
 
 
 def distance(a: FuzzyNumber, b: FuzzyNumber) -> float:

@@ -12,13 +12,14 @@ differences applied to F itself.
 
 All level values pass through one evaluator: ``_levels`` fetches one
 level pair, a callable (x, alpha) -> (lo, hi), at a scalar x or on an
-x-column by alpha grid, or a jet (below) at x,
-``_integrate`` applies the quadrature weights, cached per grid size and
-rule, a row at a time or a block in one stacked call, ``_finite``
-raises NumericError on a non-finite value, and ``_Point``
-shares the levels fetched near one point among F, its derivatives, the
-fuzzy value and the level slopes.  The Newton solver, the verifier, the
-grid oracle and the centroid all read values through it.  A Newton
+x-column by alpha grid, or a jet (below) at x; ``_integrate`` applies
+the quadrature weights, cached per grid size and rule, a row at a time
+or a block in one stacked call, and returns the values untested;
+``_finite`` tests them, raising NumericError on a non-finite value; and
+``_Point`` shares the levels fetched near one point among F, its
+derivatives, the fuzzy value and the level slopes.  The Newton solver,
+the verifier, the grid oracle and the centroid all read values through
+it.  A Newton
 iterate is one fetch on both derivative paths: ``_Point.fetch`` takes
 the jet of a function with analytic F' and F'' at float(x), or else the
 point's ``column()``, which a verification reads too, and integrates it
@@ -29,7 +30,7 @@ kind and of the public ``scalarize_d1`` and ``scalarize_d2``.  A float
 x takes a path of its own through it, with the same level map calls and
 the same bits as row 0 of an x-column: ``_levels`` takes the grid's
 shape without np.broadcast, ``_integrate`` takes the one row's 1-D dot,
-``_finite`` tests it with math.isfinite, and ``crisp_lift`` adds a
+``_Point`` tests it with math.isfinite, and ``crisp_lift`` adds a
 0.0 * alpha row kept per shared grid.  A fuzzy value of f is built
 only by ``_fuzzy_numbers``, which checks a block of level rows with one
 call of fuzzy_core's validity kernel: one row for eval_fuzzy, a block
@@ -48,8 +49,8 @@ float x, with the bits of each pair.  A built-in (and its negation, and
 a crisp lift with both derivatives) has a jet fused from its pairs,
 which the FuzzyFunction takes while its three derived pairs are the
 ones the jet was built from; any other function's jet, a caller's own
-maps' or wrapped ends', calls its three pairs and stacks their rows
-(``_stacked``).
+maps' or wrapped ends', calls its three pairs and writes their rows
+into one preallocated block (``_stacked``).
 
 The alpha grid of each size is one object, fuzzy_core's ``_grid``: built
 and validated once, read-only, and passed to every level map and every
@@ -63,13 +64,14 @@ The neighbourhood checks (comparability and non-dominance) are read
 by one scanner, ``_first_witness``, from one x-column: the point, any
 other points whose levels the caller wants (a verification's: the rest
 of its _Point's ``column()``), then each check's samples in the domain.
-The column is fetched in scalarize_many's blocks, one at a time, with
-one fetch of the level pair, one call of fuzzy_core's row-wise
-invariant kernel and one row-wise order kernel per block: whether each
-sample is below x0 and whether x0 is below it, from which each check
-reads its witnesses.  So a verification is one fetch: its point's
-column and all three checks take one fetch per block of 102 rows at 101
-levels.  Verdicts,
+Each check reads the rows between two of one list of row bounds.  The
+column is fetched in scalarize_many's blocks, one at a time, with one
+fetch of the level pair, one call of fuzzy_core's row-wise invariant
+kernel and one row-wise order kernel per block: whether each row is
+below x0 and whether x0 is below it, of which each check reads its own
+slice with its witness test, fuzzy_core's _below or _unrelated.  So a
+verification is one fetch: its point's column and all three checks
+take one fetch per block of 102 rows at 101 levels.  Verdicts,
 witnesses and errors are those of taking the samples one at a time in
 order and the checks one after another; a check that finds no sample in
 the domain is inconclusive.
@@ -95,12 +97,14 @@ from .fuzzy_core import (
     _ALPHA_POINTS,
     FuzzyNumber,
     _accepted_numbers,
+    _below,
     _grid,
     _invalid_rows,
     _leq,
     _per_grid,
     _require_integer,
     _require_positive,
+    _unrelated,
     _validate_levels,
 )
 
@@ -161,9 +165,8 @@ class FuzzyFunction:
     def has_analytic_d1(self) -> bool:
         return self.d1_lo is not None
 
-    @property
-    def has_analytic_d2(self) -> bool:
-        return self.d2_lo is not None
+    # analytic derivatives come in both orders or none
+    has_analytic_d2 = has_analytic_d1
 
     def __post_init__(self):
         if not self.domain[0] <= self.domain[1]:
@@ -218,12 +221,15 @@ def _pair(lo: Optional[LevelMap], hi: Optional[LevelMap]) -> Optional[LevelPair]
 
 def _stacked(pairs, x: float, a):
     """The jet of the level, d1 and d2 pairs called one after another:
-    each end's three rows, broadcast against the alpha grid, stacked on
-    a leading axis.  It is the jet of a function with analytic F' and
-    F'' that has no jet fused from its pairs: a caller's own maps, or
-    ends wrapped with dataclasses.replace."""
-    return tuple(np.stack(np.broadcast_arrays(a, *ends)[1:])
-                 for ends in zip(*(pair(x, a) for pair in pairs)))
+    each end's three rows, broadcast against the alpha grid as they are
+    written into one (2, 3, m) float block, whose halves are lo and hi.
+    It is the jet of a function with analytic F' and F'' that has no
+    jet fused from its pairs: a caller's own maps, or ends wrapped with
+    dataclasses.replace."""
+    lo, hi = np.empty((2, 3) + np.shape(a))
+    for k, pair in enumerate(pairs):
+        lo[k], hi[k] = pair(x, a)
+    return lo, hi
 
 
 def _from_pairs(level: LevelPair, d1: Optional[LevelPair] = None,
@@ -436,7 +442,7 @@ def _levels_each(f: FuzzyFunction, xs: np.ndarray, alphas: np.ndarray):
         return tuple(np.array(ends) for ends in zip(*pairs))
 
 
-def _integrate(lo: np.ndarray, hi: np.ndarray, w: np.ndarray, x=None):
+def _integrate(lo: np.ndarray, hi: np.ndarray, w: np.ndarray):
     """Quadrature of lo + hi over alpha, one value per row.
 
     Every row is integrated by one dot of its own, at every shape: a
@@ -448,30 +454,24 @@ def _integrate(lo: np.ndarray, hi: np.ndarray, w: np.ndarray, x=None):
     a _Point's stacked block, and F' and F'' from a jet's three rows
     have the bits of each order's pair integrated alone.
 
-    Given x, the points of the rows, the values are tested by _finite;
-    without it they are returned untested, for a caller that tests each
-    value as it reads it.
+    The values are returned untested: scalarize_many tests a block's by
+    _finite, and a _Point tests each value by math.isfinite as it reads
+    it.
     """
     if lo.ndim == 1:
-        values = (lo + hi) @ w
-    else:
-        values = np.matmul((lo + hi)[..., None, :], w[:, None])[..., 0, 0]
-    return values if x is None else _finite(values, x)
+        return (lo + hi) @ w
+    return np.matmul((lo + hi)[..., None, :], w[:, None])[..., 0, 0]
 
 
 def _finite(values, x):
-    """values, once every one is finite: a float at the point x, or an
-    array at the points x.
+    """values, once every one is finite: values at the points x, or one
+    value at the point x.
 
     Raises NumericError naming the first x whose value is not finite;
     with positive weights, a non-finite level value makes it so.  A
-    float is tested by math.isfinite, at a fraction of the cost of
-    numpy's test of one value.
+    _Point tests its floats by math.isfinite, at a fraction of the cost
+    of numpy's test of one value, and calls this only to word the error.
     """
-    if isinstance(values, float):
-        if not math.isfinite(values):
-            raise NumericError(f"non-finite level values at x={np.ravel(x)[0]}")
-        return values
     finite = np.isfinite(values)
     if not finite.all():
         bad = np.ravel(x)[np.argmin(np.ravel(finite))]
@@ -730,8 +730,8 @@ def scalarize_many(f: FuzzyFunction, xs, cfg: ScalarizationConfig) -> np.ndarray
     w = _quad_weights(cfg.alpha_points, cfg.quadrature)
     values = np.empty(xs.size)
     for start, block in _blocks(xs, alphas.size):
-        values[start:start + block.size] = _integrate(
-            *_levels_each(f, block, alphas), w, block
+        values[start:start + block.size] = _finite(
+            _integrate(*_levels_each(f, block, alphas), w), block
         )
     return values
 
@@ -752,7 +752,7 @@ def scalarize_d2(f: FuzzyFunction, x: float, cfg: ScalarizationConfig) -> float:
 
 def _first_witness(
     f: FuzzyFunction, x0: float, checks, reach: float, m: int,
-    lead=(), on_lead: Optional[Callable] = None,
+    lead=(), on_lead: Callable = lambda lo, hi: None,
 ) -> tuple[list, object]:
     """For each check (xs, is_witness, report), report(i, used): i the
     index in xs of its first sample x with is_witness(f(x) <= f(x0),
@@ -766,18 +766,19 @@ def _first_witness(
 
     x0, the points of lead (a verification's: the rest of its _Point's
     column()) and each check's kept samples, in that order, make one
-    x-column, fetched in scalarize_many's blocks with one _invalid_rows
-    call per block.  Once the rows of x0 and lead are in,
-    on_lead gets copies of them, before a sample row is read.  One order
-    kernel per block, fuzzy_core's _leq in each direction against x0's
-    row, covers the rows of the checks not yet decided; each check then
-    scans its own rows, which may span blocks, with its is_witness on
-    those two masks: the first row that is a witness or breaks an
-    invariant decides, and a broken row raises
+    x-column, whose one layout is a list of row bounds: check c reads
+    rows bounds[c] to bounds[c + 1].  The column is fetched in
+    scalarize_many's blocks with one _invalid_rows call per block.  Once
+    the rows of x0 and lead are in, on_lead gets copies of them, before
+    a sample row is read.  One order kernel per block, fuzzy_core's _leq
+    in each direction against x0's row, covers the whole block; each
+    check not yet decided then reads its own slice of the two masks,
+    its rows in this block, with its is_witness: the first row that is
+    a witness or breaks an invariant decides, and a broken row raises
     MalformedFunctionError, as when the samples are taken one at a time
-    and the checks one after another.  So does a broken x0, whatever the
-    samples; lead rows are not checked.  Fetching stops once every check
-    is decided.
+    and the checks one after another.  So does a broken x0, whatever
+    the samples; lead rows are not checked.  Fetching stops once every
+    check is decided.
     """
     _require_in_domain(f, x0)
     alphas = _grid(m)
@@ -787,49 +788,37 @@ def _first_witness(
         ~(np.abs(xs - x0) <= coincident) & f.contains(xs)
         for xs, *_ in checks
     ]
-    sizes = [int(np.count_nonzero(k)) for k in kept]
     head = 1 + len(lead)
-    # check c reads rows firsts[c] to ends[c] of points
-    ends = (head + np.cumsum(sizes, dtype=int)).tolist()
-    firsts = [end - size for end, size in zip(ends, sizes)]
-    points = np.empty(head + sum(sizes))
+    # check c reads rows bounds[c] to bounds[c + 1] of points
+    bounds = np.cumsum([head, *map(np.count_nonzero, kept)]).tolist()
+    points = np.empty(bounds[-1])
     points[:head] = x0, *lead
-    for (xs, *_), k, first, end in zip(checks, kept, firsts, ends):
+    for (xs, *_), k, first, end in zip(checks, kept, bounds, bounds[1:]):
         points[first:end] = xs[k]
-    found = [None if size else (None, 0) for size in sizes]
+    found = [None if a < b else (None, 0) for a, b in zip(bounds, bounds[1:])]
     # copies of the rows of x0 (the base of every order) and lead
     base = np.empty((2, head, m))
-    measured = None
     for start, block in _blocks(points, m):
         lo, hi = _levels_each(f, block, alphas)
         bad = _invalid_rows(lo, hi)
         stop = start + block.size
         if start < head:
-            n = min(head, stop) - start
-            base[:, start:start + n] = lo[:n], hi[:n]
+            # the slices of base end at row head
+            base[:, start:stop] = lo[:head - start], hi[:head - start]
             if start == 0:
                 x0_bad = bad[0]
             if stop >= head:
-                if on_lead is not None:
-                    measured = on_lead(*base)
+                measured = on_lead(*base)
                 if x0_bad:
                     # raises: x0's row breaks an invariant
                     _fuzzy_numbers(f, [x0], base[0, :1], base[1, :1])
-        live = [
-            c for c, hit in enumerate(found)
-            if hit is None and firsts[c] < stop and start < ends[c]
-        ]
-        if live:
-            # block rows top to bottom hold every live check's rows here
-            top = max(firsts[live[0]], start) - start
-            bottom = min(ends[live[-1]], stop) - start
-            le = _leq(lo[top:bottom], hi[top:bottom], *base[:, 0])
-            ge = _leq(*base[:, 0], lo[top:bottom], hi[top:bottom])
-        for c in live:
-            a = max(firsts[c], start) - start
-            b = min(ends[c], stop) - start
-            mine = slice(a - top, b - top)
-            hits = np.flatnonzero(bad[a:b] | checks[c][1](le[mine], ge[mine]))
+        le, ge = _leq(lo, hi, *base[:, 0]), _leq(*base[:, 0], lo, hi)
+        for c, (first, end) in enumerate(zip(bounds, bounds[1:])):
+            # check c's rows of this block are a to b
+            a, b = max(first, start) - start, min(end, stop) - start
+            if found[c] is not None or a >= b:
+                continue
+            hits = np.flatnonzero(bad[a:b] | checks[c][1](le[a:b], ge[a:b]))
             if hits.size:
                 r = a + int(hits[0])
                 if bad[r]:
@@ -838,27 +827,15 @@ def _first_witness(
                         f, [float(block[r])], lo[r:r + 1], hi[r:r + 1]
                     )
                 # row start + r of points is check c's i-th kept sample
-                i = start + r - firsts[c]
+                i = start + r - first
                 found[c] = int(np.flatnonzero(kept[c])[i]), i + 1
-            elif ends[c] <= stop:
-                found[c] = None, sizes[c]
+            elif end <= stop:
+                found[c] = None, end - first
         # no view of this block may outlive it into the next fetch
         del lo, hi, bad
         if stop >= head and None not in found:
             break
     return [report(*hit) for (*_, report), hit in zip(checks, found)], measured
-
-
-def _below(le: np.ndarray, ge: np.ndarray) -> np.ndarray:
-    """Non-dominance's witness test: a sample strictly below x0 in the
-    fuzzy-max order, from le = (sample <= x0) and ge = (x0 <= sample)."""
-    return le & ~ge
-
-
-def _unrelated(le: np.ndarray, ge: np.ndarray) -> np.ndarray:
-    """Comparability's witness test: a sample related to x0 in neither
-    direction of the fuzzy-max order."""
-    return ~(le | ge)
 
 
 def _require_finite_samples(x0: float, nbhd: float, samples: int,

@@ -902,18 +902,49 @@ class TestParserReuse:
             assert run_case(name, tmp_path) == golden[name], name
 
 
-def _run_module(*argv):
-    """``python -m fuzzynewton argv...`` in a child process."""
+def _run(*argv):
+    """``python argv...`` in a child process."""
     # the child imports the package from this checkout, as the tests do
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, "-m", "fuzzynewton", *argv],
+        [sys.executable, *argv],
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def _run_module(*argv):
+    """``python -m fuzzynewton argv...`` in a child process."""
+    return _run("-m", "fuzzynewton", *argv)
+
+
+# Runs ``python -m fuzzynewton`` with its own arguments as its one child
+# and prints that child's exit code, last stdout line and peak RSS in MB.
+_PEAK_OF_ONE_CHILD = """
+import json, resource, subprocess, sys
+proc = subprocess.run([sys.executable, "-m", "fuzzynewton", *sys.argv[1:]],
+                      capture_output=True, text=True)
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(json.dumps([proc.returncode, proc.stdout.splitlines()[-1:], peak_mb]))
+"""
+
+
+def test_module_check_memory():
+    # The CI workflow's Check memory case: a 100 000-sample check at
+    # max_return_fuzzy's answer passes and peaks under 48 MB (37.1-37.3
+    # MB on a 2-core Xeon; 4096-row level blocks read 49.5). The checks'
+    # samples make one 300 003-point column, read in scalarize_many's
+    # blocks. RUSAGE_CHILDREN is read in a wrapper process whose one
+    # child is the check, since pytest's would count its other children.
+    proc = _run("-c", _PEAK_OF_ONE_CHILD, "check",
+                "--problem", "max_return_fuzzy",
+                "--xstar", "0.6992541391715129", "--samples", "100000")
+    code, last, peak_mb = json.loads(proc.stdout)
+    assert (code, last) == (0, ["verdict: pass"])
+    assert peak_mb < 48
 
 
 def test_console_entrypoint_runs():

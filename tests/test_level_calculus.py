@@ -7,10 +7,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fuzzynewton import (
     DomainError,
     FuzzyFunction,
+    FuzzyNewtonError,
     FuzzyNumber,
     InvalidLevelError,
     MalformedFunctionError,
@@ -1026,3 +1029,50 @@ class TestCheckPointColumn:
         apart = [report_bits(assembled_report(f, x, cfg, 0.05, 25))
                  for f, x in cases]
         assert split == whole == apart
+
+
+def _sample(x, c, k):
+    """The k-th of check c's 25 samples in an nbhd of 0.05 at x, as
+    check_point draws them: c = 0 for non-dominance, 1 and 2 for
+    comparability along +1 and -1."""
+    if c == 0:
+        return np.linspace(x - 0.05, x + 0.05, 25)[k]
+    return x + np.linspace(0.0, 0.05, 27)[1:-1][k] * (1.0, -1.0)[c - 1]
+
+
+def _outcome(check, *args):
+    """The report's bits, or the type and message of what it raised."""
+    try:
+        return report_bits(check(*args))
+    except FuzzyNewtonError as err:
+        return type(err), str(err)
+
+
+class TestCheckPointBlocksWithMalformedRows:
+    """Malformed sample rows in any of the three checks, with the column
+    split into blocks of any row count: check_point's report, or the
+    error it raises, is that of its parts taken apart.  A check decided
+    by a witness reads no later row, so a malformed row after it raises
+    nothing."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.sampled_from([1, 2, 3, 7, 101]),
+        fd=st.booleans(),
+        x=st.sampled_from([-4.0 / 3.0, -0.3, 0.0]),
+        broken=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 24)),
+                        max_size=3),
+    )
+    # comparability (+) at the maximizer is decided by its first sample,
+    # in a block before its broken fourth
+    @example(rows=1, fd=False, x=-4.0 / 3.0, broken=[(1, 3)])
+    def test_report_or_error_of_the_parts(self, rows, fd, x, broken):
+        f = _broken_at([_sample(x, c, k) for c, k in broken])
+        f = _fd_only(f) if fd else f
+        cfg = NewtonConfig(x0=x)
+        want = _outcome(assembled_report, f, x, cfg, 0.05, 25)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                level_calculus, "_BLOCK_VALUES", rows * CFG.alpha_points
+            )
+            assert _outcome(check_point, f, x, cfg, 0.05, 25) == want

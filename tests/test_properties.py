@@ -59,17 +59,17 @@ from fuzzynewton import (
 from fuzzynewton import cli, fuzzy_core
 from fuzzynewton.fuzzy_core import (
     EQUALITY_TOL,
-    _comparable,
+    _below,
     _grid,
     _invalid_rows,
     _leq,
     _level_faults,
-    _lt,
     _square_lo,
+    _unrelated,
 )
 from fuzzynewton.level_calculus import (
-    FuzzyFunction, _below, _integrate, _levels, _levels_each,
-    _quad_weights, _stacked, _unrelated,
+    FuzzyFunction, _finite, _integrate, _levels, _levels_each,
+    _quad_weights, _stacked,
 )
 from fuzzynewton.problems import (
     BUILTIN_NAMES,
@@ -263,24 +263,20 @@ def order_blocks(draw):
 
 
 class TestOrderKernels:
-    """_lt and _comparable, and the witness tests that _first_witness
-    reads from the two _leq masks of a block, give the bits of the
-    order as first written (helpers.old_lt and old_comparable), with
-    ties, NaN and infinities."""
+    """_below and _unrelated on the two _leq masks of a pair, as lt,
+    comparable and _first_witness read them, give the bits of the order
+    as first written (helpers.old_lt and old_comparable), with ties, NaN
+    and infinities."""
 
     @given(order_blocks())
     def test_kernels_give_the_first_formulas(self, block):
         x0, rows = block
         for a, b in ((rows, x0), (x0, rows)):
-            np.testing.assert_array_equal(_lt(*a, *b), old_lt(*a, *b))
+            le, ge = _leq(*a, *b), _leq(*b, *a)
+            np.testing.assert_array_equal(_below(le, ge), old_lt(*a, *b))
             np.testing.assert_array_equal(
-                _comparable(*a, *b), old_comparable(*a, *b)
+                ~_unrelated(le, ge), old_comparable(*a, *b)
             )
-        le, ge = _leq(*rows, *x0), _leq(*x0, *rows)
-        np.testing.assert_array_equal(_below(le, ge), old_lt(*rows, *x0))
-        np.testing.assert_array_equal(
-            _unrelated(le, ge), ~old_comparable(*rows, *x0)
-        )
 
 
 class TestQuadratureIsMonotone:
@@ -292,7 +288,8 @@ class TestQuadratureIsMonotone:
         a, b, quadrature = case
         assert leq(a, b)
         w = _quad_weights(a.m, quadrature)
-        assert _integrate(a.lo, a.hi, w, 0.0) <= _integrate(b.lo, b.hi, w, 0.0)
+        fa, fb = (_finite(_integrate(c.lo, c.hi, w), 0.0) for c in (a, b))
+        assert fa <= fb
 
 
 class TestMetricAxioms:
@@ -839,9 +836,10 @@ SCALAR_XS = st.one_of(st.sampled_from([0.0, -0.0, 1e160, -1e160]),
 
 
 def integrated(lo, hi, w, x):
-    """_integrate's value, or the message of its NumericError."""
+    """_integrate's value once _finite has tested it, or the message of
+    _finite's NumericError."""
     try:
-        return _integrate(lo, hi, w, x)
+        return _finite(_integrate(lo, hi, w), x)
     except NumericError as err:
         return str(err)
 
@@ -861,12 +859,13 @@ def mixed_sign_columns(draw):
 class TestScalarPathsKeepTheirBits:
     """A float x takes a path of its own through _levels (no broadcast),
     the crisp lift (a 0.0 * alpha row kept per grid) and _integrate (one
-    1-D dot, math.isfinite); each gives the bits of the column path, for
-    x as a float, an np.float64 and a 0-d array.  The polynomial maps
-    run one loop for both: each power is numpy's x**i (0-d for a float
-    x, then a Python float), one helper picks each term's cut (a Python
-    bool for a float, one cut for a column whose rows share a sign,
-    np.where for a mixed-sign one), and each term is written once."""
+    1-D dot); each gives the bits of the column path, and _finite the
+    same error, for x as a float, an np.float64 and a 0-d array.  The
+    polynomial maps run one loop for both: each power is numpy's x**i
+    (0-d for a float x, then a Python float), one helper picks each
+    term's cut (a Python bool for a float, one cut for a column whose
+    rows share a sign, np.where for a mixed-sign one), and each term is
+    written once."""
 
     @given(st.lists(triangulars(lo=-5.0, span=3.0), min_size=1, max_size=6),
            mixed_sign_columns(), st.sampled_from([3, 101, 1001]))
